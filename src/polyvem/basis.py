@@ -10,6 +10,7 @@ matrix from the raw monomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,8 +21,10 @@ __all__ = [
     "EdgePolyBasis",
     "cell_basis_dim",
     "monomial_exponents",
-    "eval_basis",
-    "eval_gradient",
+    "exponent_arrays",
+    "scaled_powers",
+    "monomial_values",
+    "monomial_gradients",
     "gram_matrix",
     "orthonormalize",
     "directional_derivative_matrix",
@@ -39,6 +42,45 @@ def monomial_exponents(k: int) -> list[tuple[int, int]]:
         for a2 in range(d + 1):
             out.append((d - a2, a2))
     return out
+
+
+@lru_cache(maxsize=None)
+def exponent_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only x- and y-exponent arrays of `monomial_exponents(k)`."""
+    exps = np.array(monomial_exponents(k), dtype=int).reshape(-1, 2).T.copy()
+    exps.setflags(write=False)
+    return exps[0], exps[1]
+
+
+def scaled_powers(points, center, diameter, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Power tables (..., n, k + 1) of the scaled coordinates (x - x_K)/h_K
+    and (y - y_K)/h_K at points (..., n, 2), for centers (..., 2) and
+    diameters (...); column j is column j - 1 times the coordinate, as in
+    np.vander."""
+    p = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)[..., None, :]
+    t = p / np.asarray(diameter, dtype=float)[..., None, None]
+    tables = []
+    for s in (t[..., 0], t[..., 1]):
+        powers = [np.ones_like(s), s]
+        while len(powers) <= k:
+            powers.append(powers[-1] * s)
+        tables.append(np.stack(powers[:k + 1], axis=-1))
+    return tables[0], tables[1]
+
+
+def monomial_values(powx: np.ndarray, powy: np.ndarray, k: int) -> np.ndarray:
+    """Raw scaled monomials of degree <= k, (..., n, dim P_k), from power tables."""
+    ex, ey = exponent_arrays(k)
+    return powx[..., ex] * powy[..., ey]
+
+
+def monomial_gradients(powx: np.ndarray, powy: np.ndarray, k: int, diameter) -> tuple[np.ndarray, np.ndarray]:
+    """x- and y-derivatives of the raw scaled monomials, each (..., n, dim P_k)."""
+    ex, ey = exponent_arrays(k)
+    h = np.asarray(diameter, dtype=float)[..., None, None]
+    gx = np.where(ex > 0, (ex / h) * powx[..., ex - 1] * powy[..., ey], 0.0)
+    gy = np.where(ey > 0, (ey / h) * powx[..., ex] * powy[..., ey - 1], 0.0)
+    return gx, gy
 
 
 def _raw_derivative_matrices(k: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,56 +129,16 @@ class CellPolyBasis:
     def exponents(self) -> list[tuple[int, int]]:
         return monomial_exponents(self.k)
 
-    def _scaled_powers(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = (p[:, 0] - self.center[0]) / self.diameter
-        eta = (p[:, 1] - self.center[1]) / self.diameter
-        powx = np.vander(xi, self.k + 1, increasing=True)
-        powy = np.vander(eta, self.k + 1, increasing=True)
-        return powx, powy
-
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Values of all basis functions at the points, shape (npts, dim)."""
-        powx, powy = self._scaled_powers(points)
-        raw = np.column_stack([powx[:, a1] * powy[:, a2] for a1, a2 in self.exponents])
-        return raw @ self.coef
+        powers = scaled_powers(np.atleast_2d(points), self.center, self.diameter, self.k)
+        return monomial_values(*powers, self.k) @ self.coef
 
     def eval_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x- and y-derivatives of all basis functions, each (npts, dim)."""
-        powx, powy = self._scaled_powers(points)
-        h = self.diameter
-        cols_x = []
-        cols_y = []
-        for a1, a2 in self.exponents:
-            gx = (a1 / h) * powx[:, a1 - 1] * powy[:, a2] if a1 > 0 else np.zeros(len(powx))
-            gy = (a2 / h) * powx[:, a1] * powy[:, a2 - 1] if a2 > 0 else np.zeros(len(powx))
-            cols_x.append(gx)
-            cols_y.append(gy)
-        return np.column_stack(cols_x) @ self.coef, np.column_stack(cols_y) @ self.coef
-
-    def laplacian_in_raw(self, kout: int) -> np.ndarray:
-        """Coefficients of the Laplacian of each basis function in the raw
-        scaled-monomial basis of degree <= kout (requires kout >= k - 2)."""
-        if kout < max(self.k - 2, 0):
-            raise ValueError("target degree too small to hold the Laplacian")
-        exps_out = monomial_exponents(kout)
-        index = {e: i for i, e in enumerate(exps_out)}
-        h2 = self.diameter**2
-        lap = np.zeros((len(exps_out), self.dim))
-        for j, (a1, a2) in enumerate(self.exponents):
-            if a1 >= 2:
-                lap[index[(a1 - 2, a2)], j] += a1 * (a1 - 1) / h2
-            if a2 >= 2:
-                lap[index[(a1, a2 - 2)], j] += a2 * (a2 - 1) / h2
-        return lap @ self.coef
-
-
-def eval_basis(basis, points: np.ndarray) -> np.ndarray:
-    return basis.eval(points)
-
-
-def eval_gradient(basis: CellPolyBasis, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return basis.eval_gradient(points)
+        powers = scaled_powers(np.atleast_2d(points), self.center, self.diameter, self.k)
+        gx, gy = monomial_gradients(*powers, self.k, self.diameter)
+        return gx @ self.coef, gy @ self.coef
 
 
 def gram_matrix(basis, quad: QuadratureRule) -> np.ndarray:

@@ -19,9 +19,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import CellPolyBasis, cell_basis_dim, monomial_exponents, orthonormalize
-from .mesh import PolygonalMesh, cell_quadrature
-from .quadrature import QuadratureRule, gauss_lobatto
+from .basis import (
+    CellPolyBasis,
+    cell_basis_dim,
+    monomial_exponents,
+    monomial_gradients,
+    monomial_values,
+    orthonormalize,
+    scaled_powers,
+)
+from .mesh import PolygonalMesh, cell_quadratures
+from .quadrature import QuadratureRule, gauss_lobatto, map_batches
 
 __all__ = [
     "DofLayout",
@@ -29,9 +37,14 @@ __all__ = [
     "GlobalDofMap",
     "build_element",
     "build_all_elements",
+    "error_integrals",
+    "map_element_batches",
     "interpolate",
+    "interpolate_all",
     "load_vector",
+    "load_vectors",
     "project_gradient_l2",
+    "project_gradients_l2",
     "lagrange_eval_matrix",
 ]
 
@@ -87,7 +100,6 @@ class LocalVemElement:
     consistency: np.ndarray   # K_c
     stability: np.ndarray     # S
     stiffness: np.ndarray     # K_c + S
-    pi0_km2: np.ndarray | None  # (dim P_{k-2}, n_dofs) in raw monomials, k >= 2
     boundary_mean: np.ndarray   # row of |dK|^-1 int_dK phi_i
     moment_family: CellPolyBasis | None  # weight functions of the moment DOFs
     moment_to_raw: np.ndarray | None     # family moments -> raw monomial moments
@@ -96,13 +108,6 @@ class LocalVemElement:
     @property
     def n_dofs(self) -> int:
         return self.layout.n_dofs
-
-    def raw_moments(self, dofs: np.ndarray) -> np.ndarray:
-        """|K|^-1 int_K v m_alpha against the raw scaled monomials of degree
-        <= k - 2, recovered from the moment DOFs."""
-        if self.moment_to_raw is None:
-            return np.zeros(0)
-        return self.moment_to_raw @ dofs[self.layout.n_point:]
 
 
 def lagrange_eval_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -171,174 +176,226 @@ class GlobalDofMap:
         return np.array([a, *range(base, base + self.k - 1), b], dtype=int)
 
 
-def build_element(mesh: PolygonalMesh, cell: int, k: int, stab: str = "d_recipe",
-                  basis_mode: str = "auto", cell_exactness: int | None = None) -> LocalVemElement:
-    """Construct the order-k element on one cell.
+def build_element(mesh: PolygonalMesh, cell: int, k: int, stab: str = "d_recipe") -> LocalVemElement:
+    """Construct the order-k element on one cell (a batch of one).
 
     stab: 'euclidean' (identity on the DOF product) or 'd_recipe' (diagonal
-    weights max(diag(K_c), trace(K_c)/n_dofs)).  basis_mode: 'raw', 'ortho',
-    or 'auto' (orthonormalized for k >= 3).
+    weights max(diag(K_c), trace(K_c)/n_dofs)).  The cell basis is
+    orthonormalized for k >= 3.
     """
+    return _build_elements(mesh, [cell], k, stab)[0]
+
+
+def build_all_elements(mesh: PolygonalMesh, k: int, stab: str = "d_recipe") -> list:
+    """Elements of every cell, indexed by cell."""
+    return _build_elements(mesh, range(mesh.n_cells), k, stab)
+
+
+def map_element_batches(elements: list, items: list, kernel, *args) -> list:
+    """`map_batches` over batches of elements of one order and cell shape;
+    items[i] goes with elements[i]."""
+    keys = [(el.k, el.layout.n_vertices, len(el.quad.weights)) for el in elements]
+    return map_batches(keys, items, kernel, *args)
+
+
+def _T(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + _T(a))
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # stacked matrix-vector products, each the BLAS call of `a[i] @ x[i]`
+    return (a @ x[..., None])[..., 0]
+
+
+def _build_elements(mesh: PolygonalMesh, cells, k: int, stab: str) -> list:
     if k < 1:
         raise ValueError("order k must be >= 1")
     if stab not in STABILIZATIONS:
         raise ValueError(f"unknown stabilization {stab!r}")
-    loop = mesh.cells[cell]
-    nv = len(loop)
-    verts = mesh.vertices[loop]
-    xK = mesh.cell_centroids[cell]
-    hK = float(mesh.cell_diameters[cell])
-    area = float(mesh.cell_areas[cell])
+    cells = list(cells)
+    quads = cell_quadratures(mesh, cells, 2 * k + 2)
+    keys = [(len(mesh.cells[c]), len(q.weights)) for c, q in zip(cells, quads)]
+    return map_batches(keys, list(zip(cells, quads)), _build_batch, mesh, k, stab)
 
-    quad = cell_quadrature(mesh, cell, cell_exactness if cell_exactness is not None else 2 * k + 2)
-    basis = CellPolyBasis(k, xK, hK, cell_index=cell)
-    if basis_mode == "ortho" or (basis_mode == "auto" and k >= 3):
-        basis = orthonormalize(basis, quad)
-    npoly = basis.dim
 
-    # edge geometry and GL nodes (the point DOFs)
-    glx, glw = gauss_lobatto(k + 1)
-    edge_len = np.zeros(nv)
-    edge_nrm = np.zeros((nv, 2))
-    gl_nodes = []
-    gl_weights = []
-    for i in range(nv):
-        a = verts[i]
-        b = verts[(i + 1) % nv]
-        d = b - a
-        ln = float(np.hypot(*d))
-        edge_len[i] = ln
-        edge_nrm[i] = np.array([d[1], -d[0]]) / ln
-        mid = 0.5 * (a + b)
-        gl_nodes.append(mid[None, :] + 0.5 * glx[:, None] * d[None, :])
-        gl_weights.append(0.5 * ln * glw)
-    perimeter = float(np.sum(edge_len))
+def _build_batch(items: list, mesh: PolygonalMesh, k: int, stab: str) -> list:
+    """Elements of cells with one vertex count and quadrature size.
 
-    layout = DofLayout(
-        k=k,
-        n_vertices=nv,
-        point_coords=np.vstack([verts] + [nodes[1:-1] for nodes in gl_nodes]) if k > 1 else verts.copy(),
-        moment_exponents=monomial_exponents(k - 2) if k >= 2 else [],
-    )
-    n_dofs = layout.n_dofs
-    n_mom = layout.n_moment
-    mom_cols = np.arange(layout.n_point, n_dofs)
+    Every stacked call makes, cell by cell, the floating-point operations of
+    a one-cell build in the same order, so an element does not depend on
+    the batch it was built in.
+    """
+    cells, quads = [c for c, _ in items], [q for _, q in items]
+    nb = len(cells)
+    verts = mesh.vertices[[mesh.cells[c] for c in cells]]
+    nv = verts.shape[1]
+    xK, hK, area = mesh.cell_centroids[cells], mesh.cell_diameters[cells], mesh.cell_areas[cells]
+    wq = np.stack([q.weights for q in quads])[..., None]
+    npoly = cell_basis_dim(k)
+    eye = np.broadcast_to(np.eye(npoly), (nb, npoly, npoly))
+
+    px, py = scaled_powers(np.stack([q.points for q in quads]), xK, hK, k)
+    raw_q = monomial_values(px, py, k)
+    coef = eye
+    if k >= 3:
+        vals = raw_q @ eye
+        try:
+            chol = np.linalg.cholesky(_sym(_T(vals) @ (wq * vals)))
+        except np.linalg.LinAlgError:
+            for j, c in enumerate(cells):  # the one-cell call names the cell
+                orthonormalize(CellPolyBasis(k, xK[j], float(hK[j]), cell_index=c), quads[j])
+            raise
+        coef = _T(np.linalg.solve(chol, eye))
+    vals_q = raw_q @ coef
+    gx, gy = monomial_gradients(px, py, k, hK)
+    gx, gy = gx @ coef, gy @ coef
+    stiff_gram = _sym(_T(gx) @ (wq * gx) + _T(gy) @ (wq * gy))
+
+    edge_len, edge_nrm, gl_nodes, gl_w = _edge_nodes(verts, k)
+    perimeter = np.sum(edge_len, axis=1)
+    layout = DofLayout(k, nv, None, monomial_exponents(k - 2) if k >= 2 else [])
+    n_point, n_mom, n_dofs = layout.n_point, layout.n_moment, layout.n_dofs
+    point_coords = np.concatenate([verts, gl_nodes[:, :, 1:-1].reshape(nb, -1, 2)], axis=1)
 
     # D: DOFs of each basis polynomial.  Moment DOFs weigh against the raw
     # scaled monomials up to k = 3; at k = 4 the raw duals carry energies
     # near 1e5, which a diagonal stabilization amplifies past the kernel
     # tolerances, so the weight family is orthonormalized in the
     # area-normalized L2 product (its first member stays exactly 1).
-    D = np.zeros((n_dofs, npoly))
-    D[: layout.n_point] = basis.eval(layout.point_coords)
-    mom_family = None
-    moment_to_raw = None
-    fam_m = None
-    fam_gram = None
+    D = np.zeros((nb, n_dofs, npoly))
+    D[:, :n_point] = monomial_values(*scaled_powers(point_coords, xK, hK, k), k) @ coef
+    B = np.zeros((nb, npoly, n_dofs))  # right sides of the projector system
+    fam_coef = moment_to_raw = None
     if k >= 2:
-        mom_family = CellPolyBasis(k - 2, xK, hK)
-        if basis.mode == "ortho" and k >= 4:
-            raw_vals = mom_family.eval(quad.points)
-            gram_n = raw_vals.T @ (quad.weights[:, None] * raw_vals) / area
-            chol = np.linalg.cholesky(0.5 * (gram_n + gram_n.T))
-            fam_coef = np.linalg.solve(chol, mom_family.coef.T).T
-            mom_family = replace(mom_family, coef=fam_coef, mode="ortho")
-        fam_m = mom_family.eval(quad.points)  # (nq, n_mom)
-        vals_q = basis.eval(quad.points)
-        D[mom_cols] = fam_m.T @ (quad.weights[:, None] * vals_q) / area
-        fam_gram = fam_m.T @ (quad.weights[:, None] * fam_m)
-        fam_gram = 0.5 * (fam_gram + fam_gram.T)
-        moment_to_raw = np.linalg.inv(mom_family.coef).T
+        raw_m = raw_q[..., :n_mom]  # the degree k-2 monomials lead the graded order
+        fam_coef = np.broadcast_to(np.eye(n_mom), (nb, n_mom, n_mom))
+        if k >= 4:
+            raw_vals = raw_m @ fam_coef
+            gram_n = _T(raw_vals) @ (wq * raw_vals) / area[:, None, None]
+            fam_coef = _T(np.linalg.solve(np.linalg.cholesky(_sym(gram_n)), fam_coef))
+        D[:, n_point:] = _T(raw_m @ fam_coef) @ (wq * vals_q) / area[:, None, None]
+        moment_to_raw = _T(np.linalg.inv(fam_coef))
+        lap = np.zeros((nb, n_mom, npoly))  # raw Laplacian, P_k -> P_{k-2}
+        row = {e: i for i, e in enumerate(layout.moment_exponents)}
+        h2 = np.array([float(h) ** 2 for h in hK])  # C pow: h * h may round differently
+        for j, (a1, a2) in enumerate(monomial_exponents(k)):
+            if a1 >= 2:
+                lap[:, row[(a1 - 2, a2)], j] += a1 * (a1 - 1) / h2
+            if a2 >= 2:
+                lap[:, row[(a1, a2 - 2)], j] += a2 * (a2 - 1) / h2
+        lap_fam = np.linalg.solve(fam_coef, lap @ coef)
+        B[:, :, n_point:] -= area[:, None, None] * _T(lap_fam)
 
-    # grad-grad Gram of the basis
-    gx, gy = basis.eval_gradient(quad.points)
-    stiff_gram = gx.T @ (quad.weights[:, None] * gx) + gy.T @ (quad.weights[:, None] * gy)
-    stiff_gram = 0.5 * (stiff_gram + stiff_gram.T)
-
-    # B: right sides of the projector system, row 0 fixes the boundary mean
-    B = np.zeros((npoly, n_dofs))
-    if k >= 2:
-        lap = basis.laplacian_in_raw(k - 2)  # raw coeffs, (n_mom, npoly)
-        lap_fam = np.linalg.solve(mom_family.coef, lap)
-        B[:, mom_cols] -= area * lap_fam.T
-    bmean = np.zeros(n_dofs)
-    for i in range(nv):
-        pdofs = layout.edge_point_dofs(i)
-        ngx, ngy = basis.eval_gradient(gl_nodes[i])
-        dn = edge_nrm[i, 0] * ngx + edge_nrm[i, 1] * ngy  # (k+1, npoly)
-        for j, dof in enumerate(pdofs):
-            B[:, dof] += gl_weights[i][j] * dn[j]
-            bmean[dof] += gl_weights[i][j] / perimeter
-    B[0, :] = bmean
+    gpx, gpy = scaled_powers(gl_nodes, xK[:, None], hK[:, None], k)
+    ngx, ngy = monomial_gradients(gpx, gpy, k, hK[:, None])
+    dn = (edge_nrm[..., 0, None, None] * (ngx @ coef[:, None])
+          + edge_nrm[..., 1, None, None] * (ngy @ coef[:, None]))  # (nb, nv, k+1, npoly)
+    contrib = np.moveaxis(gl_w[..., None] * dn, -1, 1)
+    share = gl_w / perimeter[:, None, None]
+    # a vertex takes one term from each adjacent edge; two terms sum alike
+    # in either order, so the first k nodes of every edge go in first
+    pdofs = np.array([layout.edge_point_dofs(i) for i in range(nv)])
+    bmean = np.zeros((nb, n_dofs))
+    for part in (slice(0, k), k):
+        B[:, :, pdofs[:, part]] += contrib[..., part]
+        bmean[:, pdofs[:, part]] += share[..., part]
+    B[:, 0, :] = bmean  # row 0 fixes the boundary mean
 
     G = stiff_gram.copy()
-    bvals = np.concatenate([basis.eval(nodes) * gw[:, None] for nodes, gw in zip(gl_nodes, gl_weights)])
-    G[0, :] = np.sum(bvals, axis=0) / perimeter
-
+    bvals = (monomial_values(gpx, gpy, k) @ coef[:, None]) * gl_w[..., None]
+    G[:, 0, :] = np.sum(bvals.reshape(nb, -1, npoly), axis=1) / perimeter[:, None]
     try:
         pinabla = np.linalg.solve(G, B)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"projector system singular on cell {cell}") from exc
+    except np.linalg.LinAlgError:
+        for j, c in enumerate(cells):  # name the first singular cell
+            try:
+                np.linalg.solve(G[j], B[j])
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(f"projector system singular on cell {c}") from exc
+        raise
 
-    consistency = pinabla.T @ stiff_gram @ pinabla
-    consistency = 0.5 * (consistency + consistency.T)
-
+    consistency = _sym(_T(pinabla) @ stiff_gram @ pinabla)
     resid = np.eye(n_dofs) - D @ pinabla
     if stab == "euclidean":
-        weights = np.ones(n_dofs)
+        weights = np.ones((nb, n_dofs))
     else:
-        floor = np.trace(consistency) / n_dofs
-        weights = np.maximum(np.diag(consistency), floor)
-    stability = resid.T @ (weights[:, None] * resid)
-    stability = 0.5 * (stability + stability.T)
+        floor = np.trace(consistency, axis1=1, axis2=2) / n_dofs
+        weights = np.maximum(np.diagonal(consistency, axis1=1, axis2=2), floor[:, None])
+    stability = _sym(_T(resid) @ (weights[..., None] * resid))
+    arrays = dict(edge_lengths=edge_len, edge_normals=edge_nrm, pinabla=pinabla, dof_of_poly=D,
+                  stiff_gram=stiff_gram, consistency=consistency, stability=stability,
+                  stiffness=consistency + stability, boundary_mean=bmean)
 
-    pi0 = None
-    if k >= 2:
-        sel = np.zeros((n_mom, n_dofs))
-        sel[np.arange(n_mom), mom_cols] = 1.0
-        # family coefficients of Pi0_{k-2}, then back to raw monomials
-        pi0 = mom_family.coef @ (area * np.linalg.solve(fam_gram, sel))
-
-    return LocalVemElement(
-        cell=cell,
-        k=k,
-        layout=layout,
-        basis=basis,
-        quad=quad,
-        area=area,
-        perimeter=perimeter,
-        diameter=hK,
-        edge_lengths=edge_len,
-        edge_normals=edge_nrm,
-        pinabla=pinabla,
-        dof_of_poly=D,
-        stiff_gram=stiff_gram,
-        consistency=consistency,
-        stability=stability,
-        stiffness=consistency + stability,
-        pi0_km2=pi0,
-        boundary_mean=bmean,
-        moment_family=mom_family,
-        moment_to_raw=moment_to_raw,
-        stab_label=stab,
-    )
+    out = []
+    for j, c in enumerate(cells):
+        h = float(hK[j])
+        basis = CellPolyBasis(k, xK[j], h, cell_index=c)
+        family = CellPolyBasis(k - 2, xK[j], h) if k >= 2 else None
+        if k >= 3:
+            basis = replace(basis, coef=coef[j], mode="ortho")
+        if k >= 4:
+            family = replace(family, coef=fam_coef[j], mode="ortho")
+        out.append(LocalVemElement(
+            cell=c, k=k, layout=replace(layout, point_coords=point_coords[j]), basis=basis,
+            quad=quads[j], area=float(area[j]), perimeter=float(perimeter[j]), diameter=h,
+            moment_family=family, moment_to_raw=None if k < 2 else moment_to_raw[j],
+            stab_label=stab, **{name: a[j] for name, a in arrays.items()},
+        ))
+    return out
 
 
-def build_all_elements(mesh: PolygonalMesh, k: int, stab: str = "d_recipe",
-                       basis_mode: str = "auto") -> list:
-    return [build_element(mesh, c, k, stab=stab, basis_mode=basis_mode)
-            for c in range(mesh.n_cells)]
+def _edge_nodes(verts: np.ndarray, k: int):
+    """Edge lengths and outward normals (nb, nv), the k + 1 Gauss-Lobatto
+    nodes of every edge (nb, nv, k + 1, 2) and their weights."""
+    glx, glw = gauss_lobatto(k + 1)
+    ends = np.roll(verts, -1, axis=1)
+    d = ends - verts
+    edge_len = np.hypot(d[..., 0], d[..., 1])
+    edge_nrm = np.stack([d[..., 1], -d[..., 0]], axis=-1) / edge_len[..., None]
+    gl_nodes = (0.5 * (verts + ends))[..., None, :] + 0.5 * glx[:, None] * d[..., None, :]
+    return edge_len, edge_nrm, gl_nodes, 0.5 * edge_len[..., None] * glw
+
+
+def _tables(els: list, degree: int):
+    """Quadrature weights (nb, nq), centers, diameters and the raw scaled
+    monomials of the given degree at the quadrature points of a batch."""
+    qp = np.stack([el.quad.points for el in els])
+    center = np.stack([el.basis.center for el in els])
+    h = np.array([el.basis.diameter for el in els])
+    raw = monomial_values(*scaled_powers(qp, center, h, degree), degree)
+    return np.stack([el.quad.weights for el in els]), center, h, raw
+
+
+def _field(func, els: list, shape) -> np.ndarray:
+    # a pointwise field at the quadrature points of a batch, in one call
+    pts = np.concatenate([el.quad.points for el in els])
+    return np.asarray(func(pts), dtype=float).reshape(shape)
 
 
 def interpolate(element: LocalVemElement, u) -> np.ndarray:
     """DOF vector of the interpolant of a scalar field (callable on (n, 2))."""
-    dofs = np.zeros(element.n_dofs)
-    pts = element.layout.point_coords
-    dofs[: element.layout.n_point] = np.asarray(u(pts), dtype=float)
-    if element.layout.n_moment:
-        vals = np.asarray(u(element.quad.points), dtype=float)
-        fam = element.moment_family.eval(element.quad.points)
-        dofs[element.layout.n_point:] = fam.T @ (element.quad.weights * vals) / element.area
+    return interpolate_all([element], u)[0]
+
+
+def interpolate_all(elements: list, u) -> list:
+    """`interpolate` on each element, evaluated in batches of one cell shape."""
+    return map_element_batches(elements, elements, _interpolate_batch, u)
+
+
+def _interpolate_batch(els: list, u) -> np.ndarray:
+    lay = els[0].layout
+    pts = np.concatenate([el.layout.point_coords for el in els])
+    dofs = np.zeros((len(els), lay.n_dofs))
+    dofs[:, :lay.n_point] = np.asarray(u(pts), dtype=float).reshape(len(els), -1)
+    if lay.n_moment:
+        wq, _, _, raw = _tables(els, els[0].k - 2)
+        fam = raw @ np.stack([el.moment_family.coef for el in els])
+        area = np.array([el.area for el in els])
+        dofs[:, lay.n_point:] = _mv(_T(fam), wq * _field(u, els, wq.shape)) / area[:, None]
     return dofs
 
 
@@ -355,18 +412,30 @@ def load_vector(element: LocalVemElement, f) -> np.ndarray:
     better than the plain moment load, keeping the L2 rate at k + 1 for
     every k.
     """
-    wq = element.quad.weights
-    fv = np.asarray(f(element.quad.points), dtype=float)
-    if element.k == 1:
-        return float(wq @ fv) * element.boundary_mean
-    raw_basis = CellPolyBasis(element.k - 2, element.basis.center, element.basis.diameter)
-    raw_vals = raw_basis.eval(element.quad.points)
-    gram = raw_vals.T @ (wq[:, None] * raw_vals)
-    cf = np.linalg.solve(0.5 * (gram + gram.T), raw_vals.T @ (wq * fv))
-    pf = raw_vals @ cf  # Pi0_{k-2} f at the quadrature points
-    poly_vals = element.basis.eval(element.quad.points)
-    b = element.pinabla.T @ (poly_vals.T @ (wq * (fv - pf)))
-    b[element.layout.n_point:] += element.area * (element.moment_to_raw.T @ cf)
+    return load_vectors([element], f)[0]
+
+
+def load_vectors(elements: list, f) -> list:
+    """`load_vector` of each element, evaluated in batches of one cell shape."""
+    return map_element_batches(elements, elements, _load_batch, f)
+
+
+def _load_batch(els: list, f) -> np.ndarray:
+    k, lay = els[0].k, els[0].layout
+    wq, _, _, raw = _tables(els, k)
+    fv = _field(f, els, wq.shape)
+    if k == 1:
+        return (wq[:, None, :] @ fv[:, :, None])[:, 0] * np.stack([el.boundary_mean for el in els])
+    raw_vals = raw[..., :lay.n_moment] @ np.eye(lay.n_moment)
+    gram = _T(raw_vals) @ (wq[..., None] * raw_vals)
+    cf = np.linalg.solve(_sym(gram), _mv(_T(raw_vals), wq * fv)[..., None])[..., 0]
+    pf = _mv(raw_vals, cf)  # Pi0_{k-2} f at the quadrature points
+    poly_vals = raw @ np.stack([el.basis.coef for el in els])
+    pinabla = np.stack([el.pinabla for el in els])
+    b = _mv(_T(pinabla), _mv(_T(poly_vals), wq * (fv - pf)))
+    to_raw_t = np.stack([el.moment_to_raw.T for el in els])
+    area = np.array([el.area for el in els])
+    b[:, lay.n_point:] += area[:, None] * _mv(to_raw_t, cf)
     return b
 
 
@@ -376,41 +445,73 @@ def project_gradient_l2(element: LocalVemElement, dofs: np.ndarray) -> tuple[np.
     Returns (coeffs, basis) with coeffs of shape (2, dim P_{k-1}) in the raw
     scaled-monomial basis; computable from the DOFs by integration by parts.
     """
-    k = element.k
-    out_basis = CellPolyBasis(k - 1, element.basis.center, element.basis.diameter)
-    exps = out_basis.exponents
-    nb = out_basis.dim
-    gram = out_basis.eval(element.quad.points)
-    gram = gram.T @ (element.quad.weights[:, None] * gram)
-    gram = 0.5 * (gram + gram.T)
+    coeffs = project_gradients_l2([element], [dofs])[0]
+    return coeffs, CellPolyBasis(element.k - 1, element.basis.center, element.basis.diameter)
+
+
+def project_gradients_l2(elements: list, dofs: list) -> list:
+    """`project_gradient_l2` coefficients for each element and its local DOF
+    vector, evaluated in batches of one cell shape."""
+    return map_element_batches(elements, list(zip(elements, dofs)), _gradient_batch)
+
+
+def _gradient_batch(items: list) -> np.ndarray:
+    els = [el for el, _ in items]
+    u = np.stack([np.asarray(dofs, dtype=float) for _, dofs in items])
+    k, lay = els[0].k, els[0].layout
+    nv, n_out = lay.n_vertices, cell_basis_dim(k - 1)
+    eye = np.eye(n_out)
+    wq, center, h, raw = _tables(els, k - 1)
+    vals = raw @ eye
+    gram = _sym(_T(vals) @ (wq[..., None] * vals))
 
     # moment part: int_K v dc(m_beta), with dc(m_beta) in raw P_{k-2}
-    rhs = np.zeros((2, nb))
+    rhs = np.zeros((len(els), 2, n_out))
     if k >= 2:
-        mom_exps = {e: i for i, e in enumerate(element.layout.moment_exponents)}
-        mom_vals = element.raw_moments(dofs)
-        h = element.basis.diameter
-        for bi, (a1, a2) in enumerate(exps):
+        mom = _mv(_T(np.stack([el.moment_to_raw.T for el in els])), u[:, lay.n_point:])
+        area = np.array([el.area for el in els])
+        index = {e: i for i, e in enumerate(lay.moment_exponents)}
+        for bi, (a1, a2) in enumerate(monomial_exponents(k - 1)):
             if a1 > 0:
-                rhs[0, bi] -= element.area * (a1 / h) * mom_vals[mom_exps[(a1 - 1, a2)]]
+                rhs[:, 0, bi] -= area * (a1 / h) * mom[:, index[(a1 - 1, a2)]]
             if a2 > 0:
-                rhs[1, bi] -= element.area * (a2 / h) * mom_vals[mom_exps[(a1, a2 - 1)]]
+                rhs[:, 1, bi] -= area * (a2 / h) * mom[:, index[(a1, a2 - 1)]]
 
     # boundary part via the GL point values
-    glx, glw = gauss_lobatto(k + 1)
-    loop_pts = element.layout.point_coords[: element.layout.n_vertices]
-    for i in range(element.layout.n_vertices):
-        a = loop_pts[i]
-        b = loop_pts[(i + 1) % element.layout.n_vertices]
-        nodes = 0.5 * (a + b)[None, :] + 0.5 * glx[:, None] * (b - a)[None, :]
-        w = 0.5 * element.edge_lengths[i] * glw
-        pdofs = element.layout.edge_point_dofs(i)
-        vvals = dofs[pdofs]
-        mvals = out_basis.eval(nodes)
-        nrm = element.edge_normals[i]
-        contrib = mvals.T @ (w * vvals)
-        rhs[0] += nrm[0] * contrib
-        rhs[1] += nrm[1] * contrib
+    _, nrm, nodes, w = _edge_nodes(np.stack([el.layout.point_coords[:nv] for el in els]), k)
+    pdofs = np.array([lay.edge_point_dofs(i) for i in range(nv)])
+    mvals = monomial_values(*scaled_powers(nodes, center[:, None], h[:, None], k - 1), k - 1) @ eye
+    contrib = _mv(_T(mvals), w * u[:, pdofs])  # (nb, nv, n_out)
+    for i in range(nv):
+        rhs[:, 0] += nrm[:, i, 0, None] * contrib[:, i]
+        rhs[:, 1] += nrm[:, i, 1, None] * contrib[:, i]
+    return _T(np.linalg.solve(gram, _T(rhs)))
 
-    coeffs = np.linalg.solve(gram, rhs.T).T
-    return coeffs, out_basis
+
+def error_integrals(elements: list, dofs: list, exact_u, exact_grad) -> np.ndarray:
+    """Integrals of |grad u - G v|^2, |grad u|^2, |u - P v|^2 and |u|^2 over
+    each element for its local DOF vector v, shape (len(elements), 4), with
+    G the L2-projected gradient and P the energy projection; evaluated in
+    batches of one cell shape."""
+    items = list(zip(elements, dofs, project_gradients_l2(elements, dofs)))
+    return np.array(map_element_batches(elements, items, _error_batch, exact_u, exact_grad))
+
+
+def _error_batch(items: list, exact_u, exact_grad) -> np.ndarray:
+    els, dofs, coeffs = zip(*items)
+    k = els[0].k
+    wq, _, _, raw = _tables(els, k)
+    vals = raw[..., :cell_basis_dim(k - 1)] @ np.eye(cell_basis_dim(k - 1))
+    co = np.stack(coeffs)[..., None]
+    gh = np.concatenate([vals @ co[:, 0], vals @ co[:, 1]], axis=-1)
+    ge = _field(exact_grad, els, gh.shape)
+    ue = _field(exact_u, els, wq.shape + (1,))
+    pin_u = np.stack([el.pinabla for el in els]) @ np.stack(dofs)[..., None]
+    uh = (raw @ np.stack([el.basis.coef for el in els])) @ pin_u
+    wq = wq[:, None, :]
+    return np.concatenate([
+        wq @ np.sum((ge - gh) ** 2, axis=-1, keepdims=True),
+        wq @ np.sum(ge**2, axis=-1, keepdims=True),
+        wq @ (ue - uh) ** 2,
+        wq @ ue**2,
+    ], axis=-1)[:, 0]

@@ -69,23 +69,19 @@ class TripletBuilder:
         self.add(rr, cc, block.ravel())
 
     def compress(self) -> sp.csc_matrix:
-        """Deterministic compression: triplets are sorted by (row, col, value)
+        """Deterministic compression: triplets are sorted by (col, row, value)
         before summation, so any insertion order yields the same matrix."""
         if not self._rows:
             return sp.csc_matrix((self.n, self.n))
-        rows = np.concatenate(self._rows)
-        cols = np.concatenate(self._cols)
+        key = np.concatenate(self._cols) * self.n + np.concatenate(self._rows)
         vals = np.concatenate(self._vals)
-        order = np.lexsort((vals, rows, cols))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        key = cols * self.n + rows
-        boundaries = np.concatenate(([0], np.nonzero(np.diff(key))[0] + 1))
-        summed = np.add.reduceat(vals, boundaries)
-        out = sp.csc_matrix(
-            (summed, (rows[boundaries], cols[boundaries])), shape=(self.n, self.n)
-        )
-        out.sort_indices()
-        return out
+        order = np.lexsort((vals, key))
+        key, vals = key[order], vals[order]
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
+        summed = np.add.reduceat(vals, starts)
+        cols, rows = np.divmod(key[starts], self.n)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.n))))
+        return sp.csc_matrix((summed, rows, indptr), shape=(self.n, self.n))
 
 
 @dataclass

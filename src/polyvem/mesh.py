@@ -15,17 +15,22 @@ import numpy as np
 
 from .quadrature import (
     QuadratureRule,
+    box_rules,
+    fan_check,
     polygon_area,
     polygon_centroid,
     polygon_rule,
     segment_lobatto_points,
     segment_rule,
+    map_batches,
+    triangle_rules,
 )
 
 __all__ = [
     "PolygonalMesh",
     "MeshQualityReport",
     "cell_quadrature",
+    "cell_quadratures",
     "edge_quadrature",
     "gauss_lobatto_nodes",
     "quality_report",
@@ -212,6 +217,34 @@ def cell_quadrature(mesh: PolygonalMesh, cell: int, exactness: int) -> Quadratur
         raise ValueError(f"cell {cell}: {exc}") from exc
 
 
+def cell_quadratures(mesh: PolygonalMesh, cells, exactness: int) -> list:
+    """`cell_quadrature` of each of `cells`, evaluated in batches of one
+    shape: box cells by box count, other cells as centroid fans by vertex
+    count.  A cell the full fan does not cover gets its own rule."""
+    if exactness < 0:
+        raise ValueError("exactness must be nonnegative")
+    cells = list(cells)
+    keys = [(len(mesh.cell_boxes.get(c, ())), len(mesh.cells[c])) for c in cells]
+    return map_batches(keys, cells, _cell_rules, mesh, exactness)
+
+
+def _cell_rules(cells: list, mesh: PolygonalMesh, exactness: int) -> list:
+    if len(mesh.cell_boxes.get(cells[0], ())):
+        boxes = np.array([mesh.cell_boxes[c] for c in cells], dtype=float)
+        pts, wts = box_rules(boxes, exactness)
+        full = np.ones(len(cells), dtype=bool)
+    else:
+        verts = mesh.vertices[[mesh.cells[c] for c in cells]]
+        centroids = mesh.cell_centroids[cells]
+        t2, full = fan_check(verts, centroids, mesh.cell_areas[cells])
+        full &= np.all(t2 > 0.0, axis=1)  # the one-cell rule drops flat triangles
+        pts, wts = triangle_rules(centroids[:, None, :], verts, np.roll(verts, -1, axis=1),
+                                  exactness)
+        pts, wts = pts.reshape(len(cells), -1, 2), wts.reshape(len(cells), -1)
+    return [QuadratureRule(p, w) if ok else cell_quadrature(mesh, c, exactness)
+            for c, p, w, ok in zip(cells, pts, wts, full)]
+
+
 def edge_quadrature(mesh: PolygonalMesh, edge: int, exactness: int) -> QuadratureRule:
     a, b = mesh.edges[edge]
     return segment_rule(mesh.vertices[a], mesh.vertices[b], exactness)
@@ -247,44 +280,41 @@ class MeshQualityReport:
         }
 
 
-def _inscribed_radius_estimate(pts: np.ndarray, samples: int = 12) -> float:
-    """Largest distance from an interior sample point to the cell boundary.
+def _inscribed_radii(pts: np.ndarray, centroids: np.ndarray, samples: int = 12) -> np.ndarray:
+    """Largest distance from an interior sample point to the cell boundary,
+    for cells (B, nv, 2) of one vertex count.
 
     Samples the centroid plus a grid over the bounding box filtered to the
     polygon interior; a cheap lower estimate of the inradius, good enough
     for the mesh-regularity diagnostic.
     """
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], samples + 2)[1:-1]
-    ys = np.linspace(lo[1], hi[1], samples + 2)[1:-1]
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    cand = np.column_stack([gx.ravel(), gy.ravel()])
-    cand = np.vstack([polygon_centroid(pts)[None, :], cand])
+    lo = pts.min(axis=1)[..., None]
+    hi = pts.max(axis=1)[..., None]
+    # interior nodes of np.linspace(lo, hi, samples + 2), as linspace computes them
+    xs, ys = np.moveaxis(np.arange(1, samples + 1) * ((hi - lo) / (samples + 1)) + lo, 1, 0)
+    grid = np.stack(np.broadcast_arrays(xs[:, :, None], ys[:, None, :]), axis=-1)
+    cand = np.concatenate([centroids[:, None, :], grid.reshape(len(pts), -1, 2)], axis=1)
 
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    dmin = np.full(len(cand), np.inf)
-    for i in range(len(pts)):
-        e = b[i] - a[i]
-        w = cand - a[i]
-        t = np.clip((w @ e) / (e @ e), 0.0, 1.0)
-        proj = a[i] + t[:, None] * e[None, :]
-        dmin = np.minimum(dmin, np.hypot(*(cand - proj).T))
+    e = np.roll(pts, -1, axis=1) - pts
+    w = cand[:, None, :, :] - pts[:, :, None, :]  # (B, nv, n_cand, 2)
+    ee = (e[..., None, :] @ e[..., :, None])[..., 0]
+    t = np.clip((w @ e[..., None])[..., 0] / ee, 0.0, 1.0)
+    proj = pts[:, :, None, :] + t[..., None] * e[:, :, None, :]
+    diff = cand[:, None, :, :] - proj
+    dmin = np.min(np.hypot(diff[..., 0], diff[..., 1]), axis=1)
     inside = _points_in_polygon(cand, pts)
-    if not np.any(inside):
-        return 0.0
-    return float(np.max(dmin[inside]))
+    return np.where(np.any(inside, axis=1), np.max(np.where(inside, dmin, -np.inf), axis=1), 0.0)
 
 
 def _points_in_polygon(cand: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    x, y = cand[:, 0], cand[:, 1]
-    inside = np.zeros(len(cand), dtype=bool)
-    n = len(pts)
+    """Even-odd test of points (..., m, 2) against polygons (..., n, 2)."""
+    x, y = cand[..., 0], cand[..., 1]
+    inside = np.zeros(x.shape, dtype=bool)
+    n = pts.shape[-2]
     j = n - 1
     for i in range(n):
-        xi, yi = pts[i]
-        xj, yj = pts[j]
+        xi, yi = pts[..., i, 0, None], pts[..., i, 1, None]
+        xj, yj = pts[..., j, 0, None], pts[..., j, 1, None]
         crosses = (yi > y) != (yj > y)
         with np.errstate(divide="ignore", invalid="ignore"):
             xint = xi + (y - yi) * (xj - xi) / (yj - yi)
@@ -293,27 +323,29 @@ def _points_in_polygon(cand: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _cell_quality(cells: list, mesh: PolygonalMesh) -> np.ndarray:
+    """Shortest vertex distance and inradius estimate over diameter, per cell."""
+    pts = mesh.vertices[[mesh.cells[c] for c in cells]]
+    d2 = np.sum((pts[:, :, None, :] - pts[:, None, :, :]) ** 2, axis=-1)
+    diag = np.arange(pts.shape[1])
+    d2[:, diag, diag] = np.inf
+    rho = _inscribed_radii(pts, mesh.cell_centroids[cells])
+    return np.column_stack([np.sqrt(np.min(d2, axis=(1, 2))), rho / mesh.cell_diameters[cells]])
+
+
 def quality_report(mesh: PolygonalMesh) -> MeshQualityReport:
-    h_min = np.inf
-    gamma0 = np.inf
-    max_edges = 0
-    for ci, loop in enumerate(mesh.cells):
-        pts = mesh.vertices[loop]
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d2, np.inf)
-        h_min = min(h_min, float(np.sqrt(np.min(d2))))
-        rho = _inscribed_radius_estimate(pts)
-        gamma0 = min(gamma0, rho / mesh.cell_diameters[ci])
-        max_edges = max(max_edges, len(loop))
+    per_cell = map_batches([len(loop) for loop in mesh.cells], range(mesh.n_cells),
+                           _cell_quality, mesh)
+    h_min, gamma0 = np.min(per_cell, axis=0)
     return MeshQualityReport(
         n_cells=mesh.n_cells,
         n_edges=mesh.n_edges,
         n_vertices=mesh.n_vertices,
         h=float(np.max(mesh.cell_diameters)),
         h_mean=float(np.mean(mesh.cell_diameters)),
-        h_min=h_min,
+        h_min=float(h_min),
         gamma0_estimate=float(gamma0),
-        max_edges_per_cell=max_edges,
+        max_edges_per_cell=max(len(loop) for loop in mesh.cells),
     )
 
 

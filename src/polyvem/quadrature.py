@@ -20,11 +20,18 @@ __all__ = [
     "segment_rule",
     "segment_lobatto_points",
     "triangle_rule",
+    "triangle_rules",
+    "box_rules",
+    "fan_check",
+    "map_batches",
     "polygon_rule",
     "polygon_area",
     "polygon_centroid",
     "triangulate_polygon",
 ]
+
+
+_CHUNK = 256  # cells per batch of a batched kernel
 
 
 @dataclass(frozen=True)
@@ -107,36 +114,40 @@ def segment_lobatto_points(a, b, k: int) -> np.ndarray:
 
 
 def triangle_rule(v0, v1, v2, exactness: int) -> QuadratureRule:
-    """Positive-weight tensor Gauss rule on a triangle, exact to `exactness`.
+    """Positive-weight tensor Gauss rule on a triangle, exact to `exactness`."""
+    pts, wts = triangle_rules(v0, v1, v2, exactness)
+    return QuadratureRule(pts, wts)
+
+
+def triangle_rules(v0, v1, v2, exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rules on a batch of triangles with vertices of shape (..., 2): points
+    (..., n, 2) and weights (..., n), each triangle as `triangle_rule` gives it.
 
     Uses the Duffy map (u, v) -> v0 + u*(v1-v0) + v*(1-u)*(v2-v0); the extra
     Jacobian factor (1-u) raises the u-degree by one.
     """
     d = max(0, int(exactness))
-    nu = _points_for_exactness(d + 1)
-    nv = _points_for_exactness(d)
-    xu, wu = gauss_legendre(nu)
-    xv, wv = gauss_legendre(nv)
+    xu, wu = gauss_legendre(_points_for_exactness(d + 1))
+    xv, wv = gauss_legendre(_points_for_exactness(d))
     u = 0.5 * (xu + 1.0)
     v = 0.5 * (xv + 1.0)
-    wu = 0.5 * wu
-    wv = 0.5 * wv
-    v0 = np.asarray(v0, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    ww = np.outer(wu, wv) * (1.0 - uu)
+    ww = np.outer(0.5 * wu, 0.5 * wv) * (1.0 - uu)
+    v0 = np.asarray(v0, dtype=float)
+    d1 = np.asarray(v1, dtype=float) - v0
+    d2 = np.asarray(v2, dtype=float) - v0
     pts = (
-        v0[None, None, :]
-        + uu[..., None] * (v1 - v0)[None, None, :]
-        + (vv * (1.0 - uu))[..., None] * (v2 - v0)[None, None, :]
+        v0[..., None, None, :]
+        + uu[..., None] * d1[..., None, None, :]
+        + (vv * (1.0 - uu))[..., None] * d2[..., None, None, :]
     )
-    area2 = abs(_cross(v1 - v0, v2 - v0))
-    return QuadratureRule(pts.reshape(-1, 2), (ww * area2).ravel())
+    wts = ww * np.abs(_cross(d1, d2))[..., None, None]
+    lead = pts.shape[:-3]
+    return pts.reshape(*lead, -1, 2), wts.reshape(*lead, -1)
 
 
-def _cross(p, q) -> float:
-    return float(p[0] * q[1] - p[1] * q[0])
+def _cross(p, q):
+    return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
 
 
 def polygon_area(verts: np.ndarray) -> float:
@@ -171,23 +182,24 @@ def triangulate_polygon(verts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray,
     area = polygon_area(v)
     if area <= 0.0:
         raise ValueError("polygon must be counter-clockwise with positive area")
-
     c = polygon_centroid(v)
-    tris = []
-    fan_ok = True
-    fan_area = 0.0
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        t2 = _cross(a - c, b - c)
-        if t2 < -1e-13 * area:
-            fan_ok = False
-            break
-        fan_area += 0.5 * t2
-        if t2 > 0.0:
-            tris.append((c, a, b))
-    if fan_ok and abs(fan_area - area) <= 1e-12 * abs(area):
-        return tris
+    t2, fan_ok = fan_check(v, c, area)
+    if fan_ok:
+        return [(c, v[i], v[(i + 1) % len(v)]) for i in range(len(v)) if t2[i] > 0.0]
     return _ear_clip(v, area)
+
+
+def fan_check(verts: np.ndarray, centroid: np.ndarray, area) -> tuple[np.ndarray, np.ndarray]:
+    """Doubled areas (..., nv) of the centroid-fan triangles of polygons
+    (..., nv, 2), and whether the fan covers each polygon (no triangle
+    inverted beyond roundoff, fan area equal to the polygon area)."""
+    c = np.asarray(centroid)[..., None, :]
+    t2 = _cross(verts - c, np.roll(verts, -1, axis=-2) - c)
+    fan_area = 0.0
+    for i in range(t2.shape[-1]):  # summed in loop order
+        fan_area = fan_area + 0.5 * t2[..., i]
+    ok = np.all(t2 >= -1e-13 * np.asarray(area)[..., None], axis=-1)
+    return t2, ok & (np.abs(fan_area - area) <= 1e-12 * np.abs(area))
 
 
 def _ear_clip(v: np.ndarray, area: float) -> list:
@@ -250,29 +262,39 @@ def polygon_rule(verts: np.ndarray, exactness: int, boxes: np.ndarray | None = N
     if exactness < 0:
         raise ValueError("exactness must be nonnegative")
     if boxes is not None and len(boxes) > 0:
-        return _boxes_rule(np.asarray(boxes, dtype=float), exactness)
-    pts = []
-    wts = []
-    for tri in triangulate_polygon(verts):
-        r = triangle_rule(*tri, exactness)
-        pts.append(r.points)
-        wts.append(r.weights)
-    return QuadratureRule(np.concatenate(pts), np.concatenate(wts))
+        return QuadratureRule(*box_rules(np.asarray(boxes, dtype=float), exactness))
+    tris = [np.array(corner) for corner in zip(*triangulate_polygon(verts))]
+    pts, wts = triangle_rules(*tris, exactness)
+    return QuadratureRule(pts.reshape(-1, 2), wts.reshape(-1))
 
 
-def _boxes_rule(boxes: np.ndarray, exactness: int) -> QuadratureRule:
+def box_rules(boxes: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss rules on box decompositions (..., m, 4): points
+    (..., m * n * n, 2) and weights, box after box."""
     x, w = gauss_legendre(_points_for_exactness(exactness))
-    pts = []
-    wts = []
-    for x0, y0, x1, y1 in boxes:
-        gx = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * x
-        gy = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * x
-        wx = 0.5 * (x1 - x0) * w
-        wy = 0.5 * (y1 - y0) * w
-        xx, yy = np.meshgrid(gx, gy, indexing="ij")
-        pts.append(np.column_stack([xx.ravel(), yy.ravel()]))
-        wts.append(np.outer(wx, wy).ravel())
-    return QuadratureRule(np.concatenate(pts), np.concatenate(wts))
+    x0, y0, x1, y1 = (boxes[..., j, None] for j in range(4))
+    gx = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * x
+    gy = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * x
+    wts = (0.5 * (x1 - x0) * w)[..., :, None] * (0.5 * (y1 - y0) * w)[..., None, :]
+    pts = np.stack(np.broadcast_arrays(gx[..., :, None], gy[..., None, :]), axis=-1)
+    lead = boxes.shape[:-2]
+    return pts.reshape(*lead, -1, 2), wts.reshape(*lead, -1)
+
+
+def map_batches(keys, items, kernel, *args) -> list:
+    """Apply `kernel(batch, *args)` to runs of items with equal keys, at most
+    _CHUNK items a run (which bounds a batched kernel's temporaries).  The
+    kernel returns one result per item; they come back in item order."""
+    groups: dict = {}
+    for pos, key in enumerate(keys):
+        groups.setdefault(key, []).append(pos)
+    out = [None] * len(items)
+    for positions in groups.values():
+        for start in range(0, len(positions), _CHUNK):
+            run = positions[start:start + _CHUNK]
+            for pos, result in zip(run, kernel([items[p] for p in run], *args)):
+                out[pos] = result
+    return out
 
 
 def _point_in_tri(p, a, b, c, eps) -> bool:

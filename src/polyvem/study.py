@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curved import assemble_bdt_bh, assemble_bdt_nitsche, recover_multiplier_curved
-from .element import GlobalDofMap, build_all_elements, project_gradient_l2
+from .element import GlobalDofMap, build_all_elements, error_integrals
 from .generators import (
     build_disk_approx_mesh,
     build_squares_approx_mesh,
@@ -212,20 +212,9 @@ def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad) -> tuple[float, 
     full-degree L2 projector is not computable from these DOFs).
     """
     dofmap = GlobalDofMap(mesh, elements[0].k)
-    num1 = den1 = num0 = den0 = 0.0
-    for el in elements:
-        loc = u_dofs[dofmap.cell_dofs(el.cell)]
-        pts, wq = el.quad.points, el.quad.weights
-        ge = np.asarray(exact_grad(pts), dtype=float)
-        co, gbasis = project_gradient_l2(el, loc)
-        vals = gbasis.eval(pts)
-        gh = np.column_stack([vals @ co[0], vals @ co[1]])
-        num1 += wq @ np.sum((ge - gh) ** 2, axis=1)
-        den1 += wq @ np.sum(ge**2, axis=1)
-        ue = np.asarray(exact_u(pts), dtype=float)
-        uh = el.basis.eval(pts) @ (el.pinabla @ loc)
-        num0 += wq @ (ue - uh) ** 2
-        den0 += wq @ ue**2
+    locs = [u_dofs[dofmap.cell_dofs(el.cell)] for el in elements]
+    parts = error_integrals(elements, locs, exact_u, exact_grad)
+    num1, den1, num0, den0 = np.cumsum(parts, axis=0)[-1]  # summed in cell order
     if den1 <= 0.0 or den0 <= 0.0:
         raise ValueError("exact solution has zero norm; relative errors undefined")
     return float(np.sqrt(num1 / den1)), float(np.sqrt(num0 / den0))
@@ -303,8 +292,9 @@ class ConvergenceReport:
 def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
     """Generate meshes, solve and collect errors over a refinement ladder.
 
-    A failing level is recorded and the study continues with the remaining
-    levels (each level is independent).
+    A failing level is recorded, with the exception type and message and the
+    results computed before the failure, and the study continues with the
+    remaining levels (each level is independent).
     """
     problem = PROBLEMS[spec.problem]
     rng = np.random.default_rng(123)
@@ -318,14 +308,15 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
     )
     cfg = spec.bc_config()
     for level in range(levels):
-        t0 = time.time()
+        t0 = time.perf_counter()
+        result = LevelResult(level=level, quality={}, n_dofs=0)
         try:
             mesh, ls = _build_level_mesh(spec, problem, level)
-            elements = build_all_elements(mesh, spec.k, stab=spec.stab)
+            result.quality = quality_report(mesh).as_dict()
             dofmap = GlobalDofMap(mesh, spec.k)
+            result.n_dofs = dofmap.n_dofs
+            elements = build_all_elements(mesh, spec.k, stab=spec.stab)
             mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
-            result = LevelResult(level=level, quality=quality_report(mesh).as_dict(),
-                                 n_dofs=dofmap.n_dofs)
 
             use_corr = spec.correction and ls is not None
             tau = None
@@ -371,8 +362,9 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
             if spec.export_matrix:
                 export_matrix_market(system, f"{spec.export_matrix}.level{level}.mtx")
         except Exception as exc:  # noqa: BLE001 - level failures are recorded
-            result = LevelResult(level=level, quality={}, n_dofs=0, error=str(exc))
-        result.seconds = time.time() - t0
+            # the level keeps what it computed before the failure
+            result.error = f"{type(exc).__name__}: {exc}"
+        result.seconds = time.perf_counter() - t0
         report.levels.append(result)
 
     good = [lv for lv in report.levels if lv.error is None]

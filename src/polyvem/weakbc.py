@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EdgePolyBasis
-from .element import GlobalDofMap, lagrange_eval_matrix, load_vector
+from .element import GlobalDofMap, lagrange_eval_matrix, load_vectors
 from .linsys import LinearSystem, SaddlePartition, TripletBuilder
 from .mesh import PolygonalMesh
 from .quadrature import gauss_lobatto, segment_rule
@@ -189,10 +189,10 @@ def _check_elements(elements: list, cfg: WeakBcConfig):
 
 
 def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, mesh, elements, dofmap, f):
-    for el in elements:
+    for el, load in zip(elements, load_vectors(elements, f)):
         gd = dofmap.cell_dofs(el.cell)
         builder.add_block(gd, gd, el.stiffness)
-        rhs[gd] += load_vector(el, f)
+        rhs[gd] += load
 
 
 def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,

@@ -173,12 +173,26 @@ def test_run_study_records_level_failure(monkeypatch):
             raise RuntimeError("synthetic mesh failure")
         return orig(spec, problem, level)
 
+    def failing_errors(mesh, *args):
+        if mesh.n_cells == 64:  # level 1
+            raise ValueError("synthetic error failure")
+        return orig_errors(mesh, *args)
+
+    orig_errors = study_mod.compute_errors
     monkeypatch.setattr(study_mod, "_build_level_mesh", flaky)
+    monkeypatch.setattr(study_mod, "compute_errors", failing_errors)
     spec = ProblemSpec(problem="test1-2d", k=1, method="nitsche", gamma=100.0,
                        mesh="structured")
-    rep = run_study(spec, 2)
-    assert rep.levels[0].error is not None
-    assert rep.levels[1].error is None
+    rep = run_study(spec, 3)
+    # a mesh failure leaves nothing computed
+    assert rep.levels[0].error == "RuntimeError: synthetic mesh failure"
+    assert rep.levels[0].quality == {} and rep.levels[0].n_dofs == 0
+    # a later failure keeps the quality and size computed before it
+    bad = rep.levels[1]
+    assert bad.error == "ValueError: synthetic error failure"
+    assert bad.quality["N_P"] == 64 and bad.n_dofs == 81
+    assert bad.e1 is None and bad.seconds > 0.0
+    assert rep.levels[2].error is None
 
 
 def test_condest_recorded_on_request():
