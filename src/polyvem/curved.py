@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import directional_derivative_matrix
 from .element import GlobalDofMap
-from .levelset import CorrectionConfig, LevelSetDomain, choose_sigma, delta_many
+from .levelset import CorrectionConfig, LevelSetDomain, boundary_gaps
 from .linsys import LinearSystem
 from .mesh import PolygonalMesh
 from .weakbc import (
@@ -36,7 +36,6 @@ from .weakbc import (
 __all__ = [
     "EdgeCorrection",
     "correction_data",
-    "correction_blocks",
     "assemble_bdt_bh",
     "assemble_bdt_nitsche",
     "recover_multiplier_curved",
@@ -58,20 +57,19 @@ def correction_data(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
                     cfg_corr: CorrectionConfig, works: list | None = None) -> tuple:
     """Per-edge correction quantities on the shared edge quadrature.
 
-    Returns (works, corrections); delta is found once per quadrature node and
-    reused by every assembly consuming the same workspaces.
+    Returns (works, corrections); delta is found at every quadrature node of
+    every boundary edge in one batched root search, and the result is meant
+    to be shared by the assembly and the multiplier recovery of a level.
     """
     if cfg_corr.kstar > cfg_bc.k:
         raise ValueError("kstar must not exceed the space order k")
-    dofmap = GlobalDofMap(mesh, cfg_bc.k)
     exact = cfg_corr.edge_exactness or cfg_bc.resolved_edge_exactness
     if works is None:
-        works = edge_workspaces(mesh, elements, dofmap, mult, exact)
+        works = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg_bc.k), mult, exact)
+    sigmas, gaps = boundary_gaps(levelset, mesh, [w.edge for w in works],
+                                 [w.points for w in works], cfg_corr)
     out = []
-    for w in works:
-        sigma = choose_sigma(levelset, mesh, w.edge, cfg_corr)
-        ds = delta_many(levelset, w.points, sigma, cfg=cfg_corr, scale=w.htilde,
-                        context=f" (edge {w.edge})")
+    for w, sigma, ds in zip(works, sigmas, gaps):
         foot = w.points + ds[:, None] * sigma[None, :]
         values = None
         block = None
@@ -89,24 +87,24 @@ def correction_data(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
     return works, out
 
 
-def correction_blocks(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
-                      levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
-                      cfg_corr: CorrectionConfig) -> list:
-    """Multiplier-row coupling blocks of the correction operator (empty blocks
-    for kstar = 0)."""
-    _, corrs = correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    return [c.block for c in corrs]
+def _boundary_terms(corrections: list, g) -> tuple:
+    """g at the foot points, and the correction fields (None when kstar = 0)."""
+    gvals = [np.asarray(g(c.foot_points), dtype=float) for c in corrections]
+    values = [c.values for c in corrections]
+    return gvals, None if all(v is None for v in values) else values
 
 
 def assemble_bdt_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
                     levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
-                    cfg_corr: CorrectionConfig, f, g) -> LinearSystem:
-    """Corrected multiplier saddle system on an inscribed polygonal mesh."""
-    works, corrs = correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    gvals = [np.asarray(g(c.foot_points), dtype=float) for c in corrs]
-    blocks = [c.block for c in corrs]
-    if all(b is None for b in blocks):
-        blocks = None
+                    cfg_corr: CorrectionConfig, f, g, data: tuple | None = None) -> LinearSystem:
+    """Corrected multiplier saddle system on an inscribed polygonal mesh.
+
+    `data` is the (works, corrections) pair of `correction_data`; it is
+    computed here when None.
+    """
+    works, corrs = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
+    gvals, values = _boundary_terms(corrs, g)
+    blocks = None if values is None else [c.block for c in corrs]
     return assemble_bh(mesh, elements, mult, cfg_bc, f, g, works=works,
                        correction_blocks=blocks, g_values=gvals)
 
@@ -114,16 +112,14 @@ def assemble_bdt_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
 def assemble_bdt_nitsche(mesh: PolygonalMesh, elements: list,
                          levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                          cfg_corr: CorrectionConfig, f, g,
-                         mult: MultiplierSpace | None = None) -> LinearSystem:
+                         mult: MultiplierSpace | None = None,
+                         data: tuple | None = None) -> LinearSystem:
     """Corrected penalty system; equals the edge-local condensation of the
     corrected multiplier system for k' = k, gamma = 1/alpha."""
     if mult is None:
         mult = MultiplierSpace.create(mesh, cfg_bc.resolved_kprime)
-    works, corrs = correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    gvals = [np.asarray(g(c.foot_points), dtype=float) for c in corrs]
-    values = [c.values for c in corrs]
-    if all(v is None for v in values):
-        values = None
+    works, corrs = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
+    gvals, values = _boundary_terms(corrs, g)
     return assemble_nitsche(mesh, elements, cfg_bc, f, g, works=works, mult=mult,
                             correction_values=values, g_values=gvals)
 
@@ -131,13 +127,11 @@ def assemble_bdt_nitsche(mesh: PolygonalMesh, elements: list,
 def recover_multiplier_curved(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: list,
                               levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                               cfg_corr: CorrectionConfig, g,
-                              mult: MultiplierSpace | None = None) -> np.ndarray:
+                              mult: MultiplierSpace | None = None,
+                              data: tuple | None = None) -> np.ndarray:
     if mult is None:
         mult = MultiplierSpace.create(mesh, cfg_bc.resolved_kprime)
-    works, corrs = correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    gvals = [np.asarray(g(c.foot_points), dtype=float) for c in corrs]
-    values = [c.values for c in corrs]
-    if all(v is None for v in values):
-        values = None
+    works, corrs = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
+    gvals, values = _boundary_terms(corrs, g)
     return recover_multiplier(u_dofs, mesh, elements, cfg_bc, g, mult=mult,
                               works=works, correction_values=values, g_values=gvals)

@@ -168,13 +168,6 @@ class GlobalDofMap:
         self._cache[cell] = arr
         return arr
 
-    def edge_value_dofs(self, edge: int) -> np.ndarray:
-        """Global DOFs of the k+1 GL values on an edge, from the low-index to
-        the high-index vertex."""
-        a, b = self.mesh.edges[edge]
-        base = self.edge_offset + edge * (self.k - 1)
-        return np.array([a, *range(base, base + self.k - 1), b], dtype=int)
-
 
 def build_element(mesh: PolygonalMesh, cell: int, k: int, stab: str = "d_recipe") -> LocalVemElement:
     """Construct the order-k element on one cell (a batch of one).

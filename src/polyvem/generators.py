@@ -529,9 +529,6 @@ def _merge_small_groups(groups: dict, interior_parents: list, fine: int) -> list
         h = max(ys) - min(ys) + 1
         return float(np.hypot(w, h))
 
-    def parent_of(c):
-        return (c[0] // fine, c[1] // fine)
-
     for _ in range(len(groups) + len(interior_set) + 1):
         small = sorted(
             (gid for gid, cells in groups.items() if diag(cells) < fine),

@@ -29,6 +29,7 @@ __all__ = [
     "named_levelset",
     "delta",
     "delta_many",
+    "boundary_gaps",
     "choose_sigma",
     "tau_report",
     "kstar_default",
@@ -39,7 +40,7 @@ __all__ = [
 class LevelSetDomain:
     """Implicit domain {F < 0} with analytic gradient.
 
-    `f` and `grad` accept (n, 2) arrays and return (n,) and (n, 2) arrays.
+    `f` and `grad` map (n, 2) arrays row by row to (n,) and (n, 2) arrays.
     `interior_point` anchors ray casting; `bounding_box` is (xmin, ymin,
     xmax, ymax).
     """
@@ -219,68 +220,77 @@ _SCAN_STEPS = 64
 
 def delta(levelset: LevelSetDomain, x, sigma, cfg: CorrectionConfig | None = None,
           scale: float = 1.0, context: str = "") -> float:
-    """Smallest t >= 0 with F(x + t sigma) = 0.
+    """Smallest t >= 0 with F(x + t sigma) = 0 (a batch of one of `delta_many`)."""
+    x = np.asarray(x, dtype=float)
+    return float(delta_many(levelset, x[None, :], sigma, cfg, scale, context)[0])
 
-    x must lie inside the domain or on its boundary (F(x) <= 1e-10); the
-    bracket is [0, delta_max_factor * scale].  Raises ValueError when no sign
-    change is found (sigma not outward, or the polygonal domain pokes outside
-    the curved one).
+
+def delta_many(levelset: LevelSetDomain, points, sigma, cfg: CorrectionConfig | None = None,
+               scale=1.0, context: str = "", edges=None) -> np.ndarray:
+    """Gap delta at every point, each found as by itself.
+
+    Each point must lie inside the domain or on its boundary (F(x) <= 1e-10);
+    its bracket is [0, delta_max_factor * scale].  `sigma` is one direction
+    (2,) or one per point (n, 2), `scale` a scalar or one per point.  Every
+    point runs the same arithmetic in the same order: a sign scan over 65
+    nodes, bisection to width 1e-10, then at most 30 Newton steps, each with
+    its own stopping rules.  The first failing point (outside the domain, no
+    sign change, or a stalled rootfinder) raises ValueError naming the point
+    and, when `edges` gives one id per point, its boundary edge.
     """
     cfg = cfg or CorrectionConfig()
-    x = np.asarray(x, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    f0 = levelset.value(x)
-    if f0 > 1e-10:
-        raise ValueError(
-            f"point {x.tolist()} lies outside the domain (F = {f0:.3e}){context}"
-        )
-    if abs(f0) <= cfg.root_tol:
-        return 0.0
-    tmax = cfg.delta_max_factor * scale
-    ts = np.linspace(0.0, tmax, _SCAN_STEPS + 1)
-    vals = levelset.f(x[None, :] + ts[:, None] * sigma[None, :])
-    hit = np.nonzero(vals >= 0.0)[0]
-    if len(hit) == 0:
-        raise ValueError(
-            f"no boundary crossing within {tmax:.3e} from {x.tolist()} along "
-            f"{sigma.tolist()}{context}"
-        )
-    i = int(hit[0])
-    lo, hi = ts[i - 1], ts[i]
+    x = np.asarray(points, dtype=float)
+    n = len(x)
+    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n, 2))
+    tmax = cfg.delta_max_factor * np.broadcast_to(np.asarray(scale, dtype=float), (n,))
+    f0 = levelset.f(x)
+    fail = np.where(f0 > 1e-10, 1, 0)  # 1 outside, 2 no crossing, 3 stalled
+    (scan,) = np.nonzero((fail == 0) & (np.abs(f0) > cfg.root_tol))
+    ts = np.linspace(0.0, tmax[scan], _SCAN_STEPS + 1, axis=1)
+    hit = levelset.f((x[scan, None] + ts[:, :, None] * sig[scan, None])
+                     .reshape(-1, 2)).reshape(ts.shape) >= 0.0
+    found = hit.any(axis=1)
+    fail[scan[~found]] = 2
+    live = scan[found]
+    first = np.argmax(hit[found], axis=1)
+    lo, hi = np.zeros(n), np.zeros(n)
+    lo[live], hi[live] = ts[found, first - 1], ts[found, first]
+    del ts, hit
     # bisection to an interval of width 1e-10
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if levelset.value(x + mid * sigma) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
+    roots = live
+    while len(live := live[hi[live] - lo[live] > 1e-10]):
+        mid = 0.5 * (lo[live] + hi[live])
+        up = levelset.f(x[live] + mid[:, None] * sig[live]) >= 0.0
+        hi[live[up]] = mid[up]
+        lo[live[~up]] = mid[~up]
     t = 0.5 * (lo + hi)
     # Newton polish on the residual
+    live = roots
     for _ in range(30):
-        ft = levelset.value(x + t * sigma)
-        if abs(ft) <= 1e-14:
+        ft = levelset.f(x[live] + t[live, None] * sig[live])
+        ok = np.abs(ft) > 1e-14
+        live, ft = live[ok], ft[ok]
+        grad = levelset.grad(x[live] + t[live, None] * sig[live])
+        dft = np.array([float(g @ s) for g, s in zip(grad, sig[live])])
+        ok = dft != 0.0
+        live, tn = live[ok], t[live[ok]] - ft[ok] / dft[ok]
+        ok = (lo[live] - 1e-10 <= tn) & (tn <= hi[live] + 1e-10)
+        live = live[ok]
+        t[live] = tn[ok]
+        if not len(live):
             break
-        dft = float(levelset.gradient(x + t * sigma) @ sigma)
-        if dft == 0.0:
-            break
-        step = ft / dft
-        tn = t - step
-        if not (lo - 1e-10 <= tn <= hi + 1e-10):
-            break
-        t = tn
-    if abs(levelset.value(x + t * sigma)) > cfg.root_tol:
-        raise ValueError(
-            f"rootfinder stalled at residual {levelset.value(x + t * sigma):.3e} "
-            f"from {x.tolist()}{context}"
-        )
-    return float(max(t, 0.0))
-
-
-def delta_many(levelset, points: np.ndarray, sigma, cfg=None, scale: float = 1.0,
-               context: str = "") -> np.ndarray:
-    return np.array([
-        delta(levelset, p, sigma, cfg=cfg, scale=scale, context=context) for p in points
-    ])
+    fail[roots[np.abs(levelset.f(x[roots] + t[roots, None] * sig[roots])) > cfg.root_tol]] = 3
+    bad = np.flatnonzero(fail)
+    if len(bad):
+        i = int(bad[0])
+        xi = x[i].tolist()
+        resid = levelset.f(x[i:i + 1] + t[i] * sig[i:i + 1])[0]
+        raise ValueError([
+            f"point {xi} lies outside the domain (F = {f0[i]:.3e})",
+            f"no boundary crossing within {tmax[i]:.3e} from {xi} along {sig[i].tolist()}",
+            f"rootfinder stalled at residual {resid:.3e} from {xi}",
+        ][fail[i] - 1] + (context if edges is None else f"{context} (edge {int(edges[i])})"))
+    return np.maximum(t, 0.0)
 
 
 def choose_sigma(levelset: LevelSetDomain, mesh: PolygonalMesh, edge: int,
@@ -310,20 +320,27 @@ class TauReport:
         return self.tau_hat > self.threshold
 
 
+def boundary_gaps(levelset: LevelSetDomain, mesh: PolygonalMesh, edges, points: list,
+                  cfg: CorrectionConfig) -> tuple:
+    """Per-edge directions sigma and the gaps at each edge's (nq, 2) points,
+    found in one `delta_many` pass scaled by the adjacent-cell diameters."""
+    sigmas = np.array([choose_sigma(levelset, mesh, e, cfg) for e in edges])
+    nq = [len(p) for p in points]
+    htil = mesh.cell_diameters[[mesh.boundary_edge_cell(e) for e in edges]]
+    ds = delta_many(levelset, np.concatenate(points),
+                    np.repeat(sigmas, nq, axis=0), cfg, np.repeat(htil, nq),
+                    edges=np.repeat(edges, nq))
+    return sigmas, np.split(ds, np.cumsum(nq)[:-1])
+
+
 def tau_report(levelset: LevelSetDomain, mesh: PolygonalMesh,
                cfg: CorrectionConfig, exactness: int | None = None) -> TauReport:
     exact = exactness if exactness is not None else (cfg.edge_exactness or 7)
     idx = mesh.boundary_edges
-    taus = np.zeros(len(idx))
-    for j, e in enumerate(idx):
-        cell = mesh.boundary_edge_cell(e)
-        htil = mesh.cell_diameters[cell]
-        sigma = choose_sigma(levelset, mesh, e, cfg)
-        a, b = mesh.edges[e]
-        rule = segment_rule(mesh.vertices[a], mesh.vertices[b], exact)
-        ds = delta_many(levelset, rule.points, sigma, cfg=cfg, scale=htil,
-                        context=f" (edge {e})")
-        taus[j] = float(np.max(ds)) / htil
+    pts = [segment_rule(*mesh.vertices[mesh.edges[e]], exact).points for e in idx]
+    _, gaps = boundary_gaps(levelset, mesh, idx, pts, cfg)
+    htil = mesh.cell_diameters[[mesh.boundary_edge_cell(e) for e in idx]]
+    taus = np.array([np.max(d) for d in gaps]) / htil
     worst = int(np.argmax(taus)) if len(taus) else 0
     tau_hat = float(taus[worst]) if len(taus) else 0.0
     rep = TauReport(idx.copy(), taus, tau_hat, int(idx[worst]) if len(idx) else -1,

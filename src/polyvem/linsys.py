@@ -42,10 +42,6 @@ class SaddlePartition:
     blocks: list
     edge_ids: list
 
-    @property
-    def n_multiplier(self) -> int:
-        return sum(size for _, size in self.blocks)
-
 
 class TripletBuilder:
     def __init__(self, n: int):

@@ -45,10 +45,6 @@ class QuadratureRule:
     def measure(self) -> float:
         return float(np.sum(self.weights))
 
-    def integrate(self, f) -> float:
-        vals = np.asarray(f(self.points), dtype=float)
-        return float(self.weights @ vals)
-
 
 @lru_cache(maxsize=None)
 def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curved import assemble_bdt_bh, assemble_bdt_nitsche, recover_multiplier_curved
+from .curved import (
+    assemble_bdt_bh,
+    assemble_bdt_nitsche,
+    correction_data,
+    recover_multiplier_curved,
+)
 from .element import GlobalDofMap, build_all_elements, error_integrals
 from .generators import (
     build_disk_approx_mesh,
@@ -29,12 +34,13 @@ from .generators import (
 from .levelset import CorrectionConfig, kstar_default, named_levelset, tau_report
 from .linsys import condest_1norm, export_matrix_market, solve
 from .mesh import quality_report
-from .quadrature import segment_rule
 from .weakbc import (
+    BoundaryNorms,
     MultiplierSpace,
     WeakBcConfig,
     assemble_bh,
     assemble_nitsche,
+    edge_workspaces,
     recover_multiplier,
 )
 
@@ -223,18 +229,11 @@ def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad) -> tuple[float, 
 def multiplier_error(mesh, elements, mult: MultiplierSpace, coeffs: np.ndarray,
                      exact_grad, exactness: int) -> float:
     """|| -grad(u).nu - lambda_h || in the htilde-weighted boundary norm."""
-    total = 0.0
-    for e in mesh.boundary_edges:
-        cell = mesh.boundary_edge_cell(e)
-        htil = mesh.cell_diameters[cell]
-        a, b = mesh.edges[e]
-        rule = segment_rule(mesh.vertices[a], mesh.vertices[b], exactness)
-        nrm = mesh.edge_normals[e]
-        lam = -(np.asarray(exact_grad(rule.points), dtype=float) @ nrm)
-        basis = mult.bases[mult.edge_position[int(e)]]
-        lam_h = basis.eval(rule.points) @ mult.edge_coeffs(coeffs, int(e))
-        total += htil * float(rule.weights @ (lam - lam_h) ** 2)
-    return float(np.sqrt(total))
+
+    def flux(points, e):
+        return -(np.asarray(exact_grad(points), dtype=float) @ mesh.edge_normals[e])
+
+    return BoundaryNorms(mesh, mult.kprime, exactness).minus_half_mult(mult, coeffs, flux)
 
 
 def estimate_rates(errors, hbars, floor: float = 0.0) -> list:
@@ -271,6 +270,7 @@ class LevelResult:
     e0: float | None = None
     multiplier_err: float | None = None
     tau_hat: float | None = None
+    tau_worst_edge: int | None = None
     condest: float | None = None
     seconds: float = 0.0
     error: str | None = None
@@ -317,9 +317,10 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
             result.n_dofs = dofmap.n_dofs
             elements = build_all_elements(mesh, spec.k, stab=spec.stab)
             mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
+            # one boundary pass: the workspaces and the gaps serve every consumer
+            works = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
 
             use_corr = spec.correction and ls is not None
-            tau = None
             if use_corr:
                 regime = "h_linear" if spec.mesh == "squares" else "h_squared"
                 ccfg = spec.correction_config(regime)
@@ -327,30 +328,33 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
                     warnings.simplefilter("ignore")
                     tau = tau_report(ls, mesh, ccfg)
                 result.tau_hat = tau.tau_hat
+                result.tau_worst_edge = tau.worst_edge
+                data = correction_data(mesh, elements, mult, ls, cfg, ccfg, works=works)
 
             if cfg.method == "barbosa_hughes":
                 if use_corr:
                     system = assemble_bdt_bh(mesh, elements, mult, ls, cfg, ccfg,
-                                             problem.f, problem.g)
+                                             problem.f, problem.g, data=data)
                 else:
-                    system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g)
+                    system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g,
+                                         works=works)
                 x = solve(system)
                 u_dofs = x[:dofmap.n_dofs]
                 lam = x[dofmap.n_dofs:]
             else:
                 if use_corr:
                     system = assemble_bdt_nitsche(mesh, elements, ls, cfg, ccfg,
-                                                  problem.f, problem.g, mult=mult)
+                                                  problem.f, problem.g, mult=mult, data=data)
                 else:
                     system = assemble_nitsche(mesh, elements, cfg, problem.f, problem.g,
-                                              mult=mult)
+                                              works=works, mult=mult)
                 u_dofs = solve(system)
                 if use_corr:
                     lam = recover_multiplier_curved(u_dofs, mesh, elements, ls, cfg,
-                                                    ccfg, problem.g, mult=mult)
+                                                    ccfg, problem.g, mult=mult, data=data)
                 else:
                     lam = recover_multiplier(u_dofs, mesh, elements, cfg, problem.g,
-                                             mult=mult)
+                                             mult=mult, works=works)
 
             result.e1, result.e0 = compute_errors(mesh, elements, u_dofs,
                                                   problem.u, problem.grad_u)
@@ -390,6 +394,7 @@ def report_to_json(report: ConvergenceReport, path=None) -> str:
                 "e0": lv.e0,
                 "multiplier_err": lv.multiplier_err,
                 "tau_hat": lv.tau_hat,
+                "tau_worst_edge": lv.tau_worst_edge,
                 "condest": lv.condest,
                 "seconds": lv.seconds,
                 "error": lv.error,

@@ -73,3 +73,5 @@ def test_cli_quarter_disk_squares(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["levels"][0]["tau_hat"] is not None
+    worst = doc["levels"][0]["tau_worst_edge"]
+    assert isinstance(worst, int) and worst >= 0

@@ -6,7 +6,6 @@ from polyvem.basis import directional_derivative_matrix
 from polyvem.curved import (
     assemble_bdt_bh,
     assemble_bdt_nitsche,
-    correction_blocks,
     correction_data,
     recover_multiplier_curved,
 )
@@ -42,15 +41,16 @@ def square_levelset():
     )
 
 
-def test_correction_blocks_kstar0_empty():
+def test_correction_data_kstar0_empty():
     ls = circle()
     mesh = build_disk_approx_mesh(ls, 12, 2)
     els = build_all_elements(mesh, 2)
     mult = MultiplierSpace.create(mesh, 2)
     cfg = WeakBcConfig(method="barbosa_hughes", k=2, alpha=1e-3)
-    blocks = correction_blocks(mesh, els, mult, ls, cfg,
+    _, corrs = correction_data(mesh, els, mult, ls, cfg,
                                CorrectionConfig(kstar=0, sigma_strategy="edge_normal"))
-    assert all(b is None for b in blocks)
+    assert len(corrs) == len(mesh.boundary_edges)
+    assert all(c.block is None and c.values is None for c in corrs)
 
 
 def test_correction_block_oracle_single_edge():
