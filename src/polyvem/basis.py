@@ -103,14 +103,13 @@ class CellPolyBasis:
     """Polynomial basis of degree <= k on one cell.
 
     `coef[:, j]` holds the raw scaled-monomial coefficients of basis
-    function j, so `coef` is the identity in raw mode and upper triangular
-    after orthonormalization (the first function stays constant).
+    function j, so `coef` is the identity for the raw monomials and upper
+    triangular after orthonormalization (the first function stays constant).
     """
 
     k: int
     center: np.ndarray
     diameter: float
-    mode: str = "raw"
     coef: np.ndarray = field(default=None)  # type: ignore[assignment]
     cell_index: int | None = None
 
@@ -165,7 +164,7 @@ def orthonormalize(basis, quad: QuadratureRule):
         ) from exc
     # coef' = coef * L^{-T}: triangular, keeps function 0 constant
     new_coef = np.linalg.solve(chol, basis.coef.T).T
-    return replace(basis, coef=new_coef, mode="ortho")
+    return replace(basis, coef=new_coef)
 
 
 def directional_derivative_matrix(basis: CellPolyBasis, sigma, j: int = 1) -> np.ndarray:
@@ -199,7 +198,6 @@ class EdgePolyBasis:
     midpoint: np.ndarray
     length: float
     tangent: np.ndarray
-    mode: str = "raw"
     coef: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -212,10 +210,10 @@ class EdgePolyBasis:
         object.__setattr__(self, "tangent", t / np.hypot(*t))
 
     @classmethod
-    def for_edge(cls, a, b, k: int, mode: str = "raw") -> "EdgePolyBasis":
+    def for_edge(cls, a, b, k: int) -> "EdgePolyBasis":
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        return cls(k=k, midpoint=0.5 * (a + b), length=float(np.hypot(*(b - a))), tangent=b - a, mode=mode)
+        return cls(k=k, midpoint=0.5 * (a + b), length=float(np.hypot(*(b - a))), tangent=b - a)
 
     @property
     def dim(self) -> int:

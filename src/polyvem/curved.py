@@ -15,7 +15,7 @@ penalty system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .weakbc import (
 )
 
 __all__ = [
-    "EdgeCorrection",
     "correction_data",
     "assemble_bdt_bh",
     "assemble_bdt_nitsche",
@@ -42,37 +41,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeCorrection:
-    edge: int
-    sigma: np.ndarray
-    deltas: np.ndarray        # gap at each quadrature point
-    foot_points: np.ndarray   # x + delta(x) sigma, on the true boundary
-    values: np.ndarray | None  # (nq, n_cell_dofs) correction field, None if kstar = 0
-    block: np.ndarray | None   # (k'+1, n_cell_dofs) multiplier-row coupling
-
-
 def correction_data(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
                     levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
-                    cfg_corr: CorrectionConfig, works: list | None = None) -> tuple:
-    """Per-edge correction quantities on the shared edge quadrature.
+                    cfg_corr: CorrectionConfig, works: list | None = None) -> list:
+    """Edge workspaces of the corrected problem, one per boundary edge.
 
-    Returns (works, corrections); delta is found at every quadrature node of
-    every boundary edge in one batched root search, and the result is meant
-    to be shared by the assembly and the multiplier recovery of a level.
+    Each is a flat workspace (`works`, built here when None) whose
+    `data_points` are the foot points x + delta(x) sigma and whose
+    `correction` is the Taylor field (None when kstar = 0); the other arrays
+    are shared with the flat workspace.  delta is found at every quadrature
+    node of every boundary edge in one batched root search, and the result
+    is meant to be shared by the assembly and the multiplier recovery of a
+    level.
     """
     if cfg_corr.kstar > cfg_bc.k:
         raise ValueError("kstar must not exceed the space order k")
-    exact = cfg_corr.edge_exactness or cfg_bc.resolved_edge_exactness
     if works is None:
-        works = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg_bc.k), mult, exact)
+        works = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg_bc.k), mult,
+                                cfg_bc.resolved_edge_exactness)
     sigmas, gaps = boundary_gaps(levelset, mesh, [w.edge for w in works],
                                  [w.points for w in works], cfg_corr)
     out = []
     for w, sigma, ds in zip(works, sigmas, gaps):
-        foot = w.points + ds[:, None] * sigma[None, :]
         values = None
-        block = None
         if cfg_corr.kstar >= 1:
             el = elements[w.cell]
             m1 = directional_derivative_matrix(el.basis, sigma, 1)
@@ -82,56 +73,40 @@ def correction_data(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
             for j in range(1, cfg_corr.kstar + 1):
                 cur = m1 @ cur
                 values += (ds**j / math.factorial(j))[:, None] * (evals @ cur)
-            block = w.psi.T @ (w.weights[:, None] * values)
-        out.append(EdgeCorrection(w.edge, sigma, ds, foot, values, block))
-    return works, out
-
-
-def _boundary_terms(corrections: list, g) -> tuple:
-    """g at the foot points, and the correction fields (None when kstar = 0)."""
-    gvals = [np.asarray(g(c.foot_points), dtype=float) for c in corrections]
-    values = [c.values for c in corrections]
-    return gvals, None if all(v is None for v in values) else values
+        out.append(replace(w, data_points=w.points + ds[:, None] * sigma[None, :],
+                           correction=values))
+    return out
 
 
 def assemble_bdt_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
                     levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
-                    cfg_corr: CorrectionConfig, f, g, data: tuple | None = None) -> LinearSystem:
+                    cfg_corr: CorrectionConfig, f, g, data: list | None = None) -> LinearSystem:
     """Corrected multiplier saddle system on an inscribed polygonal mesh.
 
-    `data` is the (works, corrections) pair of `correction_data`; it is
-    computed here when None.
+    `data` is the workspace list of `correction_data`; it is computed here
+    when None.
     """
-    works, corrs = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    gvals, values = _boundary_terms(corrs, g)
-    blocks = None if values is None else [c.block for c in corrs]
-    return assemble_bh(mesh, elements, mult, cfg_bc, f, g, works=works,
-                       correction_blocks=blocks, g_values=gvals)
+    works = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
+    return assemble_bh(mesh, elements, mult, cfg_bc, f, g, works=works)
 
 
 def assemble_bdt_nitsche(mesh: PolygonalMesh, elements: list,
                          levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                          cfg_corr: CorrectionConfig, f, g,
                          mult: MultiplierSpace | None = None,
-                         data: tuple | None = None) -> LinearSystem:
+                         data: list | None = None) -> LinearSystem:
     """Corrected penalty system; equals the edge-local condensation of the
     corrected multiplier system for k' = k, gamma = 1/alpha."""
-    if mult is None:
-        mult = MultiplierSpace.create(mesh, cfg_bc.resolved_kprime)
-    works, corrs = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    gvals, values = _boundary_terms(corrs, g)
-    return assemble_nitsche(mesh, elements, cfg_bc, f, g, works=works, mult=mult,
-                            correction_values=values, g_values=gvals)
+    mult = mult or MultiplierSpace.create(mesh, cfg_bc.resolved_kprime)
+    works = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
+    return assemble_nitsche(mesh, elements, cfg_bc, f, g, works=works, mult=mult)
 
 
 def recover_multiplier_curved(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: list,
                               levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                               cfg_corr: CorrectionConfig, g,
                               mult: MultiplierSpace | None = None,
-                              data: tuple | None = None) -> np.ndarray:
-    if mult is None:
-        mult = MultiplierSpace.create(mesh, cfg_bc.resolved_kprime)
-    works, corrs = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    gvals, values = _boundary_terms(corrs, g)
-    return recover_multiplier(u_dofs, mesh, elements, cfg_bc, g, mult=mult,
-                              works=works, correction_values=values, g_values=gvals)
+                              data: list | None = None) -> np.ndarray:
+    mult = mult or MultiplierSpace.create(mesh, cfg_bc.resolved_kprime)
+    works = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
+    return recover_multiplier(u_dofs, mesh, elements, cfg_bc, g, mult=mult, works=works)

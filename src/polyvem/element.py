@@ -90,7 +90,6 @@ class LocalVemElement:
     basis: CellPolyBasis
     quad: QuadratureRule
     area: float
-    perimeter: float
     diameter: float
     edge_lengths: np.ndarray
     edge_normals: np.ndarray  # outward, per local edge
@@ -103,7 +102,6 @@ class LocalVemElement:
     boundary_mean: np.ndarray   # row of |dK|^-1 int_dK phi_i
     moment_family: CellPolyBasis | None  # weight functions of the moment DOFs
     moment_to_raw: np.ndarray | None     # family moments -> raw monomial moments
-    stab_label: str
 
     @property
     def n_dofs(self) -> int:
@@ -135,7 +133,11 @@ def lagrange_eval_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class GlobalDofMap:
     """Global numbering: mesh vertices, then k-1 DOFs per edge (ordered from
-    the lower to the higher vertex index), then moments cell by cell."""
+    the lower to the higher vertex index), then moments cell by cell.
+
+    The read-only per-cell DOF arrays are built once per (mesh, k) and shared
+    by every map of that mesh and order.
+    """
 
     def __init__(self, mesh: PolygonalMesh, k: int):
         self.mesh = mesh
@@ -145,7 +147,7 @@ class GlobalDofMap:
         self.edge_offset = mesh.n_vertices
         self.moment_offset = mesh.n_vertices + mesh.n_edges * (k - 1)
         self.n_dofs = self.moment_offset + mesh.n_cells * self.n_moment
-        self._cache: dict = {}
+        self._cache = mesh.__dict__.setdefault("_cell_dofs_cache", {}).setdefault(k, {})
 
     def cell_dofs(self, cell: int) -> np.ndarray:
         got = self._cache.get(cell)
@@ -165,6 +167,7 @@ class GlobalDofMap:
         base = self.moment_offset + cell * self.n_moment
         dofs += [base + m for m in range(self.n_moment)]
         arr = np.array(dofs, dtype=int)
+        arr.setflags(write=False)
         self._cache[cell] = arr
         return arr
 
@@ -329,14 +332,14 @@ def _build_batch(items: list, mesh: PolygonalMesh, k: int, stab: str) -> list:
         basis = CellPolyBasis(k, xK[j], h, cell_index=c)
         family = CellPolyBasis(k - 2, xK[j], h) if k >= 2 else None
         if k >= 3:
-            basis = replace(basis, coef=coef[j], mode="ortho")
+            basis = replace(basis, coef=coef[j])
         if k >= 4:
-            family = replace(family, coef=fam_coef[j], mode="ortho")
+            family = replace(family, coef=fam_coef[j])
         out.append(LocalVemElement(
             cell=c, k=k, layout=replace(layout, point_coords=point_coords[j]), basis=basis,
-            quad=quads[j], area=float(area[j]), perimeter=float(perimeter[j]), diameter=h,
+            quad=quads[j], area=float(area[j]), diameter=h,
             moment_family=family, moment_to_raw=None if k < 2 else moment_to_raw[j],
-            stab_label=stab, **{name: a[j] for name, a in arrays.items()},
+            **{name: a[j] for name, a in arrays.items()},
         ))
     return out
 

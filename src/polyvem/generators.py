@@ -387,25 +387,13 @@ def build_squares_approx_mesh(levelset: LevelSetDomain, base_n: int,
     ny = int(np.ceil((y1 - y0) / side - 1e-12))
     fine = 1 << boundary_refine_steps
     fside = side / fine
-    tol = 1e-12
-
-    def corner_inside(ix, iy):
-        # fine-lattice corner (global integer coords)
-        return levelset.value((x0 + ix * fside, y0 + iy * fside)) <= tol
-
-    inside_cache: dict = {}
-
-    def cached_inside(ix, iy):
-        key = (ix, iy)
-        v = inside_cache.get(key)
-        if v is None:
-            v = corner_inside(ix, iy)
-            inside_cache[key] = v
-        return v
-
-    def sub_ok(ax, ay):
-        return (cached_inside(ax, ay) and cached_inside(ax + 1, ay)
-                and cached_inside(ax + 1, ay + 1) and cached_inside(ax, ay + 1))
+    # corner (ix, iy) of the fine lattice is inside when F <= 1e-12; a fine
+    # cell (ax, ay) is kept when all four of its corners are
+    lx = x0 + np.arange(nx * fine + 1) * fside
+    ly = y0 + np.arange(ny * fine + 1) * fside
+    inside = (levelset.f(np.stack(np.meshgrid(lx, ly, indexing="ij"), axis=-1)
+                         .reshape(-1, 2)) <= 1e-12).reshape(len(lx), len(ly))
+    sub_ok = inside[:-1, :-1] & inside[1:, :-1] & inside[1:, 1:] & inside[:-1, 1:]
 
     interior_parents = []
     groups: dict = {}  # parent -> set of retained fine cells (boundary parents)
@@ -413,20 +401,14 @@ def build_squares_approx_mesh(levelset: LevelSetDomain, base_n: int,
     for bj in range(ny):
         for bi in range(nx):
             cx0, cy0 = bi * fine, bj * fine
-            corners = [
-                cached_inside(bi * fine, bj * fine),
-                cached_inside((bi + 1) * fine, bj * fine),
-                cached_inside((bi + 1) * fine, (bj + 1) * fine),
-                cached_inside(bi * fine, (bj + 1) * fine),
-            ]
-            if all(corners):
+            if inside[cx0:cx0 + fine + 1:fine, cy0:cy0 + fine + 1:fine].all():
                 interior_parents.append((bi, bj))
                 continue
             retained = {
                 (cx0 + a, cy0 + b)
                 for a in range(fine)
                 for b in range(fine)
-                if sub_ok(cx0 + a, cy0 + b)
+                if sub_ok[cx0 + a, cy0 + b]
             }
             if retained:
                 groups[(bi, bj)] = retained

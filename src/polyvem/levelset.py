@@ -184,8 +184,6 @@ class CorrectionConfig:
     delta_max_factor  root bracket as a multiple of the adjacent-cell scale
     root_tol        residual |F| below which a point counts as on the boundary
     tau_threshold   tau_report warns above this value
-    edge_exactness  quadrature degree for edge integrals involving delta
-                    (None: the assembly default, 2k + 2)
     """
 
     kstar: int = 1
@@ -193,7 +191,6 @@ class CorrectionConfig:
     delta_max_factor: float = 2.0
     root_tol: float = 1e-12
     tau_threshold: float = 0.5
-    edge_exactness: int | None = None
 
     def __post_init__(self):
         if self.kstar < 0:
@@ -254,7 +251,8 @@ def delta_many(levelset: LevelSetDomain, points, sigma, cfg: CorrectionConfig | 
     live = scan[found]
     first = np.argmax(hit[found], axis=1)
     lo, hi = np.zeros(n), np.zeros(n)
-    lo[live], hi[live] = ts[found, first - 1], ts[found, first]
+    # a point just outside (root_tol < F <= 1e-10) hits at node 0: bracket [0, 0]
+    lo[live], hi[live] = ts[found, np.maximum(first - 1, 0)], ts[found, first]
     del ts, hit
     # bisection to an interval of width 1e-10
     roots = live
@@ -334,10 +332,9 @@ def boundary_gaps(levelset: LevelSetDomain, mesh: PolygonalMesh, edges, points: 
 
 
 def tau_report(levelset: LevelSetDomain, mesh: PolygonalMesh,
-               cfg: CorrectionConfig, exactness: int | None = None) -> TauReport:
-    exact = exactness if exactness is not None else (cfg.edge_exactness or 7)
+               cfg: CorrectionConfig) -> TauReport:
     idx = mesh.boundary_edges
-    pts = [segment_rule(*mesh.vertices[mesh.edges[e]], exact).points for e in idx]
+    pts = [segment_rule(*mesh.vertices[mesh.edges[e]], 7).points for e in idx]
     _, gaps = boundary_gaps(levelset, mesh, idx, pts, cfg)
     htil = mesh.cell_diameters[[mesh.boundary_edge_cell(e) for e in idx]]
     taus = np.array([np.max(d) for d in gaps]) / htil

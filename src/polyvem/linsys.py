@@ -92,7 +92,7 @@ class LinearSystem:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def check_symmetry(self, tol: float = 1e-12) -> float:
+    def check_symmetry(self) -> float:
         d = self.matrix - self.matrix.T
         return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 

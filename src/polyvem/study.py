@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curved import (
-    assemble_bdt_bh,
-    assemble_bdt_nitsche,
-    correction_data,
-    recover_multiplier_curved,
-)
+from .curved import correction_data
 from .element import GlobalDofMap, build_all_elements, error_integrals
 from .generators import (
     build_disk_approx_mesh,
@@ -319,9 +314,7 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
             mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
             # one boundary pass: the workspaces and the gaps serve every consumer
             works = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
-
-            use_corr = spec.correction and ls is not None
-            if use_corr:
+            if spec.correction and ls is not None:
                 regime = "h_linear" if spec.mesh == "squares" else "h_squared"
                 ccfg = spec.correction_config(regime)
                 with warnings.catch_warnings():
@@ -329,32 +322,20 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
                     tau = tau_report(ls, mesh, ccfg)
                 result.tau_hat = tau.tau_hat
                 result.tau_worst_edge = tau.worst_edge
-                data = correction_data(mesh, elements, mult, ls, cfg, ccfg, works=works)
+                works = correction_data(mesh, elements, mult, ls, cfg, ccfg, works=works)
 
             if cfg.method == "barbosa_hughes":
-                if use_corr:
-                    system = assemble_bdt_bh(mesh, elements, mult, ls, cfg, ccfg,
-                                             problem.f, problem.g, data=data)
-                else:
-                    system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g,
-                                         works=works)
+                system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g,
+                                     works=works)
                 x = solve(system)
                 u_dofs = x[:dofmap.n_dofs]
                 lam = x[dofmap.n_dofs:]
             else:
-                if use_corr:
-                    system = assemble_bdt_nitsche(mesh, elements, ls, cfg, ccfg,
-                                                  problem.f, problem.g, mult=mult, data=data)
-                else:
-                    system = assemble_nitsche(mesh, elements, cfg, problem.f, problem.g,
-                                              works=works, mult=mult)
+                system = assemble_nitsche(mesh, elements, cfg, problem.f, problem.g,
+                                          works=works, mult=mult)
                 u_dofs = solve(system)
-                if use_corr:
-                    lam = recover_multiplier_curved(u_dofs, mesh, elements, ls, cfg,
-                                                    ccfg, problem.g, mult=mult, data=data)
-                else:
-                    lam = recover_multiplier(u_dofs, mesh, elements, cfg, problem.g,
-                                             mult=mult, works=works)
+                lam = recover_multiplier(u_dofs, mesh, elements, cfg, problem.g,
+                                         mult=mult, works=works)
 
             result.e1, result.e0 = compute_errors(mesh, elements, u_dofs,
                                                   problem.u, problem.grad_u)

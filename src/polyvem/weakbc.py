@@ -52,7 +52,6 @@ class WeakBcConfig:
     kprime: int | None = None
     alpha: float = 0.001
     gamma: float = 1000.0
-    edge_exactness: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -83,7 +82,7 @@ class WeakBcConfig:
 
     @property
     def resolved_edge_exactness(self) -> int:
-        return self.edge_exactness if self.edge_exactness is not None else 2 * self.k + 2
+        return 2 * self.k + 2
 
 
 @dataclass(frozen=True)
@@ -117,22 +116,24 @@ class MultiplierSpace:
         return coeffs[o:o + self.kprime + 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeWork:
-    """Precomputed quantities of one boundary edge shared by all assemblies."""
+    """Precomputed quantities of one boundary edge shared by all assemblies;
+    the workspaces of a corrected level come from `curved.correction_data`."""
 
     edge: int
     cell: int
     htilde: float
     points: np.ndarray
     weights: np.ndarray
+    data_points: np.ndarray    # where the boundary datum g is sampled
     cell_dofs: np.ndarray      # global DOFs of the adjacent cell
     edge_dofs_local: list      # local indices of the k+1 edge point values
     trace: np.ndarray          # (nq, k+1) values of v restricted to the edge
     normal_deriv: np.ndarray   # (nq, n_cell_dofs) of d_nu Pi-nabla
     psi: np.ndarray            # (nq, k'+1) multiplier basis values
     mass: np.ndarray           # multiplier mass matrix
-    basis: EdgePolyBasis
+    correction: np.ndarray | None  # (nq, n_cell_dofs) Taylor field, None when flat
 
 
 def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
@@ -160,8 +161,7 @@ def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
         nrm = el.edge_normals[local]
         normal_deriv = (nrm[0] * gx + nrm[1] * gy) @ el.pinabla
 
-        ebasis = mult.bases[mult.edge_position[int(e)]]
-        psi = ebasis.eval(rule.points)
+        psi = mult.bases[mult.edge_position[int(e)]].eval(rule.points)
         mass = psi.T @ (rule.weights[:, None] * psi)
         works.append(EdgeWork(
             edge=int(e),
@@ -169,13 +169,14 @@ def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
             htilde=float(mesh.cell_diameters[cell]),
             points=rule.points,
             weights=rule.weights,
+            data_points=rule.points,
             cell_dofs=dofmap.cell_dofs(cell),
             edge_dofs_local=el.layout.edge_point_dofs(local),
             trace=trace,
             normal_deriv=normal_deriv,
             psi=psi,
             mass=0.5 * (mass + mass.T),
-            basis=ebasis,
+            correction=None,
         ))
     return works
 
@@ -196,17 +197,14 @@ def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, mesh, elements, do
 
 
 def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
-                cfg: WeakBcConfig, f, g, works: list | None = None,
-                correction_blocks: list | None = None,
-                g_values: list | None = None) -> LinearSystem:
+                cfg: WeakBcConfig, f, g, works: list | None = None) -> LinearSystem:
     """Assemble the stabilized-multiplier saddle system.
 
     Unknowns are (u, lambda); the multiplier couples through the boundary
     mass and the residual penalty -alpha * htilde * (lambda + dn u, mu + dn v).
-    `correction_blocks` (one (k'+1, n_cell_dofs) matrix per boundary edge, or
-    None entries) are added to the multiplier-row coupling only, and
-    `g_values` overrides the pointwise boundary data (used for the corrected
-    problem where g is composed with the boundary foot point).
+    g is sampled at each workspace's `data_points`; a workspace's Taylor
+    `correction` enters the multiplier-row coupling only, which makes the
+    system non-symmetric.
     """
     _check_elements(elements, cfg)
     dofmap = GlobalDofMap(mesh, cfg.k)
@@ -219,8 +217,7 @@ def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
     rhs = np.zeros(n)
     _scatter_volume(builder, rhs, mesh, elements, dofmap, f)
 
-    symmetric = correction_blocks is None
-    for i, w in enumerate(works):
+    for w in works:
         lam = nu + mult.offset(w.edge) + np.arange(w.psi.shape[1])
         ah = alpha * w.htilde
         wq = w.weights
@@ -238,29 +235,27 @@ def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
         builder.add_block(lam, w.cell_dofs, -ah * N)
         builder.add_block(w.cell_dofs, lam, -ah * N.T)
         builder.add_block(lam, lam, -ah * w.mass)
-        if correction_blocks is not None and correction_blocks[i] is not None:
-            builder.add_block(lam, w.cell_dofs, correction_blocks[i])
+        if w.correction is not None:
+            builder.add_block(lam, w.cell_dofs, w.psi.T @ (wq[:, None] * w.correction))
 
-        gv = g_values[i] if g_values is not None else np.asarray(g(w.points), dtype=float)
-        rhs[lam] += w.psi.T @ (wq * gv)
+        rhs[lam] += w.psi.T @ (wq * np.asarray(g(w.data_points), dtype=float))
 
     blocks = [(mult.offset(w.edge), w.psi.shape[1]) for w in works]
     partition = SaddlePartition(n_primal=nu, blocks=blocks,
                                 edge_ids=[w.edge for w in works])
-    return LinearSystem(matrix=builder.compress(), rhs=rhs, symmetric=symmetric,
-                        partition=partition)
+    return LinearSystem(matrix=builder.compress(), rhs=rhs,
+                        symmetric=all(w.correction is None for w in works), partition=partition)
 
 
 def assemble_nitsche(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig, f, g,
-                     works: list | None = None, mult: MultiplierSpace | None = None,
-                     correction_values: list | None = None,
-                     g_values: list | None = None) -> LinearSystem:
+                     works: list | None = None,
+                     mult: MultiplierSpace | None = None) -> LinearSystem:
     """Assemble the penalty (Nitsche) system over the primal DOFs.
 
-    The boundary data enters through its edgewise L2 projection onto the
-    multiplier space, evaluated with the same quadrature as all other edge
-    terms.  `correction_values` (per edge, (nq, n_cell_dofs) or None) add the
-    Taylor boundary correction tested against dn v - gamma/htilde * v.
+    The boundary data, sampled at each workspace's `data_points`, enters
+    through its edgewise L2 projection onto the multiplier space, evaluated
+    with the same quadrature as all other edge terms.  A workspace's Taylor
+    `correction` is tested against dn v - gamma/htilde * v.
     """
     _check_elements(elements, cfg)
     dofmap = GlobalDofMap(mesh, cfg.k)
@@ -274,7 +269,7 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig, f, 
     rhs = np.zeros(nu)
     _scatter_volume(builder, rhs, mesh, elements, dofmap, f)
 
-    for i, w in enumerate(works):
+    for w in works:
         wq = w.weights
         edofs = w.cell_dofs[w.edge_dofs_local]
         gh_scale = gamma / w.htilde
@@ -286,45 +281,41 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig, f, 
         builder.add_block(w.cell_dofs, edofs, -cross.T)
         builder.add_block(edofs, edofs, gh_scale * muv)
 
-        gv = g_values[i] if g_values is not None else np.asarray(g(w.points), dtype=float)
+        gv = np.asarray(g(w.data_points), dtype=float)
         gh = w.psi @ np.linalg.solve(w.mass, w.psi.T @ (wq * gv))
         rhs[edofs] += gh_scale * (w.trace.T @ (wq * gh))
         rhs[w.cell_dofs] -= w.normal_deriv.T @ (wq * gh)
 
-        if correction_values is not None and correction_values[i] is not None:
-            corr = correction_values[i]  # (nq, n_cell)
-            dn_block = w.normal_deriv.T @ (wq[:, None] * corr)
-            tr_block = w.trace.T @ (wq[:, None] * corr)
+        if w.correction is not None:
+            dn_block = w.normal_deriv.T @ (wq[:, None] * w.correction)
+            tr_block = w.trace.T @ (wq[:, None] * w.correction)
             builder.add_block(w.cell_dofs, w.cell_dofs, -dn_block)
             builder.add_block(edofs, w.cell_dofs, gh_scale * tr_block)
 
-    symmetric = correction_values is None
-    return LinearSystem(matrix=builder.compress(), rhs=rhs, symmetric=symmetric)
+    return LinearSystem(matrix=builder.compress(), rhs=rhs,
+                        symmetric=all(w.correction is None for w in works))
 
 
 def recover_multiplier(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: list,
                        cfg: WeakBcConfig, g, mult: MultiplierSpace | None = None,
-                       works: list | None = None,
-                       correction_values: list | None = None,
-                       g_values: list | None = None) -> np.ndarray:
+                       works: list | None = None) -> np.ndarray:
     """Edge-by-edge multiplier recovery from a penalty-system solution:
     lambda = gamma/htilde * proj(u - g) - dn u (plus the projected Taylor
     correction on curved domains).  No global solve."""
     if mult is None:
         mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
-    dofmap = GlobalDofMap(mesh, cfg.k)
     if works is None:
-        works = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
+        works = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k), mult,
+                                cfg.resolved_edge_exactness)
     gamma = cfg.gamma
     out = np.zeros(mult.dim)
-    for i, w in enumerate(works):
+    for w in works:
         wq = w.weights
         uloc = u_dofs[w.cell_dofs]
         uvals = w.trace @ uloc[w.edge_dofs_local]
-        gv = g_values[i] if g_values is not None else np.asarray(g(w.points), dtype=float)
-        resid = uvals - gv
-        if correction_values is not None and correction_values[i] is not None:
-            resid = resid + correction_values[i] @ uloc
+        resid = uvals - np.asarray(g(w.data_points), dtype=float)
+        if w.correction is not None:
+            resid = resid + w.correction @ uloc
         rhsv = (gamma / w.htilde) * (w.psi.T @ (wq * resid))
         coeffs = np.linalg.solve(w.mass, rhsv - w.psi.T @ (wq * (w.normal_deriv @ uloc)))
         # the normal-derivative term lies in the multiplier space already, so
@@ -393,25 +384,11 @@ class BoundaryNorms:
             energy += float(loc @ el.stiffness @ loc)
         if mult is None:
             mult = MultiplierSpace.create(self.mesh, self.kprime)
-        glx, _ = gauss_lobatto(dofmap.k + 1)
         half_sq = 0.0
-        for e, htil, rule in self._rules:
-            cell = self.mesh.boundary_edge_cell(e)
-            el = elements[cell]
-            local = self.mesh.cell_edges(cell).index(e)
-            loop = self.mesh.cells[cell]
-            va = self.mesh.vertices[loop[local]]
-            vb = self.mesh.vertices[loop[(local + 1) % len(loop)]]
-            mid = 0.5 * (va + vb)
-            t = 2.0 * ((rule.points - mid) @ (vb - va)) / el.edge_lengths[local]**2
-            tr = lagrange_eval_matrix(glx, t)
-            uloc = u_dofs[dofmap.cell_dofs(cell)]
-            uv = tr @ uloc[el.layout.edge_point_dofs(local)]
-            basis = mult.bases[mult.edge_position[e]]
-            psi = basis.eval(rule.points)
-            m = psi.T @ (rule.weights[:, None] * psi)
-            proj = psi @ np.linalg.solve(m, psi.T @ (rule.weights * uv))
-            half_sq += float(rule.weights @ proj**2) / htil
+        for w in edge_workspaces(self.mesh, elements, dofmap, mult, self.exactness):
+            uv = w.trace @ u_dofs[w.cell_dofs][w.edge_dofs_local]
+            proj = w.psi @ np.linalg.solve(w.mass, w.psi.T @ (w.weights * uv))
+            half_sq += float(w.weights @ proj**2) / w.htilde
         return float(np.sqrt(energy + half_sq))
 
 

@@ -16,7 +16,7 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def square_basis(k, mode="raw"):
-    b = CellPolyBasis(k, (0.5, 0.5), np.sqrt(2.0), mode="raw")
+    b = CellPolyBasis(k, (0.5, 0.5), np.sqrt(2.0))
     quad = polygon_rule(SQUARE, 2 * k + 2)
     if mode == "ortho":
         b = orthonormalize(b, quad)

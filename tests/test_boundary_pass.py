@@ -74,7 +74,7 @@ def _scalar_delta(ls, x, sigma, cfg, scale):
         return 0.0
     ts = np.linspace(0.0, cfg.delta_max_factor * scale, 65)
     i = int(np.nonzero(ls.f(x[None, :] + ts[:, None] * sigma[None, :]) >= 0.0)[0][0])
-    lo, hi = ts[i - 1], ts[i]
+    lo, hi = ts[max(i - 1, 0)], ts[i]
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if ls.value(x + mid * sigma) >= 0.0:
@@ -124,6 +124,22 @@ def test_delta_many_equals_per_point_delta(name, seed):
     inner = pts[ls.f(pts) < -1e-9]
     got = delta_many(ls, inner, sig[0], cfg, 2.0 * reach)
     assert np.array_equal(got, [delta(ls, p, sig[0], cfg, 2.0 * reach) for p in inner])
+
+
+def test_delta_just_outside_is_zero():
+    # root_tol < F(x) <= 1e-10: accepted as on the boundary, and the scan
+    # hits at its first node, so the bracket is [0, 0], not [tmax, 0]
+    ls, cfg = circle(), CorrectionConfig()
+    near = [(1.0 + 2.5e-11, 0.0), (1.0 + 5e-13, 0.0)]
+    for p in near:
+        assert cfg.root_tol < ls.value(p) <= 1e-10
+        assert delta(ls, p, (1.0, 0.0)) == 0.0
+    pts = np.array(near + [(0.5, 0.0), (0.0, 0.3), (0.6, 0.8)])
+    sig = np.array([(1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
+    got = delta_many(ls, pts, sig, cfg)
+    assert np.array_equal(got, [delta(ls, p, s, cfg) for p, s in zip(pts, sig)])
+    assert np.array_equal(got, [_scalar_delta(ls, p, s, cfg, 1.0) for p, s in zip(pts, sig)])
+    assert got[0] == got[1] == 0.0 and np.all(got[2:4] > 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))

@@ -10,7 +10,14 @@ from polyvem.curved import (
     recover_multiplier_curved,
 )
 from polyvem.element import GlobalDofMap, build_all_elements
-from polyvem.levelset import CorrectionConfig, circle, delta_many, half_plane, intersection
+from polyvem.levelset import (
+    CorrectionConfig,
+    boundary_gaps,
+    circle,
+    delta_many,
+    half_plane,
+    intersection,
+)
 from polyvem.linsys import schur_condense_bh, solve
 from polyvem.weakbc import (
     MultiplierSpace,
@@ -47,10 +54,10 @@ def test_correction_data_kstar0_empty():
     els = build_all_elements(mesh, 2)
     mult = MultiplierSpace.create(mesh, 2)
     cfg = WeakBcConfig(method="barbosa_hughes", k=2, alpha=1e-3)
-    _, corrs = correction_data(mesh, els, mult, ls, cfg,
-                               CorrectionConfig(kstar=0, sigma_strategy="edge_normal"))
-    assert len(corrs) == len(mesh.boundary_edges)
-    assert all(c.block is None and c.values is None for c in corrs)
+    works = correction_data(mesh, els, mult, ls, cfg,
+                            CorrectionConfig(kstar=0, sigma_strategy="edge_normal"))
+    assert len(works) == len(mesh.boundary_edges)
+    assert all(w.correction is None for w in works)
 
 
 def test_correction_block_oracle_single_edge():
@@ -62,17 +69,19 @@ def test_correction_block_oracle_single_edge():
     mult = MultiplierSpace.create(mesh, k)
     cfgb = WeakBcConfig(method="barbosa_hughes", k=k, alpha=1e-3)
     ccfg = CorrectionConfig(kstar=1, sigma_strategy="edge_normal")
-    dofmap = GlobalDofMap(mesh, k)
-    works, corrs = correction_data(mesh, els, mult, ls, cfgb, ccfg)
+    works = correction_data(mesh, els, mult, ls, cfgb, ccfg)
+    sigmas, gaps = boundary_gaps(ls, mesh, [w.edge for w in works],
+                                 [w.points for w in works], ccfg)
     rng = np.random.default_rng(4)
-    for w, c in zip(works[:4], corrs[:4]):
+    for w, sigma, ds in list(zip(works, sigmas, gaps))[:4]:
         el = els[w.cell]
+        block = w.psi.T @ (w.weights[:, None] * w.correction)  # multiplier-row coupling
         coeffs = rng.standard_normal(el.basis.dim)
         dofs_p = el.dof_of_poly @ coeffs  # DOFs of a known polynomial p
-        got = c.block @ dofs_p  # integral of (delta d_sigma p) psi_j
-        m1 = directional_derivative_matrix(el.basis, c.sigma, 1)
+        got = block @ dofs_p  # integral of (delta d_sigma p) psi_j
+        m1 = directional_derivative_matrix(el.basis, sigma, 1)
         dp_vals = el.basis.eval(w.points) @ (m1 @ coeffs)
-        want = w.psi.T @ (w.weights * (c.deltas * dp_vals))
+        want = w.psi.T @ (w.weights * (ds * dp_vals))
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -197,6 +206,56 @@ def test_shared_workspaces_reused():
     ccfg = CorrectionConfig(kstar=1, sigma_strategy="edge_normal")
     dm = GlobalDofMap(mesh, k)
     works = edge_workspaces(mesh, els, dm, mult, cfgb.resolved_edge_exactness)
-    works2, corrs = correction_data(mesh, els, mult, ls, cfgb, ccfg, works=works)
-    assert works2 is works
-    assert len(corrs) == len(works)
+    corrected = correction_data(mesh, els, mult, ls, cfgb, ccfg, works=works)
+    assert len(corrected) == len(works)
+    for w, c in zip(works, corrected):
+        assert c.trace is w.trace and c.points is w.points and c.psi is w.psi
+        assert w.correction is None and c.correction is not None
+        assert w.data_points is w.points and c.data_points is not w.points
+
+
+@pytest.mark.parametrize("method", ["nitsche", "bh"])
+def test_run_study_system_equals_public_wrappers(monkeypatch, method):
+    # run_study assembles from shared corrected workspaces; the public
+    # wrappers, called without data=, must build the same bits
+    import polyvem.study as study_module
+    from polyvem.study import PROBLEMS, ProblemSpec, _build_level_mesh, run_study
+
+    spec = ProblemSpec(problem="disk", k=3, mesh="disk", method=method, correction=True,
+                       kstar=1, sigma="normal")
+    solved, recovered = [], []
+    solve_fn, recover_fn = study_module.solve, study_module.recover_multiplier
+
+    def spy_solve(system):
+        solved.append(system)
+        return solve_fn(system)
+
+    def spy_recover(*args, **kwargs):
+        recovered.append(recover_fn(*args, **kwargs))
+        return recovered[-1]
+
+    monkeypatch.setattr(study_module, "solve", spy_solve)
+    monkeypatch.setattr(study_module, "recover_multiplier", spy_recover)
+    assert run_study(spec, 1).levels[0].error is None
+
+    problem = PROBLEMS["disk"]
+    mesh, ls = _build_level_mesh(spec, problem, 0)
+    els = build_all_elements(mesh, spec.k, stab=spec.stab)
+    cfg, ccfg = spec.bc_config(), spec.correction_config("h_squared")
+    mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
+    if method == "bh":
+        want = assemble_bdt_bh(mesh, els, mult, ls, cfg, ccfg, problem.f, problem.g)
+    else:
+        want = assemble_bdt_nitsche(mesh, els, ls, cfg, ccfg, problem.f, problem.g, mult=mult)
+    (got,) = solved
+    assert got.symmetric == want.symmetric is False
+    a, b = got.matrix.tocsc(), want.matrix.tocsc()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(got.rhs, want.rhs)
+    if method == "nitsche":
+        lam = recover_multiplier_curved(solve(want), mesh, els, ls, cfg, ccfg, problem.g,
+                                        mult=mult)
+        assert np.array_equal(recovered[0], lam)
+    else:
+        assert not recovered

@@ -239,6 +239,19 @@ def test_dofmap_shared_edges_consistent():
     assert not np.any(np.isnan(glob))
 
 
+def test_dofmap_table_shared_per_mesh_and_order(unit_square_2x2):
+    a, b = GlobalDofMap(unit_square_2x2, 3), GlobalDofMap(unit_square_2x2, 3)
+    other = GlobalDofMap(unit_square_2x2, 2)
+    for cell in range(unit_square_2x2.n_cells):
+        dofs = a.cell_dofs(cell)
+        assert b.cell_dofs(cell) is dofs
+        assert other.cell_dofs(cell) is not dofs
+        assert len(other.cell_dofs(cell)) < len(dofs)
+        assert not dofs.flags.writeable and not other.cell_dofs(cell).flags.writeable
+        with pytest.raises(ValueError):
+            dofs[0] = -1
+
+
 def test_build_element_rejects_bad_args(unit_square_1):
     with pytest.raises(ValueError):
         build_element(unit_square_1, 0, 0)

@@ -7,7 +7,7 @@ from polyvem import (
     build_voronoi_mesh,
     quality_report,
 )
-from polyvem.levelset import CorrectionConfig, circle, delta, quarter_disk, tau_report
+from polyvem.levelset import CorrectionConfig, circle, delta, ellipse, quarter_disk, tau_report
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -174,6 +174,22 @@ def test_squares_inside_domain():
     ls = quarter_disk()
     m = build_squares_approx_mesh(ls, 8, 2)
     assert np.all(ls.f(m.vertices) <= 1e-12)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3])
+@pytest.mark.parametrize("base", [4, 8, 11])
+@pytest.mark.parametrize("ls", [quarter_disk(), circle(center=(0.13, -0.27), radius=0.71),
+                                ellipse(1.2, 0.8, center=(0.05, 0.1))],
+                         ids=["quarter_disk", "circle", "ellipse"])
+def test_squares_boxes_have_corners_inside(ls, base, steps):
+    # the reference rule, one point at a time: a box is kept only when all
+    # four of its corners satisfy F <= 1e-12
+    m = build_squares_approx_mesh(ls, base, steps)
+    assert sorted(m.cell_boxes) == list(range(m.n_cells))
+    for boxes in m.cell_boxes.values():
+        for xa, ya, xb, yb in boxes:
+            for p in ((xa, ya), (xb, ya), (xb, yb), (xa, yb)):
+                assert ls.value(p) <= 1e-12
 
 
 def test_squares_tau_halves_per_step():
