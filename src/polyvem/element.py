@@ -143,7 +143,6 @@ class GlobalDofMap:
         self.mesh = mesh
         self.k = k
         self.n_moment = cell_basis_dim(k - 2) if k >= 2 else 0
-        self.vertex_offset = 0
         self.edge_offset = mesh.n_vertices
         self.moment_offset = mesh.n_vertices + mesh.n_edges * (k - 1)
         self.n_dofs = self.moment_offset + mesh.n_cells * self.n_moment

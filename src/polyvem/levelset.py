@@ -291,24 +291,26 @@ def delta_many(levelset: LevelSetDomain, points, sigma, cfg: CorrectionConfig | 
     return np.maximum(t, 0.0)
 
 
-def choose_sigma(levelset: LevelSetDomain, mesh: PolygonalMesh, edge: int,
+def choose_sigma(levelset: LevelSetDomain, mesh: PolygonalMesh, edges,
                  cfg: CorrectionConfig) -> np.ndarray:
-    """Constant outward direction for one boundary edge."""
+    """Constant outward directions (n, 2) of boundary edges, from one
+    gradient evaluation at all their midpoints."""
     if cfg.sigma_strategy == "edge_normal":
-        return mesh.edge_normals[edge].copy()
-    g = levelset.gradient(mesh.edge_midpoints[edge])
-    norm = float(np.hypot(*g))
-    if norm < 1e-10:
-        raise ValueError(f"level-set gradient vanishes at midpoint of edge {edge}")
-    return g / norm
+        return mesh.edge_normals[edges]
+    g = np.asarray(levelset.grad(mesh.edge_midpoints[edges]), dtype=float)
+    norm = np.hypot(g[:, 0], g[:, 1])
+    flat = np.flatnonzero(norm < 1e-10)
+    if len(flat):
+        raise ValueError(f"level-set gradient vanishes at midpoint of edge {edges[flat[0]]}")
+    return g / norm[:, None]
 
 
 @dataclass(frozen=True)
 class TauReport:
-    """Per-edge and global maxima of delta(x) / h_tilde_f over quadrature points."""
+    """Global maximum of delta(x) / h_tilde_f over the quadrature points of
+    the boundary edges `edge_indices`, and the edge where it occurs."""
 
     edge_indices: np.ndarray
-    edge_tau: np.ndarray
     tau_hat: float
     worst_edge: int
     threshold: float
@@ -322,7 +324,7 @@ def boundary_gaps(levelset: LevelSetDomain, mesh: PolygonalMesh, edges, points: 
                   cfg: CorrectionConfig) -> tuple:
     """Per-edge directions sigma and the gaps at each edge's (nq, 2) points,
     found in one `delta_many` pass scaled by the adjacent-cell diameters."""
-    sigmas = np.array([choose_sigma(levelset, mesh, e, cfg) for e in edges])
+    sigmas = choose_sigma(levelset, mesh, edges, cfg)
     nq = [len(p) for p in points]
     htil = mesh.cell_diameters[[mesh.boundary_edge_cell(e) for e in edges]]
     ds = delta_many(levelset, np.concatenate(points),
@@ -340,7 +342,7 @@ def tau_report(levelset: LevelSetDomain, mesh: PolygonalMesh,
     taus = np.array([np.max(d) for d in gaps]) / htil
     worst = int(np.argmax(taus)) if len(taus) else 0
     tau_hat = float(taus[worst]) if len(taus) else 0.0
-    rep = TauReport(idx.copy(), taus, tau_hat, int(idx[worst]) if len(idx) else -1,
+    rep = TauReport(idx.copy(), tau_hat, int(idx[worst]) if len(idx) else -1,
                     cfg.tau_threshold)
     if rep.exceeded:
         warnings.warn(

@@ -14,7 +14,7 @@ import io
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -142,6 +142,14 @@ PROBLEMS = {
 }
 
 
+_SPELLINGS = {  # ProblemSpec string option -> {spelling: what it selects}; kprime: k - k'
+    "method": {"nitsche": "nitsche", "bh": "barbosa_hughes", "barbosa_hughes": "barbosa_hughes"},
+    "kprime": {"k": 0, "k-1": 1, "km1": 1},
+    "sigma": {"normal": "edge_normal", "edge_normal": "edge_normal",
+              "distance-gradient": "distance_gradient", "distance_gradient": "distance_gradient"},
+}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full description of one convergence study."""
@@ -163,21 +171,23 @@ class ProblemSpec:
     condest: bool = False
     export_matrix: str | None = None
 
+    def __post_init__(self):
+        for name, known in _SPELLINGS.items():
+            if getattr(self, name) not in known:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; known: {list(known)}")
+
     def bc_config(self) -> WeakBcConfig:
-        method = "barbosa_hughes" if self.method in ("bh", "barbosa_hughes") else "nitsche"
-        kp = self.k - 1 if str(self.kprime) in ("k-1", "km1") else self.k
-        if method == "nitsche":
-            kp = self.k
+        method = _SPELLINGS["method"][self.method]
+        kp = self.k if method == "nitsche" else self.k - _SPELLINGS["kprime"][self.kprime]
         return WeakBcConfig(method=method, k=self.k, kprime=kp,
                             alpha=self.alpha, gamma=self.gamma)
 
     def correction_config(self, delta_regime: str) -> CorrectionConfig:
         ks = kstar_default(self.k, delta_regime) if self.kstar == "auto" else int(self.kstar)
-        strategy = "edge_normal" if self.sigma in ("normal", "edge_normal") else "distance_gradient"
-        return CorrectionConfig(kstar=ks, sigma_strategy=strategy)
+        return CorrectionConfig(kstar=ks, sigma_strategy=_SPELLINGS["sigma"][self.sigma])
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return asdict(self)
 
 
 # mesh ladders per generator: level -> constructor arguments
@@ -222,13 +232,17 @@ def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad) -> tuple[float, 
 
 
 def multiplier_error(mesh, elements, mult: MultiplierSpace, coeffs: np.ndarray,
-                     exact_grad, exactness: int) -> float:
-    """|| -grad(u).nu - lambda_h || in the htilde-weighted boundary norm."""
+                     exact_grad, exactness: int, works: list | None = None) -> float:
+    """|| -grad(u).nu - lambda_h || in the htilde-weighted boundary norm over
+    the level's edge workspaces `works` (built here when None)."""
+    if works is None:
+        works = edge_workspaces(mesh, elements, GlobalDofMap(mesh, elements[0].k), mult,
+                                exactness)
 
     def flux(points, e):
         return -(np.asarray(exact_grad(points), dtype=float) @ mesh.edge_normals[e])
 
-    return BoundaryNorms(mesh, mult.kprime, exactness).minus_half_mult(mult, coeffs, flux)
+    return BoundaryNorms(works).minus_half_mult(coeffs, flux)
 
 
 def estimate_rates(errors, hbars, floor: float = 0.0) -> list:
@@ -279,9 +293,6 @@ class ConvergenceReport:
     rates_e0: list = field(default_factory=list)
     rates_mult: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
-
-    def hbars(self) -> list:
-        return [lv.quality["h_mean"] for lv in self.levels if lv.error is None]
 
 
 def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
@@ -341,7 +352,7 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
                                                   problem.u, problem.grad_u)
             result.multiplier_err = multiplier_error(mesh, elements, mult, lam,
                                                      problem.grad_u,
-                                                     cfg.resolved_edge_exactness)
+                                                     cfg.resolved_edge_exactness, works)
             if spec.condest:
                 result.condest = condest_1norm(system)
             if spec.export_matrix:
@@ -366,22 +377,7 @@ def report_to_json(report: ConvergenceReport, path=None) -> str:
     doc = {
         "spec": report.spec,
         "notes": report.notes,
-        "levels": [
-            {
-                "level": lv.level,
-                "quality": lv.quality,
-                "n_dofs": lv.n_dofs,
-                "e1": lv.e1,
-                "e0": lv.e0,
-                "multiplier_err": lv.multiplier_err,
-                "tau_hat": lv.tau_hat,
-                "tau_worst_edge": lv.tau_worst_edge,
-                "condest": lv.condest,
-                "seconds": lv.seconds,
-                "error": lv.error,
-            }
-            for lv in report.levels
-        ],
+        "levels": [asdict(lv) for lv in report.levels],
         "rates": {
             "e1": report.rates_e1,
             "e0": report.rates_e0,

@@ -13,7 +13,7 @@ the condensation identity holds at roundoff level.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,39 +87,26 @@ class WeakBcConfig:
 
 @dataclass(frozen=True)
 class MultiplierSpace:
-    """Discontinuous edge polynomials of degree k' on the boundary edges."""
+    """Discontinuous edge polynomials of degree k' on the boundary edges; the
+    k'+1 coefficients of edge workspace j start at j * (k'+1)."""
 
-    mesh: PolygonalMesh
     kprime: int
-    bases: list
-    edge_position: dict  # boundary edge index -> position
+    n_edges: int
 
     @classmethod
     def create(cls, mesh: PolygonalMesh, kprime: int) -> "MultiplierSpace":
-        bases = []
-        pos = {}
-        for j, e in enumerate(mesh.boundary_edges):
-            a, b = mesh.edges[e]
-            bases.append(EdgePolyBasis.for_edge(mesh.vertices[a], mesh.vertices[b], kprime))
-            pos[int(e)] = j
-        return cls(mesh, kprime, bases, pos)
+        return cls(kprime, len(mesh.boundary_edges))
 
     @property
     def dim(self) -> int:
-        return len(self.bases) * (self.kprime + 1)
-
-    def offset(self, edge: int) -> int:
-        return self.edge_position[int(edge)] * (self.kprime + 1)
-
-    def edge_coeffs(self, coeffs: np.ndarray, edge: int) -> np.ndarray:
-        o = self.offset(edge)
-        return coeffs[o:o + self.kprime + 1]
+        return self.n_edges * (self.kprime + 1)
 
 
 @dataclass(frozen=True)
 class EdgeWork:
-    """Precomputed quantities of one boundary edge shared by all assemblies;
-    the workspaces of a corrected level come from `curved.correction_data`."""
+    """Precomputed quantities of one boundary edge shared by all assemblies
+    and boundary norms; the workspaces of a corrected level come from
+    `curved.correction_data`."""
 
     edge: int
     cell: int
@@ -128,7 +115,7 @@ class EdgeWork:
     weights: np.ndarray
     data_points: np.ndarray    # where the boundary datum g is sampled
     cell_dofs: np.ndarray      # global DOFs of the adjacent cell
-    edge_dofs_local: list      # local indices of the k+1 edge point values
+    edge_dofs: np.ndarray      # global DOFs of the k+1 edge point values
     trace: np.ndarray          # (nq, k+1) values of v restricted to the edge
     normal_deriv: np.ndarray   # (nq, n_cell_dofs) of d_nu Pi-nabla
     psi: np.ndarray            # (nq, k'+1) multiplier basis values
@@ -138,7 +125,7 @@ class EdgeWork:
 
 def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
                     mult: MultiplierSpace, exactness: int) -> list:
-    """Per-boundary-edge quadrature data shared by the assemblies."""
+    """Per-boundary-edge quadrature data, in `mesh.boundary_edges` order."""
     k = dofmap.k
     glx, _ = gauss_lobatto(k + 1)
     works = []
@@ -146,8 +133,8 @@ def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
         cell = mesh.boundary_edge_cell(e)
         el = elements[cell]
         local = mesh.cell_edges(cell).index(int(e))
-        a, b = mesh.edges[e]
-        rule = segment_rule(mesh.vertices[a], mesh.vertices[b], exactness)
+        ends = mesh.vertices[mesh.edges[e]]
+        rule = segment_rule(*ends, exactness)
 
         loop = mesh.cells[cell]
         va = mesh.vertices[loop[local]]
@@ -161,8 +148,9 @@ def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
         nrm = el.edge_normals[local]
         normal_deriv = (nrm[0] * gx + nrm[1] * gy) @ el.pinabla
 
-        psi = mult.bases[mult.edge_position[int(e)]].eval(rule.points)
+        psi = EdgePolyBasis.for_edge(*ends, mult.kprime).eval(rule.points)
         mass = psi.T @ (rule.weights[:, None] * psi)
+        cell_dofs = dofmap.cell_dofs(cell)
         works.append(EdgeWork(
             edge=int(e),
             cell=cell,
@@ -170,8 +158,8 @@ def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
             points=rule.points,
             weights=rule.weights,
             data_points=rule.points,
-            cell_dofs=dofmap.cell_dofs(cell),
-            edge_dofs_local=el.layout.edge_point_dofs(local),
+            cell_dofs=cell_dofs,
+            edge_dofs=cell_dofs[el.layout.edge_point_dofs(local)],
             trace=trace,
             normal_deriv=normal_deriv,
             psi=psi,
@@ -217,11 +205,11 @@ def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
     rhs = np.zeros(n)
     _scatter_volume(builder, rhs, mesh, elements, dofmap, f)
 
-    for w in works:
-        lam = nu + mult.offset(w.edge) + np.arange(w.psi.shape[1])
+    m = mult.kprime + 1
+    for j, w in enumerate(works):
+        lam = nu + j * m + np.arange(m)
         ah = alpha * w.htilde
         wq = w.weights
-        edofs = w.cell_dofs[w.edge_dofs_local]
 
         T = w.psi.T @ (wq[:, None] * w.trace)              # (m, k+1)
         N = w.psi.T @ (wq[:, None] * w.normal_deriv)       # (m, n_cell)
@@ -230,8 +218,8 @@ def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
 
         builder.add_block(w.cell_dofs, w.cell_dofs, -ah * pen)
         coupling_cols = T  # multiplier row: the same block enters transposed
-        builder.add_block(lam, edofs, coupling_cols)
-        builder.add_block(edofs, lam, coupling_cols.T)
+        builder.add_block(lam, w.edge_dofs, coupling_cols)
+        builder.add_block(w.edge_dofs, lam, coupling_cols.T)
         builder.add_block(lam, w.cell_dofs, -ah * N)
         builder.add_block(w.cell_dofs, lam, -ah * N.T)
         builder.add_block(lam, lam, -ah * w.mass)
@@ -240,7 +228,7 @@ def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
 
         rhs[lam] += w.psi.T @ (wq * np.asarray(g(w.data_points), dtype=float))
 
-    blocks = [(mult.offset(w.edge), w.psi.shape[1]) for w in works]
+    blocks = [(j * m, m) for j in range(len(works))]
     partition = SaddlePartition(n_primal=nu, blocks=blocks,
                                 edge_ids=[w.edge for w in works])
     return LinearSystem(matrix=builder.compress(), rhs=rhs,
@@ -271,26 +259,25 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig, f, 
 
     for w in works:
         wq = w.weights
-        edofs = w.cell_dofs[w.edge_dofs_local]
         gh_scale = gamma / w.htilde
 
         cross = w.trace.T @ (wq[:, None] * w.normal_deriv)  # (k+1, n_cell)
         muv = w.trace.T @ (wq[:, None] * w.trace)
         muv = 0.5 * (muv + muv.T)
-        builder.add_block(edofs, w.cell_dofs, -cross)
-        builder.add_block(w.cell_dofs, edofs, -cross.T)
-        builder.add_block(edofs, edofs, gh_scale * muv)
+        builder.add_block(w.edge_dofs, w.cell_dofs, -cross)
+        builder.add_block(w.cell_dofs, w.edge_dofs, -cross.T)
+        builder.add_block(w.edge_dofs, w.edge_dofs, gh_scale * muv)
 
         gv = np.asarray(g(w.data_points), dtype=float)
         gh = w.psi @ np.linalg.solve(w.mass, w.psi.T @ (wq * gv))
-        rhs[edofs] += gh_scale * (w.trace.T @ (wq * gh))
+        rhs[w.edge_dofs] += gh_scale * (w.trace.T @ (wq * gh))
         rhs[w.cell_dofs] -= w.normal_deriv.T @ (wq * gh)
 
         if w.correction is not None:
             dn_block = w.normal_deriv.T @ (wq[:, None] * w.correction)
             tr_block = w.trace.T @ (wq[:, None] * w.correction)
             builder.add_block(w.cell_dofs, w.cell_dofs, -dn_block)
-            builder.add_block(edofs, w.cell_dofs, gh_scale * tr_block)
+            builder.add_block(w.edge_dofs, w.cell_dofs, gh_scale * tr_block)
 
     return LinearSystem(matrix=builder.compress(), rhs=rhs,
                         symmetric=all(w.correction is None for w in works))
@@ -308,89 +295,75 @@ def recover_multiplier(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: list,
         works = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k), mult,
                                 cfg.resolved_edge_exactness)
     gamma = cfg.gamma
-    out = np.zeros(mult.dim)
-    for w in works:
+    out = np.zeros((len(works), mult.kprime + 1))
+    for j, w in enumerate(works):
         wq = w.weights
         uloc = u_dofs[w.cell_dofs]
-        uvals = w.trace @ uloc[w.edge_dofs_local]
+        uvals = w.trace @ u_dofs[w.edge_dofs]
         resid = uvals - np.asarray(g(w.data_points), dtype=float)
         if w.correction is not None:
             resid = resid + w.correction @ uloc
         rhsv = (gamma / w.htilde) * (w.psi.T @ (wq * resid))
-        coeffs = np.linalg.solve(w.mass, rhsv - w.psi.T @ (wq * (w.normal_deriv @ uloc)))
         # the normal-derivative term lies in the multiplier space already, so
         # projecting it is exact; assembled this way for one mass solve
-        o = mult.offset(w.edge)
-        out[o:o + len(coeffs)] = coeffs
-    return out
+        out[j] = np.linalg.solve(w.mass, rhsv - w.psi.T @ (wq * (w.normal_deriv @ uloc)))
+    return out.ravel()
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryNorms:
-    """Mesh-dependent boundary norms weighted by the adjacent-cell diameter.
+    """Mesh-dependent boundary norms over a level's edge workspaces, weighted
+    by the adjacent-cell diameter htilde and integrated with their quadrature.
 
     minus_half: (sum_f htilde ||.||^2_f)^(1/2)      (multiplier norm)
     half:       (sum_f htilde^-1 ||.||^2_f)^(1/2)   (trace norm)
     one(u):     (a_h-energy + ||proj u||^2_half)^(1/2) for VEM DOF vectors
     """
 
-    mesh: PolygonalMesh
-    kprime: int
-    exactness: int
-    _rules: list = field(default=None, repr=False)
+    works: list
 
-    def __post_init__(self):
-        if self._rules is None:
-            self._rules = []
-            for e in self.mesh.boundary_edges:
-                a, b = self.mesh.edges[e]
-                cell = self.mesh.boundary_edge_cell(e)
-                self._rules.append((
-                    int(e),
-                    float(self.mesh.cell_diameters[cell]),
-                    segment_rule(self.mesh.vertices[a], self.mesh.vertices[b], self.exactness),
-                ))
-
-    def _accumulate(self, fn, weight_fn) -> float:
+    def _accumulate(self, values, weight_fn) -> float:
         total = 0.0
-        for e, htil, rule in self._rules:
-            vals = np.asarray(fn(rule.points, e), dtype=float)
-            total += weight_fn(htil) * float(rule.weights @ vals**2)
+        for j, w in enumerate(self.works):
+            vals = np.asarray(values(j, w), dtype=float)
+            total += weight_fn(w.htilde) * float(w.weights @ vals**2)
         return float(np.sqrt(total))
 
     def minus_half(self, fn) -> float:
         """fn(points, edge) -> values on the boundary."""
-        return self._accumulate(fn, lambda h: h)
+        return self._accumulate(lambda j, w: fn(w.points, w.edge), lambda h: h)
 
     def half(self, fn) -> float:
-        return self._accumulate(fn, lambda h: 1.0 / h)
+        return self._accumulate(lambda j, w: fn(w.points, w.edge), lambda h: 1.0 / h)
 
-    def minus_half_mult(self, mult: MultiplierSpace, coeffs: np.ndarray, fn=None) -> float:
-        """Norm of a discrete multiplier, optionally shifted by -fn."""
+    def minus_half_mult(self, coeffs: np.ndarray, fn=None) -> float:
+        """Norm of a discrete multiplier, optionally shifted by -fn; block j of
+        `coeffs` belongs to workspace j."""
+        blocks = coeffs.reshape(len(self.works), -1)
 
-        def ev(pts, e):
-            vals = mult.bases[mult.edge_position[e]].eval(pts) @ mult.edge_coeffs(coeffs, e)
+        def ev(j, w):
+            vals = w.psi @ blocks[j]
             if fn is not None:
-                vals = vals - np.asarray(fn(pts, e), dtype=float)
+                vals = vals - np.asarray(fn(w.points, w.edge), dtype=float)
             return vals
 
         return self._accumulate(ev, lambda h: h)
 
-    def one(self, elements: list, dofmap: GlobalDofMap, u_dofs: np.ndarray,
-            mult: MultiplierSpace | None = None) -> float:
+    def one(self, elements: list, dofmap: GlobalDofMap, u_dofs: np.ndarray) -> float:
         energy = 0.0
         for el in elements:
             loc = u_dofs[dofmap.cell_dofs(el.cell)]
             energy += float(loc @ el.stiffness @ loc)
-        if mult is None:
-            mult = MultiplierSpace.create(self.mesh, self.kprime)
         half_sq = 0.0
-        for w in edge_workspaces(self.mesh, elements, dofmap, mult, self.exactness):
-            uv = w.trace @ u_dofs[w.cell_dofs][w.edge_dofs_local]
+        for w in self.works:
+            uv = w.trace @ u_dofs[w.edge_dofs]
             proj = w.psi @ np.linalg.solve(w.mass, w.psi.T @ (w.weights * uv))
             half_sq += float(w.weights @ proj**2) / w.htilde
         return float(np.sqrt(energy + half_sq))
 
 
-def boundary_norms(mesh: PolygonalMesh, cfg: WeakBcConfig) -> BoundaryNorms:
-    return BoundaryNorms(mesh, cfg.resolved_kprime, cfg.resolved_edge_exactness)
+def boundary_norms(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig) -> BoundaryNorms:
+    """Boundary norms over newly built edge workspaces of `elements`."""
+    return BoundaryNorms(edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k),
+                                         MultiplierSpace.create(mesh, cfg.resolved_kprime),
+                                         cfg.resolved_edge_exactness))

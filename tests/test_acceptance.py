@@ -69,9 +69,9 @@ def test_criterion_patch_test():
                     mult = MultiplierSpace.create(mesh, kp)
                     x = solve(assemble_bh(mesh, els, mult, cfg, f, u))
                     uh = x[:dm.n_dofs]
-                    bn = boundary_norms(mesh, cfg)
+                    bn = boundary_norms(mesh, els, cfg)
                     lam_err = bn.minus_half_mult(
-                        mult, x[dm.n_dofs:],
+                        x[dm.n_dofs:],
                         fn=lambda p, e: -(grad(p) @ mesh.edge_normals[e]))
                     worst_lam = max(worst_lam, lam_err)
                     assert lam_err <= 1e-8, (gen, k, method, kp, lam_err)

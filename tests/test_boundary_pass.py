@@ -1,6 +1,8 @@
 """The batched boundary-gap pass: `delta_many` against per-point `delta`,
 edge-naming errors of the batched passes, and one pass per study level."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,7 +192,7 @@ def _per_edge_error(ls, mesh, cfg, exactness):
     """The first error of the per-edge loop of per-point searches."""
     def one(e, p):
         h = mesh.cell_diameters[mesh.boundary_edge_cell(e)]
-        delta(ls, p, choose_sigma(ls, mesh, e, cfg), cfg, h, context=f" (edge {e})")
+        delta(ls, p, choose_sigma(ls, mesh, [e], cfg)[0], cfg, h, context=f" (edge {e})")
 
     items = [(e, p) for e in mesh.boundary_edges
              for p in segment_rule(*mesh.vertices[mesh.edges[e]], exactness).points]
@@ -227,13 +229,16 @@ def test_batched_pass_error_names_edge_and_point(case, pass_name):
 
 # -- one boundary pass per level -------------------------------------------------
 
-@pytest.mark.parametrize("method,correction,passes", [
-    ("nitsche", True, 2),
-    ("bh", True, 2),
-    ("nitsche", False, 0),
-])
-def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correction, passes):
-    counts = {"root_passes": 0, "workspaces": 0}
+@pytest.mark.parametrize("method,correction,sigma,passes", [
+    ("nitsche", True, "normal", 2),
+    ("bh", True, "normal", 2),
+    ("nitsche", False, "normal", 0),
+    ("bh", True, "distance-gradient", 2),
+], ids=["nitsche-True-2", "bh-True-2", "nitsche-False-0", "bh-True-distance-gradient-2"])
+def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correction, sigma,
+                                                   passes):
+    counts = {"root_passes": 0, "workspaces": 0, "edge_rules": 0, "sigma_grads": 0}
+    boundary_edges = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -241,15 +246,31 @@ def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correcti
             return fn(*args, **kwargs)
         return wrapper
 
+    def sigma_counted(levelset, *args):
+        grad = counted("sigma_grads", levelset.grad)
+        return choose_sigma(dataclasses.replace(levelset, grad=grad), *args)
+
+    edge_workspaces = counted("workspaces", weakbc_module.edge_workspaces)
+
+    def ws(mesh, *args):
+        boundary_edges.append(len(mesh.boundary_edges))
+        return edge_workspaces(mesh, *args)
+
     monkeypatch.setattr(levelset_module, "delta_many",
                         counted("root_passes", levelset_module.delta_many))
-    ws = counted("workspaces", weakbc_module.edge_workspaces)
+    monkeypatch.setattr(levelset_module, "choose_sigma", sigma_counted)
+    monkeypatch.setattr(weakbc_module, "segment_rule",
+                        counted("edge_rules", weakbc_module.segment_rule))
     for module in (weakbc_module, curved_module, study_module):
         monkeypatch.setattr(module, "edge_workspaces", ws)
     spec = ProblemSpec(problem="disk", k=2, mesh="disk", method=method,
-                       correction=correction, sigma="normal")
+                       correction=correction, sigma=sigma)
     rep = run_study(spec, 1)
     assert rep.levels[0].error is None
     assert (rep.levels[0].tau_worst_edge is not None) == correction
-    # the tau audit and the correction data are the only root searches
-    assert counts == {"root_passes": passes, "workspaces": 1}
+    # the tau audit and the correction data are the only root searches, each
+    # with one gradient call for all its directions; one quadrature rule per
+    # boundary edge serves the assembly, the recovery and the boundary norms
+    assert counts == {"root_passes": passes, "workspaces": 1,
+                      "edge_rules": boundary_edges[0],
+                      "sigma_grads": passes if sigma == "distance-gradient" else 0}

@@ -4,6 +4,7 @@ import pytest
 from polyvem import build_disk_approx_mesh, build_structured_mesh
 from polyvem.levelset import (
     CorrectionConfig,
+    LevelSetDomain,
     choose_sigma,
     circle,
     delta,
@@ -98,11 +99,42 @@ def test_choose_sigma_edge_normal_and_radial():
     cfg_n = CorrectionConfig(sigma_strategy="edge_normal")
     cfg_g = CorrectionConfig(sigma_strategy="distance_gradient")
     for e in mesh.boundary_edges:
-        sn = choose_sigma(ls, mesh, e, cfg_n)
+        sn = choose_sigma(ls, mesh, [e], cfg_n)[0]
         np.testing.assert_allclose(sn, mesh.edge_normals[e])
-        sg = choose_sigma(ls, mesh, e, cfg_g)
+        sg = choose_sigma(ls, mesh, [e], cfg_g)[0]
         mid = mesh.edge_midpoints[e]
         np.testing.assert_allclose(sg, mid / np.hypot(*mid), atol=1e-14)
+    # all edges in one call: row j is edge j's direction, bit for bit
+    for cfg in (cfg_n, cfg_g):
+        got = choose_sigma(ls, mesh, mesh.boundary_edges, cfg)
+        assert got.shape == (len(mesh.boundary_edges), 2)
+        assert np.array_equal(got, [choose_sigma(ls, mesh, [e], cfg)[0]
+                                    for e in mesh.boundary_edges])
+
+
+def test_choose_sigma_names_first_edge_with_vanishing_gradient():
+    # the gradient is zeroed at the midpoints of two boundary edges; the
+    # error names the first of them in the order the edges are given
+    base = circle()
+    mesh = build_disk_approx_mesh(base, 12, 2)
+    edges = mesh.boundary_edges
+    flat = mesh.edge_midpoints[[edges[7], edges[3]]]
+
+    def grad(p):
+        g = base.grad(p)
+        g[(p[:, None, :] == flat[None]).all(axis=2).any(axis=1)] = 0.0
+        return g
+
+    ls = LevelSetDomain("flat-spots", base.f, grad, base.interior_point, base.bounding_box)
+    cfg = CorrectionConfig(sigma_strategy="distance_gradient")
+    for order in (edges, edges[::-1]):
+        first = order[np.isin(order, [edges[3], edges[7]])][0]
+        with pytest.raises(ValueError, match=rf"vanishes at midpoint of edge {first}$"):
+            choose_sigma(ls, mesh, order, cfg)
+    with pytest.raises(ValueError, match=rf"edge {edges[3]}$"):
+        tau_report(ls, mesh, cfg)
+    # edge normals do not consult the gradient
+    choose_sigma(ls, mesh, edges, CorrectionConfig(sigma_strategy="edge_normal"))
 
 
 def test_sigma_gradient_brackets_where_normal_may_not():

@@ -145,6 +145,28 @@ def test_run_study_deterministic():
     assert [lv.e0 for lv in r1.levels] == [lv.e0 for lv in r2.levels]
 
 
+@pytest.mark.parametrize("field,value", [
+    ("method", "BH"), ("kprime", "k-2"), ("sigma", "gradient"),
+])
+def test_problem_spec_rejects_unknown_options(field, value):
+    # each of these once fell back silently to the default behaviour
+    with pytest.raises(ValueError, match=rf"unknown {field} '{value}'"):
+        ProblemSpec("test1-2d", 2, **{field: value})
+
+
+def test_problem_spec_option_spellings():
+    for method in ("bh", "barbosa_hughes"):
+        for kprime in ("k-1", "km1"):
+            cfg = ProblemSpec("test1-2d", 2, method=method, kprime=kprime).bc_config()
+            assert (cfg.method, cfg.kprime) == ("barbosa_hughes", 1)
+    assert ProblemSpec("test1-2d", 2, method="nitsche", kprime="k-1").bc_config().kprime == 2
+    for sigma, strategy in (("normal", "edge_normal"), ("edge_normal", "edge_normal"),
+                            ("distance-gradient", "distance_gradient"),
+                            ("distance_gradient", "distance_gradient")):
+        ccfg = ProblemSpec("disk", 2, sigma=sigma).correction_config("h_squared")
+        assert ccfg.sigma_strategy == strategy
+
+
 def test_report_json_and_csv(tmp_path):
     spec = ProblemSpec(problem="test1-2d", k=1, method="bh", alpha=0.001,
                        mesh="structured")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyvem import build_structured_mesh, build_voronoi_mesh
+from polyvem import EdgePolyBasis, build_structured_mesh, build_voronoi_mesh
 from polyvem.element import GlobalDofMap, build_all_elements, interpolate
 from polyvem.linsys import schur_condense_bh, solve
 from polyvem.study import compute_errors
@@ -38,9 +38,9 @@ def test_bh_patch(unit_square_2x2, k, kprime_off):
     e1, e0 = compute_errors(unit_square_2x2, els, x[:dm.n_dofs], u, grad)
     assert e1 <= 1e-9 and e0 <= 1e-9
     # multiplier equals -grad u . nu in the boundary norm
-    bn = boundary_norms(unit_square_2x2, cfg)
+    bn = boundary_norms(unit_square_2x2, els, cfg)
     lam_err = bn.minus_half_mult(
-        mult, x[dm.n_dofs:],
+        x[dm.n_dofs:],
         fn=lambda p, e: -(grad(p) @ unit_square_2x2.edge_normals[e]))
     assert lam_err <= 1e-8
 
@@ -106,9 +106,10 @@ def test_multiplier_recovery_signs(unit_square_2x2):
     mult = MultiplierSpace.create(unit_square_2x2, 1)
     lam = recover_multiplier(uh, unit_square_2x2, els, cfg, u, mult=mult)
     m = unit_square_2x2
-    for e in m.boundary_edges:
-        coeffs = mult.edge_coeffs(lam, int(e))
-        val = mult.bases[mult.edge_position[int(e)]].eval(m.edge_midpoints[e][None, :]) @ coeffs
+    for j, e in enumerate(m.boundary_edges):
+        coeffs = lam.reshape(mult.n_edges, -1)[j]
+        basis = EdgePolyBasis.for_edge(*m.vertices[m.edges[e]], mult.kprime)
+        val = basis.eval(m.edge_midpoints[e][None, :]) @ coeffs
         want = -m.edge_normals[e][0]  # -grad(x).nu = -nu_x
         assert abs(val[0] - want) <= 1e-9
 
@@ -162,7 +163,7 @@ def test_condensation_kprime_lower_differs(unit_square_2x2):
 def test_boundary_norm_constant_single_edge():
     mesh = build_structured_mesh((0, 0, 1, 1), 1, 1)
     cfg = WeakBcConfig(method="nitsche", k=1, gamma=10.0)
-    bn = boundary_norms(mesh, cfg)
+    bn = boundary_norms(mesh, build_all_elements(mesh, 1), cfg)
     e0 = mesh.boundary_edges[0]
     htil = mesh.cell_diameters[mesh.boundary_edge_cell(e0)]
     val = bn.minus_half(lambda p, e: np.where(e == e0, 1.0, 0.0) * np.ones(len(p)))
@@ -173,7 +174,7 @@ def test_boundary_norm_constant_single_edge():
 
 def test_boundary_norm_duality(unit_square_2x2):
     cfg = WeakBcConfig(method="nitsche", k=2, gamma=10.0)
-    bn = boundary_norms(unit_square_2x2, cfg)
+    bn = boundary_norms(unit_square_2x2, build_all_elements(unit_square_2x2, 2), cfg)
     rng = np.random.default_rng(3)
     for _ in range(5):
         c1 = rng.standard_normal(3)
@@ -181,8 +182,8 @@ def test_boundary_norm_duality(unit_square_2x2):
         lam = lambda p, e: c1[0] + c1[1] * p[:, 0] + c1[2] * p[:, 1]
         phi = lambda p, e: c2[0] + c2[1] * p[:, 0] + c2[2] * p[:, 1]
         total = 0.0
-        for e, htil, rule in bn._rules:
-            total += rule.weights @ (lam(rule.points, e) * phi(rule.points, e))
+        for w in bn.works:
+            total += w.weights @ (lam(w.points, w.edge) * phi(w.points, w.edge))
         assert abs(total) <= bn.minus_half(lam) * bn.half(phi) + 1e-12
 
 
@@ -227,7 +228,7 @@ def test_norm_one_positive(unit_square_2x2):
     els = build_all_elements(unit_square_2x2, k)
     dm = GlobalDofMap(unit_square_2x2, k)
     cfg = WeakBcConfig(method="nitsche", k=k, gamma=10.0)
-    bn = boundary_norms(unit_square_2x2, cfg)
+    bn = boundary_norms(unit_square_2x2, els, cfg)
     u = interpolant(unit_square_2x2, els, k, lambda p: p[:, 0] + 0.5 * p[:, 1] ** 2)
     assert bn.one(els, dm, u) > 0.0
     zero = np.zeros(dm.n_dofs)
