@@ -57,10 +57,6 @@ def spec_from_args(args) -> ProblemSpec:
     correction = args.correction
     if correction is None:
         correction = "on" if problem.domain_kind == "levelset" else "off"
-    if args.kstar != "auto":
-        ks = int(args.kstar)
-        if not 0 <= ks <= args.order:
-            raise ValueError("kstar must lie in [0, k]")
     if args.levels < 1:
         raise ValueError("need at least one level")
     return ProblemSpec(

@@ -326,7 +326,7 @@ def boundary_gaps(levelset: LevelSetDomain, mesh: PolygonalMesh, edges, points: 
     found in one `delta_many` pass scaled by the adjacent-cell diameters."""
     sigmas = choose_sigma(levelset, mesh, edges, cfg)
     nq = [len(p) for p in points]
-    htil = mesh.cell_diameters[[mesh.boundary_edge_cell(e) for e in edges]]
+    htil = mesh.cell_diameters[mesh.edge_cells[edges, 0]]
     ds = delta_many(levelset, np.concatenate(points),
                     np.repeat(sigmas, nq, axis=0), cfg, np.repeat(htil, nq),
                     edges=np.repeat(edges, nq))
@@ -338,7 +338,7 @@ def tau_report(levelset: LevelSetDomain, mesh: PolygonalMesh,
     idx = mesh.boundary_edges
     pts = [segment_rule(*mesh.vertices[mesh.edges[e]], 7).points for e in idx]
     _, gaps = boundary_gaps(levelset, mesh, idx, pts, cfg)
-    htil = mesh.cell_diameters[[mesh.boundary_edge_cell(e) for e in idx]]
+    htil = mesh.cell_diameters[mesh.edge_cells[idx, 0]]
     taus = np.array([np.max(d) for d in gaps]) / htil
     worst = int(np.argmax(taus)) if len(taus) else 0
     tau_hat = float(taus[worst]) if len(taus) else 0.0

@@ -47,9 +47,11 @@ class PolygonalMesh:
 
     vertices : (N_V, 2) float array
     cells    : list of CCW vertex-index loops
-    edges    : (N_E, 2) vertex pairs, low index first
+    edges    : (N_E, 2) vertex pairs, low index first, sorted
     edge_cells : (N_E, 2) adjacent cell indices, -1 for missing (boundary)
     boundary_edges : indices into `edges` with exactly one adjacent cell
+    cell_edge_ids : per cell, its edge indices in loop order (edge i joins
+        loop vertices i, i+1)
     cell_boxes : optional axis-aligned box decomposition per cell, used for
         exact quadrature on union-of-squares cells
     """
@@ -59,6 +61,7 @@ class PolygonalMesh:
     edges: np.ndarray
     edge_cells: np.ndarray
     boundary_edges: np.ndarray
+    cell_edge_ids: list
     cell_centroids: np.ndarray
     cell_areas: np.ndarray
     cell_diameters: np.ndarray
@@ -85,24 +88,10 @@ class PolygonalMesh:
 
     def cell_edges(self, cell: int) -> list:
         """Edge indices of a cell in loop order (edge i joins loop vertices i, i+1)."""
-        loop = self.cells[cell]
-        out = []
-        for i in range(len(loop)):
-            a, b = loop[i], loop[(i + 1) % len(loop)]
-            out.append(self._edge_index[(min(a, b), max(a, b))])
-        return out
-
-    @property
-    def _edge_index(self) -> dict:
-        idx = self.__dict__.get("_edge_index_cache")
-        if idx is None:
-            idx = {(int(a), int(b)): i for i, (a, b) in enumerate(self.edges)}
-            self.__dict__["_edge_index_cache"] = idx
-        return idx
+        return self.cell_edge_ids[cell]
 
     def boundary_edge_cell(self, edge: int) -> int:
-        a, b = self.edge_cells[edge]
-        return int(a) if a >= 0 else int(b)
+        return int(self.edge_cells[edge, 0])
 
 
 def build_mesh(
@@ -117,6 +106,8 @@ def build_mesh(
     outward boundary normals and, when requested, the partition property)."""
     vertices = np.asarray(vertices, dtype=float)
     cells = [list(map(int, loop)) for loop in cells]
+    if not cells:
+        raise ValueError("mesh has no cells")
 
     centroids = np.zeros((len(cells), 2))
     areas = np.zeros(len(cells))
@@ -135,23 +126,22 @@ def build_mesh(
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         diams[ci] = np.sqrt(np.max(d2))
 
-    edge_map: dict = {}
-    for ci, loop in enumerate(cells):
-        for i in range(len(loop)):
-            a, b = loop[i], loop[(i + 1) % len(loop)]
-            if a == b:
-                raise ValueError(f"cell {ci} has a degenerate edge")
-            key = (min(a, b), max(a, b))
-            edge_map.setdefault(key, []).append(ci)
-
-    edges = np.array(sorted(edge_map.keys()), dtype=int).reshape(-1, 2)
-    edge_cells = np.full((len(edges), 2), -1, dtype=int)
-    for ei, key in enumerate(map(tuple, edges)):
-        adj = edge_map[key]
-        if len(adj) > 2:
-            raise ValueError(f"edge {key} is shared by more than two cells")
-        edge_cells[ei, : len(adj)] = adj
-    boundary = np.array([i for i in range(len(edges)) if edge_cells[i, 1] < 0], dtype=int)
+    # half-edges tails -> heads in cell order, then loop order; an edge is a
+    # sorted vertex pair, and its first half-edge fixes its first cell
+    sizes = np.array([len(loop) for loop in cells])
+    tails = np.concatenate(cells)
+    heads = np.concatenate([loop[1:] + loop[:1] for loop in cells])
+    half_cell = np.repeat(np.arange(len(cells)), sizes)
+    edges, first, inverse, counts = np.unique(
+        np.sort(np.column_stack([tails, heads]), axis=1), axis=0,
+        return_index=True, return_inverse=True, return_counts=True)
+    if np.any(counts > 2):
+        a, b = edges[np.argmax(counts > 2)].tolist()
+        raise ValueError(f"edge ({a}, {b}) is shared by more than two cells")
+    last = np.argsort(inverse, kind="stable")[np.cumsum(counts) - 1]
+    edge_cells = np.column_stack([half_cell[first], np.where(counts == 2, half_cell[last], -1)])
+    boundary = np.flatnonzero(counts == 1)
+    cell_edge_ids = [ids.tolist() for ids in np.split(inverse, np.cumsum(sizes)[:-1])]
 
     lengths = np.hypot(
         vertices[edges[:, 1], 0] - vertices[edges[:, 0], 0],
@@ -161,26 +151,20 @@ def build_mesh(
         raise ValueError("mesh contains a zero-length edge")
     midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
 
-    # normals: outward from the first adjacent cell (for boundary edges this
-    # is the unique cell, so the normal points out of the mesh); rotating the
-    # CCW traversal direction by -90 degrees is outward by construction, and
-    # a point-in-polygon probe guards against mis-oriented loops (the convex
-    # shortcut nu . (mid - centroid) > 0 fails on staircase cells)
-    normals = np.zeros((len(edges), 2))
-    for ei in range(len(edges)):
-        ci = edge_cells[ei, 0]
-        loop = cells[ci]
-        a, b = edges[ei]
-        pos = loop.index(a)
-        if loop[(pos + 1) % len(loop)] == b:
-            d = vertices[b] - vertices[a]
-        else:
-            d = vertices[a] - vertices[b]
-        n = np.array([d[1], -d[0]]) / np.hypot(*d)
-        normals[ei] = n
-        probe = midpoints[ei] + (1e-9 * diams[ci]) * n
-        if _points_in_polygon(probe[None, :], vertices[loop])[0]:
-            raise ValueError(f"edge {ei} normal does not point out of cell {ci}")
+    # normals: the first half-edge's CCW direction rotated by -90 degrees,
+    # outward from the first adjacent cell (for boundary edges the unique
+    # cell, so the normal points out of the mesh); a point-in-polygon probe
+    # rejects a self-intersecting loop of positive area (the convex shortcut
+    # nu . (mid - centroid) > 0 fails on staircase cells)
+    d = vertices[heads[first]] - vertices[tails[first]]
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    owners = edge_cells[:, 0]
+    probes = midpoints + (1e-9 * diams[owners])[:, None] * normals
+    inside = map_batches(sizes[owners].tolist(), range(len(edges)), _probes_inside,
+                         probes, owners, cells, vertices)
+    bad = np.flatnonzero(inside)
+    if len(bad):
+        raise ValueError(f"edge {bad[0]} normal does not point out of cell {owners[bad[0]]}")
 
     mesh = PolygonalMesh(
         vertices=vertices,
@@ -188,6 +172,7 @@ def build_mesh(
         edges=edges,
         edge_cells=edge_cells,
         boundary_edges=boundary,
+        cell_edge_ids=cell_edge_ids,
         cell_centroids=centroids,
         cell_areas=areas,
         cell_diameters=diams,
@@ -321,6 +306,13 @@ def _points_in_polygon(cand: np.ndarray, pts: np.ndarray) -> np.ndarray:
         inside ^= crosses & (x < xint)
         j = i
     return inside
+
+
+def _probes_inside(edges: list, probes: np.ndarray, owners: np.ndarray, cells: list,
+                   vertices: np.ndarray) -> np.ndarray:
+    """Whether each edge's probe point lies inside its owning cell."""
+    return _points_in_polygon(probes[edges, None, :],
+                              vertices[[cells[c] for c in owners[edges]]])[:, 0]
 
 
 def _cell_quality(cells: list, mesh: PolygonalMesh) -> np.ndarray:

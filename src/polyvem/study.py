@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .curved import correction_data
-from .element import GlobalDofMap, build_all_elements, error_integrals
+from .element import STABILIZATIONS, GlobalDofMap, build_all_elements, error_integrals
 from .generators import (
     build_disk_approx_mesh,
     build_squares_approx_mesh,
@@ -147,6 +147,8 @@ _SPELLINGS = {  # ProblemSpec string option -> {spelling: what it selects}; kpri
     "kprime": {"k": 0, "k-1": 1, "km1": 1},
     "sigma": {"normal": "edge_normal", "edge_normal": "edge_normal",
               "distance-gradient": "distance_gradient", "distance_gradient": "distance_gradient"},
+    "mesh": {m: m for m in ("structured", "voronoi", "disk", "squares")},
+    "stab": {s: s for s in STABILIZATIONS},
 }
 
 
@@ -175,6 +177,9 @@ class ProblemSpec:
         for name, known in _SPELLINGS.items():
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; known: {list(known)}")
+        if self.kstar != "auto" and not (isinstance(self.kstar, int) and 0 <= self.kstar <= self.k):
+            raise ValueError(f"unknown kstar {self.kstar!r}; known: 'auto' or an int "
+                             f"in [0, {self.k}]")
 
     def bc_config(self) -> WeakBcConfig:
         method = _SPELLINGS["method"][self.method]
@@ -183,7 +188,7 @@ class ProblemSpec:
                             alpha=self.alpha, gamma=self.gamma)
 
     def correction_config(self, delta_regime: str) -> CorrectionConfig:
-        ks = kstar_default(self.k, delta_regime) if self.kstar == "auto" else int(self.kstar)
+        ks = kstar_default(self.k, delta_regime) if self.kstar == "auto" else self.kstar
         return CorrectionConfig(kstar=ks, sigma_strategy=_SPELLINGS["sigma"][self.sigma])
 
     def as_dict(self) -> dict:
@@ -196,23 +201,26 @@ DISK_BOUNDARY = (12, 24, 48, 96)
 SQUARES_BASE = (4, 8, 16, 32)
 
 
+def _ladder_size(table: tuple, level: int, growth: int) -> int:
+    """Entry `level` of a ladder table, grown geometrically past its end."""
+    last = len(table) - 1
+    return table[level] if level <= last else table[last] * growth ** (level - last)
+
+
 def _build_level_mesh(spec: ProblemSpec, problem: Problem, level: int):
     if spec.mesh == "structured":
         n = 4 * 2**level
         return build_structured_mesh((0.0, 0.0, 1.0, 1.0), n, n), None
     if spec.mesh == "voronoi":
-        seeds = VORONOI_SEEDS[level] if level < len(VORONOI_SEEDS) else VORONOI_SEEDS[-1] * 4 ** (level - 3)
-        return build_voronoi_mesh(None, seeds, lloyd_iters=spec.lloyd_iters,
-                                  rng_seed=spec.rng_seed), None
+        return build_voronoi_mesh(None, _ladder_size(VORONOI_SEEDS, level, 4),
+                                  lloyd_iters=spec.lloyd_iters, rng_seed=spec.rng_seed), None
     if spec.mesh == "disk":
         ls = named_levelset(problem.levelset_name or "circle")
-        n = DISK_BOUNDARY[level] if level < len(DISK_BOUNDARY) else DISK_BOUNDARY[-1] * 2 ** (level - 3)
+        n = _ladder_size(DISK_BOUNDARY, level, 2)
         return build_disk_approx_mesh(ls, n, max(1, round(n / 6))), ls
-    if spec.mesh == "squares":
-        ls = named_levelset(problem.levelset_name or "quarter_disk")
-        n = SQUARES_BASE[level] if level < len(SQUARES_BASE) else SQUARES_BASE[-1] * 2 ** (level - 3)
-        return build_squares_approx_mesh(ls, n, spec.refine_steps), ls
-    raise ValueError(f"unknown mesh family {spec.mesh!r}")
+    ls = named_levelset(problem.levelset_name or "quarter_disk")
+    return build_squares_approx_mesh(ls, _ladder_size(SQUARES_BASE, level, 2),
+                                     spec.refine_steps), ls
 
 
 def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad) -> tuple[float, float]:

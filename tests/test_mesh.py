@@ -179,7 +179,7 @@ def test_json_keeps_levelset_name():
 
 def test_json_rejects_clockwise_cell():
     doc = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 3, 2, 1]]}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cell 0 is not counter-clockwise"):
         mesh_from_json(json.dumps(doc))
 
 
@@ -188,10 +188,88 @@ def test_json_rejects_overshared_edge():
         "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, -1]],
         "cells": [[0, 1, 2, 3], [0, 1, 2], [0, 4, 1]],
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) is shared by more than two cells$"):
         mesh_from_json(json.dumps(doc))
 
 
 def test_build_mesh_rejects_zero_area():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cell 0 is not counter-clockwise or has zero area"):
         build_mesh(np.array([[0, 0], [1, 0], [2, 0]]), [[0, 1, 2]])
+
+
+def test_json_rejects_empty_mesh():
+    with pytest.raises(ValueError, match="mesh has no cells"):
+        mesh_from_json(json.dumps({"vertices": [[0, 0], [1, 0]], "cells": []}))
+
+
+@pytest.mark.parametrize("verts,edge", [
+    ([[0, 0], [4, 0], [4, 4], [0, 4], [0, 2.2], [-1, 1.8], [-1, 2.2], [0, 1.8]], 6),
+    ([[0, 0], [4, 0], [4, 1.8], [5, 2.2], [5, 1.8], [4, 2.2], [4, 4], [0, 4],
+      [0, 2.2], [-1, 1.8], [-1, 2.2], [0, 1.8]], 4),
+], ids=["one-crossing", "two-crossings"])
+def test_build_mesh_rejects_self_intersecting_loop(verts, edge):
+    # positive signed area, but two sides cross: only the normal probe sees it,
+    # and it names the lowest failing edge
+    with pytest.raises(ValueError, match=f"^edge {edge} normal does not point out of cell 0$"):
+        build_mesh(np.array(verts, dtype=float), [list(range(len(verts)))])
+
+
+def reference_edge_table(vertices, cells):
+    """Edge table by the dict-and-loop construction the half-edge pass replaced:
+    edges, edge_cells, boundary_edges, edge_normals and per-cell edge lists."""
+    edge_map = {}
+    for ci, loop in enumerate(cells):
+        for i in range(len(loop)):
+            a, b = loop[i], loop[(i + 1) % len(loop)]
+            edge_map.setdefault((min(a, b), max(a, b)), []).append(ci)
+    edges = np.array(sorted(edge_map), dtype=int).reshape(-1, 2)
+    edge_cells = np.full((len(edges), 2), -1, dtype=int)
+    for ei, key in enumerate(map(tuple, edges)):
+        edge_cells[ei, : len(edge_map[key])] = edge_map[key]
+    boundary = np.array([i for i in range(len(edges)) if edge_cells[i, 1] < 0], dtype=int)
+    normals = np.zeros((len(edges), 2))
+    for ei in range(len(edges)):
+        loop = cells[edge_cells[ei, 0]]
+        a, b = edges[ei]
+        pos = loop.index(a)
+        d = vertices[b] - vertices[a] if loop[(pos + 1) % len(loop)] == b else vertices[a] - vertices[b]
+        normals[ei] = np.array([d[1], -d[0]]) / np.hypot(*d)
+    index = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
+    cell_edges = [[index[(min(a, b), max(a, b))] for a, b in zip(loop, loop[1:] + loop[:1])]
+                  for loop in cells]
+    return edges, edge_cells, boundary, normals, cell_edges
+
+
+def _flat_and_nonstar_mesh():
+    # a U-shaped (non-star) cell, the square in its notch, and an L-shaped cell
+    # on top whose bottom side carries two collinear vertices and whose left
+    # side one
+    verts = [[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2],
+             [3, 3], [1, 3], [1, 4], [0, 4], [0, 3]]
+    cells = [[0, 1, 2, 3, 4, 5, 6, 7], [5, 4, 3, 6], [7, 6, 3, 2, 8, 9, 10, 11, 12]]
+    return mesh_from_json(json.dumps({"vertices": verts, "cells": cells}))
+
+
+def _edge_table_meshes():
+    from polyvem import build_disk_approx_mesh, build_squares_approx_mesh, build_voronoi_mesh
+    from polyvem.levelset import circle, ellipse, quarter_disk
+
+    yield "structured", build_structured_mesh((-1, 0, 2, 1), 5, 3)
+    for seed, lloyd in ((0, 0), (3, 1), (7, 2), (11, 3)):
+        yield f"voronoi-{seed}-{lloyd}", build_voronoi_mesh(None, 48, lloyd, rng_seed=seed)
+    yield "disk-circle", build_disk_approx_mesh(circle(), 24, 4)
+    yield "disk-ellipse", build_disk_approx_mesh(ellipse(1.5, 0.8), 18, 3)
+    yield "squares-quarter-disk", build_squares_approx_mesh(quarter_disk(), 8, 2)
+    yield "squares-circle", build_squares_approx_mesh(circle((0.3, -0.2), 1.0), 7, 1)
+    yield "json-flat-nonstar", _flat_and_nonstar_mesh()
+
+
+def test_edge_table_matches_reference():
+    for name, m in _edge_table_meshes():
+        edges, edge_cells, boundary, normals, cell_edges = reference_edge_table(m.vertices, m.cells)
+        assert np.array_equal(m.edges, edges), name
+        assert np.array_equal(m.edge_cells, edge_cells), name
+        assert np.array_equal(m.boundary_edges, boundary), name
+        assert np.array_equal(m.edge_normals, normals), name
+        assert all(np.array_equal(m.cell_edges(c), cell_edges[c]) for c in range(m.n_cells)), name
+        assert [m.boundary_edge_cell(e) for e in m.boundary_edges] == list(edge_cells[boundary, 0])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,11 +148,20 @@ def test_run_study_deterministic():
 
 @pytest.mark.parametrize("field,value", [
     ("method", "BH"), ("kprime", "k-2"), ("sigma", "gradient"),
+    ("mesh", "bogus"), ("stab", "d-recipe"), ("kstar", "two"), ("kstar", 3), ("kstar", -1),
 ])
 def test_problem_spec_rejects_unknown_options(field, value):
-    # each of these once fell back silently to the default behaviour
-    with pytest.raises(ValueError, match=rf"unknown {field} '{value}'"):
+    # each of these once fell back silently to the default behaviour or
+    # failed every level of the study separately
+    with pytest.raises(ValueError, match=rf"unknown {field} {re.escape(repr(value))}"):
         ProblemSpec("test1-2d", 2, **{field: value})
+
+
+def test_ladder_sizes_continue_past_the_tables():
+    from polyvem.study import DISK_BOUNDARY, SQUARES_BASE, VORONOI_SEEDS, _ladder_size
+    assert [_ladder_size(VORONOI_SEEDS, lv, 4) for lv in range(6)] == [16, 64, 256, 1024, 4096, 16384]
+    assert [_ladder_size(DISK_BOUNDARY, lv, 2) for lv in range(6)] == [12, 24, 48, 96, 192, 384]
+    assert [_ladder_size(SQUARES_BASE, lv, 2) for lv in range(6)] == [4, 8, 16, 32, 64, 128]
 
 
 def test_problem_spec_option_spellings():
@@ -165,6 +175,9 @@ def test_problem_spec_option_spellings():
                             ("distance_gradient", "distance_gradient")):
         ccfg = ProblemSpec("disk", 2, sigma=sigma).correction_config("h_squared")
         assert ccfg.sigma_strategy == strategy
+    for kstar in (0, 2):
+        assert ProblemSpec("disk", 2, kstar=kstar).correction_config("h_squared").kstar == kstar
+    assert ProblemSpec("test1-2d", 2, mesh="voronoi", stab="euclidean").stab == "euclidean"
 
 
 def test_report_json_and_csv(tmp_path):
