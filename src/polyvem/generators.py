@@ -10,11 +10,11 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.spatial import Voronoi
+from scipy.spatial import Voronoi, cKDTree
 
 from .levelset import LevelSetDomain
 from .mesh import PolygonalMesh, build_mesh
-from .quadrature import polygon_area, polygon_centroid
+from .quadrature import polygon_area, polygon_shoelace
 
 __all__ = [
     "build_structured_mesh",
@@ -53,38 +53,59 @@ def build_structured_mesh(bounds=(0.0, 0.0, 1.0, 1.0), nx: int = 1, ny: int = 1)
 # Voronoi generation
 
 
-def _clip_convex(poly: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a CCW polygon against {x : normal.x <= offset}."""
-    if len(poly) == 0:
-        return poly
-    d = poly @ normal - offset
+def _clip_convex(stacks: list, normal: np.ndarray, offset: float) -> list:
+    """Sutherland-Hodgman clip of CCW polygons against {x : normal.x <= offset}.
+
+    `stacks` holds pairs (ids, polys) with polys (B, n, 2) of one vertex
+    count; the result is regrouped by output vertex count.  Each polygon
+    emits the points, and bits, of a one-polygon clip.
+    """
     out = []
-    n = len(poly)
-    for i in range(n):
-        j = (i + 1) % n
-        pi, pj = poly[i], poly[j]
-        di, dj = d[i], d[j]
-        if di <= 0.0:
-            out.append(pi)
-            if dj > 0.0:
-                t = di / (di - dj)
-                out.append(pi + t * (pj - pi))
-        elif dj <= 0.0:
-            t = di / (di - dj)
-            out.append(pi + t * (pj - pi))
-    return np.array(out) if out else np.empty((0, 2))
+    for ids, p in stacks:
+        if p.shape[1] == 0:
+            out.append((ids, p))
+            continue
+        d = p @ normal - offset
+        q, dq = np.roll(p, -1, axis=1), np.roll(d, -1, axis=1)
+        with np.errstate(all="ignore"):
+            x = p + (d / (d - dq))[..., None] * (q - p)
+        inside = d <= 0.0
+        # edge i emits p_i when inside, and its crossing point when it crosses
+        pts = np.stack([np.where(inside[..., None], p, x), x], axis=2).reshape(len(p), -1, 2)
+        keep = np.stack([inside | (dq <= 0.0), inside & (dq > 0.0)], axis=2).reshape(len(p), -1)
+        out += _regroup(ids, pts, keep)
+    return out
 
 
-def _dedup_loop(poly: np.ndarray, tol: float) -> np.ndarray:
-    if len(poly) == 0:
-        return poly
-    keep = [poly[0]]
-    for p in poly[1:]:
-        if np.hypot(*(p - keep[-1])) > tol:
-            keep.append(p)
-    if len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= tol:
-        keep.pop()
-    return np.array(keep)
+def _dedup_loop(stacks: list, tol: float) -> list:
+    """Drop each point within tol of the last point kept, then the last point
+    kept if it is within tol of the first (stacks as in `_clip_convex`)."""
+    out = []
+    for ids, p in stacks:
+        if p.shape[1] == 0:
+            out.append((ids, p))
+            continue
+        rows = np.arange(len(p))
+        keep = np.ones(p.shape[:2], dtype=bool)
+        last = np.zeros(len(p), dtype=int)
+        for k in range(1, p.shape[1]):
+            d = p[:, k] - p[rows, last]
+            keep[:, k] = np.hypot(d[:, 0], d[:, 1]) > tol
+            last = np.where(keep[:, k], k, last)
+        d = p[:, 0] - p[rows, last]
+        keep[rows, last] &= (last == 0) | (np.hypot(d[:, 0], d[:, 1]) > tol)
+        out += _regroup(ids, p, keep)
+    return out
+
+
+def _regroup(ids: np.ndarray, pts: np.ndarray, keep: np.ndarray) -> list:
+    """Stacks of each row's kept points, grouped by how many it keeps."""
+    counts = keep.sum(axis=1)
+    out = []
+    for c in np.unique(counts):
+        rows = np.flatnonzero(counts == c)
+        out.append((ids[rows], pts[rows][keep[rows]].reshape(len(rows), c, 2)))
+    return out
 
 
 def _domain_halfplanes(domain: np.ndarray):
@@ -99,93 +120,102 @@ def _domain_halfplanes(domain: np.ndarray):
 
 
 def _halfplane_cell(i: int, seeds: np.ndarray, domain: np.ndarray, tol: float) -> np.ndarray:
-    poly = domain.copy()
+    stacks = [(np.array([i]), domain[None])]
     si = seeds[i]
     for j in range(len(seeds)):
         if j == i:
             continue
         d = seeds[j] - si
-        poly = _clip_convex(poly, d, float(d @ (0.5 * (si + seeds[j]))))
-        if len(poly) < 3:
+        stacks = _clip_convex(stacks, d, float(d @ (0.5 * (si + seeds[j]))))
+        if stacks[0][1].shape[1] < 3:
             break
-    return _dedup_loop(poly, tol)
+    return _dedup_loop(stacks, tol)[0][1][0]
 
 
-def _voronoi_polys(seeds: np.ndarray, domain: np.ndarray, tol: float) -> list:
-    """Voronoi cells of the seeds clipped to a convex CCW domain polygon.
+def _voronoi_polys(seeds: np.ndarray, domain: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
+    """Voronoi cells of the seeds clipped to a convex CCW domain polygon, in
+    seed order, and their centroids.
 
     Seeds are mirrored across every domain edge so that interior cells come
     out bounded; any cell qhull leaves unbounded falls back to direct
-    half-plane clipping.
+    half-plane clipping.  The bounded cells are sorted, clipped and
+    deduplicated in stacks of one vertex count.
     """
     n = len(seeds)
     planes = _domain_halfplanes(domain)
     if n == 1:
-        return [domain.copy()]
+        return [domain.copy()], polygon_shoelace(domain[None])[1]
     mirrored = [seeds]
     for nrm, off in planes:
         dist = seeds @ nrm - off
         mirrored.append(seeds - 2.0 * dist[:, None] * nrm[None, :])
     vor = Voronoi(np.vstack(mirrored))
-    polys = []
-    for i in range(n):
-        region = vor.regions[vor.point_region[i]]
-        if len(region) < 3 or -1 in region:
-            poly = _halfplane_cell(i, seeds, domain, tol)
-        else:
-            poly = vor.vertices[region]
-            # qhull region order is sequential but of either orientation;
-            # cells are convex, so sort by angle around the seed
-            ang = np.arctan2(poly[:, 1] - seeds[i, 1], poly[:, 0] - seeds[i, 0])
-            poly = poly[np.argsort(ang)]
-            for nrm, off in planes:
-                poly = _clip_convex(poly, nrm, off)
-            poly = _dedup_loop(poly, tol)
-        if len(poly) < 3 or polygon_area(poly) <= 0.0:
-            raise ValueError(f"degenerate Voronoi cell for seed {i}")
-        polys.append(poly)
-    return polys
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    sizes = np.array([len(r) if len(r) >= 3 and -1 not in r else 0 for r in regions])
+    stacks = []
+    for size in np.unique(sizes[sizes > 0]):
+        ids = np.flatnonzero(sizes == size)
+        poly = vor.vertices[np.array([regions[i] for i in ids])]
+        # qhull region order is sequential but of either orientation;
+        # cells are convex, so sort by angle around the seed
+        ang = np.arctan2(poly[..., 1] - seeds[ids, 1, None], poly[..., 0] - seeds[ids, 0, None])
+        stacks.append((ids, np.take_along_axis(poly, np.argsort(ang, axis=1)[..., None], 1)))
+    for nrm, off in planes:
+        stacks = _clip_convex(stacks, nrm, off)
+    stacks = _dedup_loop(stacks, tol) + [(np.array([i]), _halfplane_cell(i, seeds, domain, tol)[None])
+                                         for i in np.flatnonzero(sizes == 0)]
+    polys, centroids, bad = [None] * n, np.zeros((n, 2)), []
+    for ids, p in stacks:
+        if p.shape[1] < 3:
+            bad += ids.tolist()
+            continue
+        area, centroids[ids] = polygon_shoelace(p)
+        bad += ids[area <= 0.0].tolist()
+        for i, poly in zip(ids, p):
+            polys[i] = poly
+    if bad:
+        raise ValueError(f"degenerate Voronoi cell for seed {min(bad)}")
+    return polys, centroids
 
 
-class _Welder:
-    """Merge nearly identical vertices via spatial hashing (deterministic)."""
+def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Merge points within tol in both coordinates, first come first kept: the
+    kept points, and each point's index among them.
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.cell = 4.0 * tol
-        self.bins: dict = {}
-        self.points: list = []
-
-    def add(self, p) -> int:
-        bx = int(np.floor(p[0] / self.cell))
-        by = int(np.floor(p[1] / self.cell))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for idx in self.bins.get((bx + dx, by + dy), ()):
-                    q = self.points[idx]
-                    if abs(q[0] - p[0]) <= self.tol and abs(q[1] - p[1]) <= self.tol:
-                        return idx
-        idx = len(self.points)
-        self.points.append((float(p[0]), float(p[1])))
-        self.bins.setdefault((bx, by), []).append(idx)
-        return idx
+    A point joins the earliest kept point in the first of the 3 x 3 bins of
+    side 4 tol around it, scanned by x offset then y offset, that holds one:
+    the choice a one-point-at-a-time spatial hash makes.
+    """
+    i, j = cKDTree(points).query_pairs(2 * tol, p=np.inf, output_type="ndarray").T
+    close = np.all(np.abs(points[i] - points[j]) <= tol, axis=1)
+    i, j = i[close], j[close]  # i < j
+    kept = np.ones(len(points), dtype=bool)
+    while True:  # a point is kept when no earlier kept point is close
+        now = np.ones(len(points), dtype=bool)
+        now[j[kept[i]]] = False
+        if np.array_equal(now, kept):
+            break
+        kept = now
+    i, j = i[kept[i]], j[kept[i]]
+    b = np.floor(points / (4.0 * tol)).astype(np.int64)
+    order = np.lexsort((i, b[i, 1] - b[j, 1], b[i, 0] - b[j, 0], j))
+    first = order[np.diff(j[order], prepend=-1) != 0]
+    target = np.arange(len(points))
+    target[j[first]] = i[first]
+    return points[kept], (np.cumsum(kept) - 1)[target]
 
 
 def _mesh_from_polys(polys: list, expected_area: float, tol: float) -> PolygonalMesh:
-    welder = _Welder(tol)
+    vertices, ids = _weld(np.concatenate(polys), tol)
     cells = []
-    for poly in polys:
-        loop = []
-        for p in poly:
-            idx = welder.add(p)
-            if not loop or idx != loop[-1]:
-                loop.append(idx)
+    for loop in np.split(ids, np.cumsum([len(p) for p in polys])[:-1]):
+        loop = loop[np.diff(loop, prepend=-1) != 0].tolist()
         if len(loop) > 1 and loop[0] == loop[-1]:
             loop.pop()
         if len(loop) < 3:
             raise ValueError("cell degenerated to fewer than 3 vertices while welding")
         cells.append(loop)
-    return build_mesh(np.array(welder.points), cells, expected_area=expected_area)
+    return build_mesh(vertices, cells, expected_area=expected_area)
 
 
 def build_voronoi_mesh(domain=None, n_seeds: int = 16, lloyd_iters: int = 0,
@@ -198,6 +228,8 @@ def build_voronoi_mesh(domain=None, n_seeds: int = 16, lloyd_iters: int = 0,
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    if lloyd_iters < 0:
+        raise ValueError("lloyd_iters must be >= 0")
     domain = UNIT_SQUARE.copy() if domain is None else np.asarray(domain, dtype=float)
     if polygon_area(domain) <= 0.0:
         raise ValueError("domain polygon must be CCW with positive area")
@@ -221,20 +253,20 @@ def build_voronoi_mesh(domain=None, n_seeds: int = 16, lloyd_iters: int = 0,
 
     seeds = sample(n_seeds)
     for attempt in range(20):
-        d2 = np.sum((seeds[:, None, :] - seeds[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d2, np.inf)
-        bad = np.unique(np.nonzero(d2 < (10 * tol) ** 2)[0])
+        # the tree only proposes pairs, at twice the radius of the exact test
+        pairs = cKDTree(seeds).query_pairs(20 * tol, output_type="ndarray")
+        d2 = np.sum((seeds[pairs[:, 0]] - seeds[pairs[:, 1]]) ** 2, axis=1)
+        bad = np.unique(pairs[d2 < (10 * tol) ** 2])
         if len(bad) == 0:
             break
         seeds[bad] = sample(len(bad))
     else:
         raise RuntimeError("could not draw a non-degenerate seed set")
 
-    for _ in range(max(0, lloyd_iters)):
-        polys = _voronoi_polys(seeds, domain, tol)
-        seeds = np.array([polygon_centroid(p) for p in polys])
+    for _ in range(lloyd_iters):
+        seeds = _voronoi_polys(seeds, domain, tol)[1]
 
-    polys = _voronoi_polys(seeds, domain, tol)
+    polys = _voronoi_polys(seeds, domain, tol)[0]
     try:
         return _mesh_from_polys(polys, expected_area=area, tol=tol)
     except ValueError:

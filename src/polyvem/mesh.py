@@ -17,9 +17,8 @@ from .quadrature import (
     QuadratureRule,
     box_rules,
     fan_check,
-    polygon_area,
-    polygon_centroid,
     polygon_rule,
+    polygon_shoelace,
     segment_lobatto_points,
     segment_rule,
     map_batches,
@@ -109,26 +108,20 @@ def build_mesh(
     if not cells:
         raise ValueError("mesh has no cells")
 
-    centroids = np.zeros((len(cells), 2))
-    areas = np.zeros(len(cells))
-    diams = np.zeros(len(cells))
-    for ci, loop in enumerate(cells):
-        if len(loop) < 3:
-            raise ValueError(f"cell {ci} has fewer than 3 vertices")
-        if len(set(loop)) != len(loop):
-            raise ValueError(f"cell {ci} repeats a vertex")
-        pts = vertices[loop]
-        a = polygon_area(pts)
-        if a <= 0.0:
-            raise ValueError(f"cell {ci} is not counter-clockwise or has zero area")
-        areas[ci] = a
-        centroids[ci] = polygon_centroid(pts)
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        diams[ci] = np.sqrt(np.max(d2))
+    sizes = np.array([len(loop) for loop in cells])
+    geometry = np.array(map_batches(sizes.tolist(), range(len(cells)), _cell_geometry,
+                                    cells, vertices))
+    if np.any(geometry[:, 0]):
+        ci = int(np.argmax(geometry[:, 0] > 0))
+        if geometry[ci, 0] == 3:
+            bad = next(v for v in cells[ci] if not -len(vertices) <= v < len(vertices))
+            raise IndexError(f"index {bad} is out of bounds for axis 0 with size {len(vertices)}")
+        raise ValueError(f"cell {ci} " + ("has fewer than 3 vertices", "repeats a vertex", "",
+                         "is not counter-clockwise or has zero area")[int(geometry[ci, 0]) - 1])
+    areas, centroids, diams = geometry[:, 1].copy(), geometry[:, 2:4].copy(), geometry[:, 4].copy()
 
     # half-edges tails -> heads in cell order, then loop order; an edge is a
     # sorted vertex pair, and its first half-edge fixes its first cell
-    sizes = np.array([len(loop) for loop in cells])
     tails = np.concatenate(cells)
     heads = np.concatenate([loop[1:] + loop[:1] for loop in cells])
     half_cell = np.repeat(np.arange(len(cells)), sizes)
@@ -191,6 +184,27 @@ def build_mesh(
     mesh.vertices.setflags(write=False)
     mesh.edges.setflags(write=False)
     return mesh
+
+
+def _cell_geometry(batch: list, cells: list, vertices: np.ndarray) -> np.ndarray:
+    """Rows (fault, area, centroid x, centroid y, diameter) for cells of one
+    vertex count.  The fault is the cell's first failing check, in the order
+    fewer than 3 vertices (1), repeated vertex (2), vertex index out of range
+    (3), not counter-clockwise (4); 0 when all pass."""
+    out = np.zeros((len(batch), 5))
+    if len(cells[batch[0]]) < 3:
+        out[:, 0] = 1
+        return out
+    loops = np.array([cells[c] for c in batch])
+    ordered = np.sort(loops, axis=1)
+    outside = np.any((loops < -len(vertices)) | (loops >= len(vertices)), axis=1)
+    pts = vertices[np.where(outside[:, None], 0, loops)]
+    area, out[:, 2:4] = polygon_shoelace(pts)
+    d2 = np.sum((pts[:, :, None, :] - pts[:, None, :, :]) ** 2, axis=-1)
+    out[:, 1], out[:, 4] = area, np.sqrt(np.max(d2, axis=(1, 2)))
+    out[:, 0] = np.select([np.any(ordered[:, 1:] == ordered[:, :-1], axis=1), outside,
+                           area <= 0.0], [2, 3, 4])
+    return out
 
 
 def cell_quadrature(mesh: PolygonalMesh, cell: int, exactness: int) -> QuadratureRule:

@@ -27,6 +27,7 @@ __all__ = [
     "polygon_rule",
     "polygon_area",
     "polygon_centroid",
+    "polygon_shoelace",
     "triangulate_polygon",
 ]
 
@@ -148,21 +149,27 @@ def _cross(p, q):
 
 def polygon_area(verts: np.ndarray) -> float:
     """Signed shoelace area (positive for counter-clockwise loops)."""
-    v = np.asarray(verts, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return float(polygon_shoelace(verts)[0])
 
 
 def polygon_centroid(verts: np.ndarray) -> np.ndarray:
+    return polygon_shoelace(verts)[1]
+
+
+def polygon_shoelace(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed areas (...) and centroids (..., 2) of polygons (..., n, 2) by the
+    shoelace formula, the vertex mean for an area below 1e-300.  The sums run
+    along the contiguous vertex axis, so each polygon of a stack gets the bits
+    of a one-polygon call."""
     v = np.asarray(verts, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    cr = x * np.roll(y, -1) - np.roll(x, -1) * y
-    a = 0.5 * np.sum(cr)
-    if abs(a) < 1e-300:
-        return np.mean(v, axis=0)
-    cx = np.sum((x + np.roll(x, -1)) * cr) / (6.0 * a)
-    cy = np.sum((y + np.roll(y, -1)) * cr) / (6.0 * a)
-    return np.array([cx, cy])
+    x, y = v[..., 0], v[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    cr = x * yn - xn * y
+    a = 0.5 * np.sum(cr, axis=-1)
+    with np.errstate(all="ignore"):
+        c = np.stack([np.sum((x + xn) * cr, axis=-1), np.sum((y + yn) * cr, axis=-1)], axis=-1)
+        c = c / (6.0 * a)[..., None]
+    return a, np.where((np.abs(a) < 1e-300)[..., None], np.mean(v, axis=-2), c)
 
 
 def triangulate_polygon(verts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

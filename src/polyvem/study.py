@@ -174,6 +174,9 @@ class ProblemSpec:
     export_matrix: str | None = None
 
     def __post_init__(self):
+        for name, low in (("k", 1), ("refine_steps", 0), ("lloyd_iters", 0)):
+            if not isinstance(getattr(self, name), (int, np.integer)) or getattr(self, name) < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
         for name, known in _SPELLINGS.items():
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; known: {list(known)}")

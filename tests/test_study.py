@@ -157,6 +157,18 @@ def test_problem_spec_rejects_unknown_options(field, value):
         ProblemSpec("test1-2d", 2, **{field: value})
 
 
+@pytest.mark.parametrize("field,value,low", [
+    ("k", 2.5, 1), ("k", 0, 1), ("refine_steps", -1, 0), ("lloyd_iters", -2, 0),
+    ("lloyd_iters", 1.0, 0),
+])
+def test_problem_spec_rejects_bad_numeric_fields(field, value, low):
+    # these once failed every level of the study (k=2.5, refine_steps=-1) or
+    # ran as if 0 (lloyd_iters=-2)
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= {low}, "
+                                         rf"got {re.escape(repr(value))}$"):
+        ProblemSpec(**{"problem": "test1-2d", "k": 2, field: value})
+
+
 def test_ladder_sizes_continue_past_the_tables():
     from polyvem.study import DISK_BOUNDARY, SQUARES_BASE, VORONOI_SEEDS, _ladder_size
     assert [_ladder_size(VORONOI_SEEDS, lv, 4) for lv in range(6)] == [16, 64, 256, 1024, 4096, 16384]
