@@ -15,7 +15,7 @@ euclidean product).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,40 +135,42 @@ class GlobalDofMap:
     """Global numbering: mesh vertices, then k-1 DOFs per edge (ordered from
     the lower to the higher vertex index), then moments cell by cell.
 
-    The read-only per-cell DOF arrays are built once per (mesh, k) and shared
-    by every map of that mesh and order.
+    Every cell is numbered at construction, in one pass over the half-edges.
+    `dofs` (read-only) lists the cells' DOFs cell after cell, cell c's run
+    being dofs[offsets[c]:offsets[c + 1]].
     """
 
     def __init__(self, mesh: PolygonalMesh, k: int):
-        self.mesh = mesh
         self.k = k
-        self.n_moment = cell_basis_dim(k - 2) if k >= 2 else 0
-        self.edge_offset = mesh.n_vertices
-        self.moment_offset = mesh.n_vertices + mesh.n_edges * (k - 1)
-        self.n_dofs = self.moment_offset + mesh.n_cells * self.n_moment
-        self._cache = mesh.__dict__.setdefault("_cell_dofs_cache", {}).setdefault(k, {})
+        n_mom = cell_basis_dim(k - 2) if k >= 2 else 0
+        nv = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
+        self.offsets = np.concatenate(([0], np.cumsum(nv * k + n_mom)))
+        moment_base = mesh.n_vertices + mesh.n_edges * (k - 1)
+        self.n_dofs = moment_base + mesh.n_cells * n_mom
+
+        # half-edge i of cell c: its tail's DOF at offsets[c] + i, its edge's
+        # k-1 interior DOFs at offsets[c] + nv[c] + i (k-1), running from the
+        # edge's lower vertex (edges store it first) to the other one
+        cell = np.repeat(np.arange(mesh.n_cells), nv)
+        local = np.arange(len(cell)) - (np.cumsum(nv) - nv)[cell]
+        tails, edge = np.concatenate(mesh.cells), np.concatenate(mesh.cell_edge_ids)
+        forward = (tails == mesh.edges[edge, 0])[:, None]
+        j = np.arange(k - 1)
+        dofs = np.empty(self.offsets[-1], dtype=np.int64)
+        dofs[self.offsets[cell] + local] = tails
+        dofs[(self.offsets[cell] + nv[cell] + local * (k - 1))[:, None] + j] = (
+            mesh.n_vertices + edge[:, None] * (k - 1) + np.where(forward, j, k - 2 - j))
+        dofs[(self.offsets[:-1] + nv * k)[:, None] + np.arange(n_mom)] = (
+            moment_base + np.arange(mesh.n_cells * n_mom).reshape(mesh.n_cells, n_mom))
+        dofs.setflags(write=False)
+        self.dofs = dofs
 
     def cell_dofs(self, cell: int) -> np.ndarray:
-        got = self._cache.get(cell)
-        if got is not None:
-            return got
-        mesh, k = self.mesh, self.k
-        loop = mesh.cells[cell]
-        nv = len(loop)
-        dofs = list(loop)
-        for i, e in enumerate(mesh.cell_edges(cell)):
-            a, b = loop[i], loop[(i + 1) % nv]
-            base = self.edge_offset + e * (k - 1)
-            if a < b:
-                dofs += [base + j for j in range(k - 1)]
-            else:
-                dofs += [base + (k - 2 - j) for j in range(k - 1)]
-        base = self.moment_offset + cell * self.n_moment
-        dofs += [base + m for m in range(self.n_moment)]
-        arr = np.array(dofs, dtype=int)
-        arr.setflags(write=False)
-        self._cache[cell] = arr
-        return arr
+        return self.dofs[self.offsets[cell]:self.offsets[cell + 1]]
+
+    def local_values(self, u: np.ndarray) -> list:
+        """Each cell's local DOF values of the global vector u, in cell order."""
+        return np.split(u[self.dofs], self.offsets[1:-1])
 
 
 def build_element(mesh: PolygonalMesh, cell: int, k: int, stab: str = "d_recipe") -> LocalVemElement:
@@ -328,16 +330,12 @@ def _build_batch(items: list, mesh: PolygonalMesh, k: int, stab: str) -> list:
     out = []
     for j, c in enumerate(cells):
         h = float(hK[j])
-        basis = CellPolyBasis(k, xK[j], h, cell_index=c)
-        family = CellPolyBasis(k - 2, xK[j], h) if k >= 2 else None
-        if k >= 3:
-            basis = replace(basis, coef=coef[j])
-        if k >= 4:
-            family = replace(family, coef=fam_coef[j])
         out.append(LocalVemElement(
-            cell=c, k=k, layout=replace(layout, point_coords=point_coords[j]), basis=basis,
+            cell=c, k=k, layout=DofLayout(k, nv, point_coords[j], layout.moment_exponents),
+            basis=CellPolyBasis(k, xK[j], h, coef=coef[j], cell_index=c),
             quad=quads[j], area=float(area[j]), diameter=h,
-            moment_family=family, moment_to_raw=None if k < 2 else moment_to_raw[j],
+            moment_family=None if k < 2 else CellPolyBasis(k - 2, xK[j], h, coef=fam_coef[j]),
+            moment_to_raw=None if k < 2 else moment_to_raw[j],
             **{name: a[j] for name, a in arrays.items()},
         ))
     return out

@@ -46,30 +46,24 @@ class SaddlePartition:
 class TripletBuilder:
     def __init__(self, n: int):
         self.n = n
-        self._rows: list = []
-        self._cols: list = []
+        self._keys: list = []  # col * n + row of each triplet
         self._vals: list = []
 
-    def add(self, rows, cols, vals):
-        self._rows.append(np.asarray(rows, dtype=np.int64).ravel())
-        self._cols.append(np.asarray(cols, dtype=np.int64).ravel())
-        self._vals.append(np.asarray(vals, dtype=float).ravel())
-
     def add_block(self, rows, cols, block):
-        """Scatter a dense block with the given global row/col indices."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        """Scatter dense blocks: rows (..., r), cols (..., c) and block
+        (..., r, c) with the same leading batch axes, none for one block."""
         block = np.asarray(block, dtype=float)
-        rr = np.repeat(rows, len(cols))
-        cc = np.tile(cols, len(rows))
-        self.add(rr, cc, block.ravel())
+        rows = np.asarray(rows, dtype=np.int64)[..., :, None]
+        cols = np.asarray(cols, dtype=np.int64)[..., None, :]
+        self._keys.append(np.broadcast_to(cols * self.n + rows, block.shape).ravel())
+        self._vals.append(block.ravel())
 
     def compress(self) -> sp.csc_matrix:
         """Deterministic compression: triplets are sorted by (col, row, value)
         before summation, so any insertion order yields the same matrix."""
-        if not self._rows:
+        if not self._keys:
             return sp.csc_matrix((self.n, self.n))
-        key = np.concatenate(self._cols) * self.n + np.concatenate(self._rows)
+        key = np.concatenate(self._keys)
         vals = np.concatenate(self._vals)
         order = np.lexsort((vals, key))
         key, vals = key[order], vals[order]

@@ -113,11 +113,11 @@ def build_mesh(
                                     cells, vertices))
     if np.any(geometry[:, 0]):
         ci = int(np.argmax(geometry[:, 0] > 0))
-        if geometry[ci, 0] == 3:
-            bad = next(v for v in cells[ci] if not -len(vertices) <= v < len(vertices))
-            raise IndexError(f"index {bad} is out of bounds for axis 0 with size {len(vertices)}")
-        raise ValueError(f"cell {ci} " + ("has fewer than 3 vertices", "repeats a vertex", "",
-                         "is not counter-clockwise or has zero area")[int(geometry[ci, 0]) - 1])
+        bad = next((v for v in cells[ci] if not -len(vertices) <= v < len(vertices)), None)
+        raise ValueError(f"cell {ci} " + (
+            "has fewer than 3 vertices", "repeats a vertex",
+            f"has vertex index {bad} out of range for {len(vertices)} vertices",
+            "is not counter-clockwise or has zero area")[int(geometry[ci, 0]) - 1])
     areas, centroids, diams = geometry[:, 1].copy(), geometry[:, 2:4].copy(), geometry[:, 4].copy()
 
     # half-edges tails -> heads in cell order, then loop order; an edge is a

@@ -233,9 +233,8 @@ def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad) -> tuple[float, 
     P_{k-1}; the L2 error uses the energy projection of the solution (the
     full-degree L2 projector is not computable from these DOFs).
     """
-    dofmap = GlobalDofMap(mesh, elements[0].k)
-    locs = [u_dofs[dofmap.cell_dofs(el.cell)] for el in elements]
-    parts = error_integrals(elements, locs, exact_u, exact_grad)
+    locs = GlobalDofMap(mesh, elements[0].k).local_values(u_dofs)
+    parts = error_integrals(elements, [locs[el.cell] for el in elements], exact_u, exact_grad)
     num1, den1, num0, den0 = np.cumsum(parts, axis=0)[-1]  # summed in cell order
     if den1 <= 0.0 or den0 <= 0.0:
         raise ValueError("exact solution has zero norm; relative errors undefined")

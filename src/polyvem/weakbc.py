@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EdgePolyBasis
-from .element import GlobalDofMap, lagrange_eval_matrix, load_vectors
+from .element import GlobalDofMap, lagrange_eval_matrix, load_vectors, map_element_batches
 from .linsys import LinearSystem, SaddlePartition, TripletBuilder
 from .mesh import PolygonalMesh
 from .quadrature import gauss_lobatto, segment_rule
@@ -177,11 +177,18 @@ def _check_elements(elements: list, cfg: WeakBcConfig):
             )
 
 
-def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, mesh, elements, dofmap, f):
-    for el, load in zip(elements, load_vectors(elements, f)):
-        gd = dofmap.cell_dofs(el.cell)
-        builder.add_block(gd, gd, el.stiffness)
-        rhs[gd] += load
+def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, elements, dofmap, f):
+    """Add each batch's stacked stiffness in one block, then every load in
+    one `np.add.at` over the cells' DOFs in cell order: each entry of rhs
+    takes its additions in the order of a cell-by-cell loop."""
+    def stiffness(els):
+        gd = np.stack([dofmap.cell_dofs(el.cell) for el in els])
+        builder.add_block(gd, gd, np.stack([el.stiffness for el in els]))
+        return gd
+
+    loads = load_vectors(elements, f)  # first: its batch temporaries then sit on no triplets
+    dofs = map_element_batches(elements, elements, stiffness)
+    np.add.at(rhs, np.concatenate(dofs), np.concatenate(loads))
 
 
 def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
@@ -203,7 +210,7 @@ def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
     alpha = cfg.alpha
     builder = TripletBuilder(n)
     rhs = np.zeros(n)
-    _scatter_volume(builder, rhs, mesh, elements, dofmap, f)
+    _scatter_volume(builder, rhs, elements, dofmap, f)
 
     m = mult.kprime + 1
     for j, w in enumerate(works):
@@ -255,7 +262,7 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig, f, 
     gamma = cfg.gamma
     builder = TripletBuilder(nu)
     rhs = np.zeros(nu)
-    _scatter_volume(builder, rhs, mesh, elements, dofmap, f)
+    _scatter_volume(builder, rhs, elements, dofmap, f)
 
     for w in works:
         wq = w.weights
@@ -350,10 +357,10 @@ class BoundaryNorms:
         return self._accumulate(ev, lambda h: h)
 
     def one(self, elements: list, dofmap: GlobalDofMap, u_dofs: np.ndarray) -> float:
+        locs = dofmap.local_values(u_dofs)
         energy = 0.0
         for el in elements:
-            loc = u_dofs[dofmap.cell_dofs(el.cell)]
-            energy += float(loc @ el.stiffness @ loc)
+            energy += float(locs[el.cell] @ el.stiffness @ locs[el.cell])
         half_sq = 0.0
         for w in self.works:
             uv = w.trace @ u_dofs[w.edge_dofs]

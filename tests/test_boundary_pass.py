@@ -2,6 +2,7 @@
 edge-naming errors of the batched passes, and one pass per study level."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ import polyvem.curved as curved_module
 import polyvem.levelset as levelset_module
 import polyvem.study as study_module
 import polyvem.weakbc as weakbc_module
-from polyvem import build_disk_approx_mesh
+from polyvem import build_disk_approx_mesh, build_squares_approx_mesh
 from polyvem.curved import correction_data
 from polyvem.element import build_all_elements
 from polyvem.levelset import (
     CorrectionConfig,
     LevelSetDomain,
+    boundary_gaps,
     choose_sigma,
     circle,
     delta,
@@ -225,6 +227,83 @@ def test_batched_pass_error_names_edge_and_point(case, pass_name):
     if case == "outside":
         pushed = np.flatnonzero(np.hypot(*mesh.vertices.T) > 1.05)
         assert np.isin(mesh.edges[edge], pushed).any()
+
+
+# -- a non-convex domain: the star r = 1 + 0.2 cos 5 theta ---------------------
+
+def _star() -> LevelSetDomain:
+    def f(p):
+        theta = np.arctan2(p[:, 1], p[:, 0])
+        return np.hypot(p[:, 0], p[:, 1]) - (1.0 + 0.2 * np.cos(5.0 * theta))
+
+    def grad(p):
+        r2 = p[:, 0] ** 2 + p[:, 1] ** 2
+        r, s = np.sqrt(r2), np.sin(5.0 * np.arctan2(p[:, 1], p[:, 0]))
+        return np.column_stack([p[:, 0] / r - s * p[:, 1] / r2, p[:, 1] / r + s * p[:, 0] / r2])
+
+    return LevelSetDomain("star", f, grad, np.zeros(2), (-1.2, -1.2, 1.2, 1.2), False)
+
+
+def _dense_gaps(ls, x, sigma, tmax, root_tol, nodes=20001):
+    """First crossing on a 20,001-node scan of [0, tmax], bisected to width
+    1e-10; 0 where |F(x)| <= root_tol.  The scan runs 32 points at a time."""
+    lo, hi = np.zeros(len(x)), np.zeros(len(x))
+    for part in np.array_split(np.arange(len(x)), max(1, len(x) // 32)):
+        ts = np.linspace(0.0, tmax[part], nodes, axis=1)
+        hit = ls.f((x[part, None] + ts[..., None] * sigma[part, None])
+                   .reshape(-1, 2)).reshape(ts.shape) >= 0.0
+        assert hit.any(axis=1).all()
+        first, rows = np.argmax(hit, axis=1), np.arange(len(part))
+        lo[part], hi[part] = ts[rows, np.maximum(first - 1, 0)], ts[rows, first]
+    while np.any(hi - lo > 1e-10):
+        mid = 0.5 * (lo + hi)
+        up = ls.f(x + mid[:, None] * sigma) >= 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return np.where(np.abs(ls.f(x)) <= root_tol, 0.0, 0.5 * (lo + hi))
+
+
+def _star_gaps(base, steps, sigma):
+    ls = _star()
+    mesh = build_squares_approx_mesh(ls, base, steps)
+    edges = mesh.boundary_edges
+    pts = [segment_rule(*mesh.vertices[mesh.edges[e]], 7).points for e in edges]
+    cfg = CorrectionConfig(sigma_strategy=sigma)
+    return ls, mesh, edges, pts, cfg, boundary_gaps(ls, mesh, edges, pts, cfg)
+
+
+def test_star_gradient_is_exact():
+    ls, rng = _star(), np.random.default_rng(4)
+    p = rng.uniform(-1.1, 1.1, (200, 2))
+    p = p[np.hypot(p[:, 0], p[:, 1]) > 0.1]
+    h = 1e-6
+    fd = np.column_stack([(ls.f(p + h * e) - ls.f(p - h * e)) / (2 * h) for e in np.eye(2)])
+    assert np.max(np.abs(fd - ls.grad(p))) <= 1e-7
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+@pytest.mark.parametrize("base", [4, 8, 16])
+def test_star_gaps_match_dense_search(base, steps):
+    ls, mesh, edges, pts, cfg, (sigmas, gaps) = _star_gaps(base, steps, "distance_gradient")
+    nq = [len(p) for p in pts]
+    scale = np.repeat(mesh.cell_diameters[mesh.edge_cells[edges, 0]], nq)
+    want = _dense_gaps(ls, np.concatenate(pts), np.repeat(sigmas, nq, axis=0),
+                       cfg.delta_max_factor * scale, cfg.root_tol)
+    assert np.max(np.abs(np.concatenate(gaps) - want)) <= 1e-10
+
+
+def test_star_edge_normal_miss_names_edge():
+    # base 8 leaves out a square at a notch: the normal of an edge it exposes
+    # runs through the domain for longer than the bracket
+    with pytest.raises(ValueError, match=r"^no boundary crossing within .* \(edge \d+\)$") as info:
+        _star_gaps(8, 0, "edge_normal")
+    x, y, edge = re.search(r"from \[(\S+), (\S+)\] along .* \(edge (\d+)\)$",
+                           str(info.value)).groups()
+    mesh = build_squares_approx_mesh(_star(), 8, 0)
+    assert int(edge) in set(mesh.boundary_edges.tolist())
+    # the named point is a quadrature point of the named edge
+    a, b = mesh.vertices[mesh.edges[int(edge)]]
+    t = np.linalg.norm([float(x), float(y)] - a) / np.linalg.norm(b - a)
+    assert 0.0 < t < 1.0 and np.allclose(a + t * (b - a), [float(x), float(y)], rtol=0, atol=1e-12)
 
 
 # -- one boundary pass per level -------------------------------------------------

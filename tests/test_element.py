@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyvem import (
+    build_squares_approx_mesh,
     build_structured_mesh,
     build_voronoi_mesh,
 )
@@ -13,6 +14,7 @@ from polyvem.element import (
     load_vector,
     project_gradient_l2,
 )
+from polyvem.levelset import named_levelset
 from conftest import random_polynomial
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -239,12 +241,41 @@ def test_dofmap_shared_edges_consistent():
     assert not np.any(np.isnan(glob))
 
 
+def _per_cell_dofs(mesh, k, cell):
+    """The cell-by-cell numbering the one-pass table replaced (reference)."""
+    n_moment = (k - 1) * k // 2
+    loop, nv = mesh.cells[cell], len(mesh.cells[cell])
+    dofs = list(loop)
+    for i, e in enumerate(mesh.cell_edges(cell)):
+        base = mesh.n_vertices + e * (k - 1)
+        if loop[i] < loop[(i + 1) % nv]:
+            dofs += [base + j for j in range(k - 1)]
+        else:
+            dofs += [base + (k - 2 - j) for j in range(k - 1)]
+    base = mesh.n_vertices + mesh.n_edges * (k - 1) + cell * n_moment
+    return np.array(dofs + [base + m for m in range(n_moment)], dtype=int)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_dofmap_matches_per_cell_numbering(k):
+    meshes = [build_voronoi_mesh(None, 40, rng_seed=3),
+              build_squares_approx_mesh(named_levelset("quarter_disk"), 8, 2)]
+    for mesh in meshes:
+        dm = GlobalDofMap(mesh, k)
+        want = [_per_cell_dofs(mesh, k, c) for c in range(mesh.n_cells)]
+        assert dm.n_dofs == mesh.n_vertices + mesh.n_edges * (k - 1) + mesh.n_cells * (k - 1) * k // 2
+        for c in range(mesh.n_cells):
+            assert dm.cell_dofs(c).dtype == want[c].dtype
+            assert np.array_equal(dm.cell_dofs(c), want[c])
+        assert np.array_equal(dm.dofs, np.concatenate(want))
+
+
 def test_dofmap_table_shared_per_mesh_and_order(unit_square_2x2):
     a, b = GlobalDofMap(unit_square_2x2, 3), GlobalDofMap(unit_square_2x2, 3)
     other = GlobalDofMap(unit_square_2x2, 2)
     for cell in range(unit_square_2x2.n_cells):
         dofs = a.cell_dofs(cell)
-        assert b.cell_dofs(cell) is dofs
+        assert np.array_equal(b.cell_dofs(cell), dofs)
         assert other.cell_dofs(cell) is not dofs
         assert len(other.cell_dofs(cell)) < len(dofs)
         assert not dofs.flags.writeable and not other.cell_dofs(cell).flags.writeable

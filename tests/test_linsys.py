@@ -71,11 +71,11 @@ def test_triplet_compress_deterministic():
     cols = rng.integers(0, 10, 60)
     vals = rng.standard_normal(60)
     b1 = TripletBuilder(10)
-    b1.add(rows, cols, vals)
+    b1.add_block(rows[:, None], cols[:, None], vals[:, None, None])  # 60 stacked 1x1 blocks
     order = rng.permutation(60)
     b2 = TripletBuilder(10)
     for i in order:
-        b2.add([rows[i]], [cols[i]], [vals[i]])
+        b2.add_block([rows[i]], [cols[i]], [[vals[i]]])
     m1, m2 = b1.compress(), b2.compress()
     assert (m1 != m2).nnz == 0
     assert m1.data.tobytes() == m2.data.tobytes()

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from polyvem import EdgePolyBasis, build_structured_mesh, build_voronoi_mesh
-from polyvem.element import GlobalDofMap, build_all_elements, interpolate
-from polyvem.linsys import schur_condense_bh, solve
+from polyvem.element import GlobalDofMap, build_all_elements, interpolate, load_vectors
+from polyvem.linsys import TripletBuilder, schur_condense_bh, solve
 from polyvem.study import compute_errors
 from polyvem.weakbc import (
     MultiplierSpace,
     WeakBcConfig,
+    _scatter_volume,
     assemble_bh,
     assemble_nitsche,
     boundary_norms,
@@ -233,3 +234,35 @@ def test_norm_one_positive(unit_square_2x2):
     assert bn.one(els, dm, u) > 0.0
     zero = np.zeros(dm.n_dofs)
     assert bn.one(els, dm, zero) == 0.0
+
+
+def test_stacked_volume_scatter_equals_shuffled_tiles():
+    # one stacked block per batch and every cell's block cut into random
+    # square-grid tiles of 1x1 up to n x n, added in a shuffled order, give
+    # the same CSC arrays; the loads match a cell-by-cell `rhs[gd] += load`
+    rng = np.random.default_rng(8)
+    mesh = build_voronoi_mesh(None, 256, rng_seed=8)
+    k = 3
+    els = build_all_elements(mesh, k)
+    dm = GlobalDofMap(mesh, k)
+    f = lambda p: np.sin(3.0 * p[:, 0]) * np.cos(2.0 * p[:, 1])
+    stacked, rhs = TripletBuilder(dm.n_dofs), np.zeros(dm.n_dofs)
+    _scatter_volume(stacked, rhs, els, dm, f)
+    assert len(stacked._keys) == len({el.layout.n_vertices for el in els})
+
+    tiles, want = [], np.zeros(dm.n_dofs)
+    for el, load in zip(els, load_vectors(els, f)):
+        gd = dm.cell_dofs(el.cell)
+        want[gd] += load
+        cuts = np.arange(0, len(gd), rng.integers(1, len(gd) + 1))
+        for r in np.split(np.arange(len(gd)), cuts[1:]):
+            for c in np.split(np.arange(len(gd)), cuts[1:]):
+                tiles.append((gd[r], gd[c], el.stiffness[np.ix_(r, c)]))
+    shuffled = TripletBuilder(dm.n_dofs)
+    for i in rng.permutation(len(tiles)):
+        shuffled.add_block(*tiles[i])
+
+    a, b = stacked.compress(), shuffled.compress()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(rhs, want)
