@@ -3,7 +3,6 @@ imposed Dirichlet boundary conditions and curved-boundary correction."""
 
 from .basis import (
     CellPolyBasis,
-    EdgePolyBasis,
     directional_derivative_matrix,
     gram_matrix,
     orthonormalize,
@@ -36,8 +35,6 @@ from .mesh import (
     MeshQualityReport,
     PolygonalMesh,
     cell_quadrature,
-    edge_quadrature,
-    gauss_lobatto_nodes,
     mesh_from_json,
     mesh_to_json,
     quality_report,

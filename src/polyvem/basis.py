@@ -1,10 +1,8 @@
-"""Scaled monomial bases on cells and edges.
+"""Scaled monomial bases on cells.
 
 Cell bases are spanned by ((x - x_K)/h_K)^a * ((y - y_K)/h_K)^b in graded
-lexicographic order of the exponents; edge bases by powers of the signed
-arclength from the edge midpoint divided by the edge length.  Either kind
-can be L2-orthonormalized on its entity, which replaces the change-of-basis
-matrix from the raw monomials.
+lexicographic order of the exponents, and can be L2-orthonormalized on their
+cell, which replaces the change-of-basis matrix from the raw monomials.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from .quadrature import QuadratureRule
 
 __all__ = [
     "CellPolyBasis",
-    "EdgePolyBasis",
     "cell_basis_dim",
     "monomial_exponents",
     "exponent_arrays",
@@ -83,18 +80,20 @@ def monomial_gradients(powx: np.ndarray, powy: np.ndarray, k: int, diameter) -> 
     return gx, gy
 
 
-def _raw_derivative_matrices(k: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of d/dx and d/dy on raw scaled-monomial coefficients (P_k -> P_k)."""
+def _raw_derivative_matrices(k: int, h) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices (..., n, n) of d/dx and d/dy on raw scaled-monomial
+    coefficients (P_k -> P_k) for diameters h (...)."""
+    h = np.asarray(h, dtype=float)
     exps = monomial_exponents(k)
     index = {e: i for i, e in enumerate(exps)}
     n = len(exps)
-    dx = np.zeros((n, n))
-    dy = np.zeros((n, n))
+    dx = np.zeros(h.shape + (n, n))
+    dy = np.zeros(h.shape + (n, n))
     for j, (a1, a2) in enumerate(exps):
         if a1 > 0:
-            dx[index[(a1 - 1, a2)], j] = a1 / h
+            dx[..., index[(a1 - 1, a2)], j] = a1 / h
         if a2 > 0:
-            dy[index[(a1, a2 - 1)], j] = a2 / h
+            dy[..., index[(a1, a2 - 1)], j] = a2 / h
     return dx, dy
 
 
@@ -105,6 +104,9 @@ class CellPolyBasis:
     `coef[:, j]` holds the raw scaled-monomial coefficients of basis
     function j, so `coef` is the identity for the raw monomials and upper
     triangular after orthonormalization (the first function stays constant).
+    A stack of bases of one order carries leading batch axes on `center`
+    (..., 2), `diameter` (...) and `coef`; `eval` and `eval_gradient` then
+    take points (..., npts, 2).
     """
 
     k: int
@@ -172,58 +174,15 @@ def directional_derivative_matrix(basis: CellPolyBasis, sigma, j: int = 1) -> np
 
     The result maps coefficients of p to coefficients of the derivative in
     the same basis (the image lies in the degree k - j subspace; the map is
-    nilpotent).  M_0 is the identity and M_j = M_1^j.
+    nilpotent).  M_0 is the identity and M_j = M_1^j.  A stacked basis takes
+    one direction per basis, sigma (..., 2), and gives one matrix each.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if abs(np.hypot(*sigma) - 1.0) > 1e-12:
+    if np.any(np.abs(np.hypot(sigma[..., 0], sigma[..., 1]) - 1.0) > 1e-12):
         raise ValueError("sigma must be a unit vector")
     if j < 0:
         raise ValueError("derivative order must be >= 0")
     dx, dy = _raw_derivative_matrices(basis.k, basis.diameter)
-    m1_raw = sigma[0] * dx + sigma[1] * dy
+    m1_raw = sigma[..., 0, None, None] * dx + sigma[..., 1, None, None] * dy
     m1 = np.linalg.solve(basis.coef, m1_raw @ basis.coef)
     return np.linalg.matrix_power(m1, j)
-
-
-@dataclass(frozen=True)
-class EdgePolyBasis:
-    """1D polynomial basis of degree <= k on an edge.
-
-    Functions are powers of (s - s_mid)/h_f where s is arclength along the
-    edge and h_f the edge length, optionally orthonormalized in L2 of the
-    edge.
-    """
-
-    k: int
-    midpoint: np.ndarray
-    length: float
-    tangent: np.ndarray
-    coef: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("polynomial order must be >= 0")
-        if self.coef is None:
-            object.__setattr__(self, "coef", np.eye(self.dim))
-        object.__setattr__(self, "midpoint", np.asarray(self.midpoint, dtype=float))
-        t = np.asarray(self.tangent, dtype=float)
-        object.__setattr__(self, "tangent", t / np.hypot(*t))
-
-    @classmethod
-    def for_edge(cls, a, b, k: int) -> "EdgePolyBasis":
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return cls(k=k, midpoint=0.5 * (a + b), length=float(np.hypot(*(b - a))), tangent=b - a)
-
-    @property
-    def dim(self) -> int:
-        return self.k + 1
-
-    def param(self, points: np.ndarray) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return ((p - self.midpoint) @ self.tangent) / self.length
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        s = self.param(points)
-        raw = np.vander(s, self.dim, increasing=True)
-        return raw @ self.coef

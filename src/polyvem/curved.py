@@ -20,11 +20,13 @@ from dataclasses import replace
 import numpy as np
 
 from .basis import directional_derivative_matrix
-from .element import GlobalDofMap
+from .element import GlobalDofMap, stacked_basis
 from .levelset import CorrectionConfig, LevelSetDomain, boundary_gaps
 from .linsys import LinearSystem
 from .mesh import PolygonalMesh
 from .weakbc import (
+    EdgeBatch,
+    EdgeTable,
     MultiplierSpace,
     WeakBcConfig,
     assemble_bh,
@@ -43,70 +45,74 @@ __all__ = [
 
 def correction_data(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
                     levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
-                    cfg_corr: CorrectionConfig, works: list | None = None) -> list:
-    """Edge workspaces of the corrected problem, one per boundary edge.
+                    cfg_corr: CorrectionConfig, table: EdgeTable | None = None) -> EdgeTable:
+    """The edge table of the corrected problem.
 
-    Each is a flat workspace (`works`, built here when None) whose
-    `data_points` are the foot points x + delta(x) sigma and whose
-    `correction` is the Taylor field (None when kstar = 0); the other arrays
-    are shared with the flat workspace.  delta is found at every quadrature
-    node of every boundary edge in one batched root search, and the result
-    is meant to be shared by the assembly and the multiplier recovery of a
-    level.
+    It is the flat table (`table`, built here when None) with `data_points`
+    moved to the foot points x + delta(x) sigma and with the Taylor
+    `correction` of each batch (None when kstar = 0); every other array is
+    shared with the flat table.  delta is found at every quadrature node of
+    every boundary edge in one batched root search, and the result is meant
+    to be shared by the assembly and the multiplier recovery of a level.
     """
     if cfg_corr.kstar > cfg_bc.k:
         raise ValueError("kstar must not exceed the space order k")
-    if works is None:
-        works = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg_bc.k), mult,
+    if table is None:
+        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg_bc.k), mult,
                                 cfg_bc.resolved_edge_exactness)
-    sigmas, gaps = boundary_gaps(levelset, mesh, [w.edge for w in works],
-                                 [w.points for w in works], cfg_corr)
-    out = []
-    for w, sigma, ds in zip(works, sigmas, gaps):
-        values = None
-        if cfg_corr.kstar >= 1:
-            el = elements[w.cell]
-            m1 = directional_derivative_matrix(el.basis, sigma, 1)
-            evals = el.basis.eval(w.points)
-            cur = el.pinabla
-            values = np.zeros((len(w.points), el.n_dofs))
-            for j in range(1, cfg_corr.kstar + 1):
-                cur = m1 @ cur
-                values += (ds**j / math.factorial(j))[:, None] * (evals @ cur)
-        out.append(replace(w, data_points=w.points + ds[:, None] * sigma[None, :],
-                           correction=values))
-    return out
+    sigmas, gaps = boundary_gaps(levelset, mesh, table.edge, table.points, cfg_corr)
+    correction = None
+    if cfg_corr.kstar >= 1:
+        correction = tuple(_taylor_field(elements, table, b, sigmas[b.rows], gaps[b.rows],
+                                         cfg_corr.kstar) for b in table.batches)
+    return replace(table, data_points=table.points + gaps[..., None] * sigmas[:, None, :],
+                   correction=correction)
+
+
+def _taylor_field(elements: list, table: EdgeTable, batch: EdgeBatch, sigma: np.ndarray,
+                  ds: np.ndarray, kstar: int) -> np.ndarray:
+    """sum_j ds^j / j! * d_sigma^j Pi-nabla at the quadrature points of a batch."""
+    els = [elements[c] for c in table.cell[batch.rows]]
+    basis = stacked_basis(els)
+    m1 = directional_derivative_matrix(basis, sigma, 1)
+    evals = basis.eval(table.points[batch.rows])
+    cur = np.stack([el.pinabla for el in els])
+    values = np.zeros(batch.normal_deriv.shape)
+    for j in range(1, kstar + 1):
+        cur = m1 @ cur
+        values += (ds**j / math.factorial(j))[..., None] * (evals @ cur)
+    return values
 
 
 def assemble_bdt_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
                     levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
-                    cfg_corr: CorrectionConfig, f, g, data: list | None = None) -> LinearSystem:
+                    cfg_corr: CorrectionConfig, f, g,
+                    data: EdgeTable | None = None) -> LinearSystem:
     """Corrected multiplier saddle system on an inscribed polygonal mesh.
 
-    `data` is the workspace list of `correction_data`; it is computed here
-    when None.
+    `data` is the table of `correction_data`; it is computed here when None.
     """
-    works = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    return assemble_bh(mesh, elements, mult, cfg_bc, f, g, works=works)
+    table = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
+    return assemble_bh(mesh, elements, mult, cfg_bc, f, g, table=table)
 
 
 def assemble_bdt_nitsche(mesh: PolygonalMesh, elements: list,
                          levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                          cfg_corr: CorrectionConfig, f, g,
                          mult: MultiplierSpace | None = None,
-                         data: list | None = None) -> LinearSystem:
+                         data: EdgeTable | None = None) -> LinearSystem:
     """Corrected penalty system; equals the edge-local condensation of the
     corrected multiplier system for k' = k, gamma = 1/alpha."""
     mult = mult or MultiplierSpace.create(mesh, cfg_bc.resolved_kprime)
-    works = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    return assemble_nitsche(mesh, elements, cfg_bc, f, g, works=works, mult=mult)
+    table = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
+    return assemble_nitsche(mesh, elements, cfg_bc, f, g, table=table, mult=mult)
 
 
 def recover_multiplier_curved(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: list,
                               levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                               cfg_corr: CorrectionConfig, g,
                               mult: MultiplierSpace | None = None,
-                              data: list | None = None) -> np.ndarray:
+                              data: EdgeTable | None = None) -> np.ndarray:
     mult = mult or MultiplierSpace.create(mesh, cfg_bc.resolved_kprime)
-    works = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
-    return recover_multiplier(u_dofs, mesh, elements, cfg_bc, g, mult=mult, works=works)
+    table = data or correction_data(mesh, elements, mult, levelset, cfg_bc, cfg_corr)
+    return recover_multiplier(u_dofs, mesh, elements, cfg_bc, g, mult=mult, table=table)

@@ -39,6 +39,7 @@ __all__ = [
     "build_all_elements",
     "error_integrals",
     "map_element_batches",
+    "stacked_basis",
     "interpolate",
     "interpolate_all",
     "load_vector",
@@ -91,8 +92,6 @@ class LocalVemElement:
     quad: QuadratureRule
     area: float
     diameter: float
-    edge_lengths: np.ndarray
-    edge_normals: np.ndarray  # outward, per local edge
     pinabla: np.ndarray       # (dim P_k, n_dofs): DOFs -> P_k coefficients
     dof_of_poly: np.ndarray   # (n_dofs, dim P_k): DOFs of basis polynomials
     stiff_gram: np.ndarray    # grad-grad Gram of the basis
@@ -109,7 +108,8 @@ class LocalVemElement:
 
 
 def lagrange_eval_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix L with L[i, j] = ell_j(x_i) for the Lagrange basis on `nodes`."""
+    """Matrix L with L[..., i, j] = ell_j(x[..., i]) for the Lagrange basis on
+    `nodes`; a point within 1e-14 of a node gets that node's unit row."""
     nodes = np.asarray(nodes, dtype=float)
     x = np.asarray(x, dtype=float)
     n = len(nodes)
@@ -119,15 +119,13 @@ def lagrange_eval_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
         for m in range(n):
             if m != j:
                 w[j] /= nodes[j] - nodes[m]
-    out = np.zeros((len(x), n))
-    for i, xi in enumerate(x):
-        diff = xi - nodes
-        hit = np.nonzero(np.abs(diff) < 1e-14)[0]
-        if len(hit):
-            out[i, hit[0]] = 1.0
-            continue
+    diff = x[..., None] - nodes
+    hit = np.abs(diff) < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
         terms = w / diff
-        out[i] = terms / np.sum(terms)
+        out = terms / np.sum(terms, axis=-1, keepdims=True)
+    on_node = np.any(hit, axis=-1)
+    out[on_node] = np.eye(n)[np.argmax(hit[on_node], axis=-1)]
     return out
 
 
@@ -186,6 +184,13 @@ def build_element(mesh: PolygonalMesh, cell: int, k: int, stab: str = "d_recipe"
 def build_all_elements(mesh: PolygonalMesh, k: int, stab: str = "d_recipe") -> list:
     """Elements of every cell, indexed by cell."""
     return _build_elements(mesh, range(mesh.n_cells), k, stab)
+
+
+def stacked_basis(elements: list) -> CellPolyBasis:
+    """The cell bases of elements of one order as one stacked basis."""
+    return CellPolyBasis(elements[0].k, np.stack([el.basis.center for el in elements]),
+                         np.array([el.basis.diameter for el in elements]),
+                         coef=np.stack([el.basis.coef for el in elements]))
 
 
 def map_element_batches(elements: list, items: list, kernel, *args) -> list:
@@ -323,9 +328,8 @@ def _build_batch(items: list, mesh: PolygonalMesh, k: int, stab: str) -> list:
         floor = np.trace(consistency, axis1=1, axis2=2) / n_dofs
         weights = np.maximum(np.diagonal(consistency, axis1=1, axis2=2), floor[:, None])
     stability = _sym(_T(resid) @ (weights[..., None] * resid))
-    arrays = dict(edge_lengths=edge_len, edge_normals=edge_nrm, pinabla=pinabla, dof_of_poly=D,
-                  stiff_gram=stiff_gram, consistency=consistency, stability=stability,
-                  stiffness=consistency + stability, boundary_mean=bmean)
+    arrays = dict(pinabla=pinabla, dof_of_poly=D, stiff_gram=stiff_gram, consistency=consistency,
+                  stability=stability, stiffness=consistency + stability, boundary_mean=bmean)
 
     out = []
     for j, c in enumerate(cells):

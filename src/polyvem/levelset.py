@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import PolygonalMesh
-from .quadrature import segment_rule
+from .quadrature import segment_rules
 
 __all__ = [
     "LevelSetDomain",
@@ -175,22 +175,21 @@ def named_levelset(name: str, **params) -> LevelSetDomain:
     return factory(**params)
 
 
+DELTA_MAX_FACTOR = 2.0  # root bracket as a multiple of the adjacent-cell scale
+ROOT_TOL = 1e-12        # residual |F| below which a point counts as on the boundary
+TAU_THRESHOLD = 0.5     # tau_report warns above this value
+
+
 @dataclass(frozen=True)
 class CorrectionConfig:
     """Settings for the curved-boundary Taylor correction.
 
     kstar           order of the Taylor expansion, 0 <= kstar <= k
     sigma_strategy  'edge_normal' or 'distance_gradient'
-    delta_max_factor  root bracket as a multiple of the adjacent-cell scale
-    root_tol        residual |F| below which a point counts as on the boundary
-    tau_threshold   tau_report warns above this value
     """
 
     kstar: int = 1
     sigma_strategy: str = "distance_gradient"
-    delta_max_factor: float = 2.0
-    root_tol: float = 1e-12
-    tau_threshold: float = 0.5
 
     def __post_init__(self):
         if self.kstar < 0:
@@ -215,19 +214,18 @@ def kstar_default(k: int, delta_regime: str) -> int:
 _SCAN_STEPS = 64
 
 
-def delta(levelset: LevelSetDomain, x, sigma, cfg: CorrectionConfig | None = None,
-          scale: float = 1.0, context: str = "") -> float:
+def delta(levelset: LevelSetDomain, x, sigma, scale: float = 1.0, context: str = "") -> float:
     """Smallest t >= 0 with F(x + t sigma) = 0 (a batch of one of `delta_many`)."""
     x = np.asarray(x, dtype=float)
-    return float(delta_many(levelset, x[None, :], sigma, cfg, scale, context)[0])
+    return float(delta_many(levelset, x[None, :], sigma, scale, context)[0])
 
 
-def delta_many(levelset: LevelSetDomain, points, sigma, cfg: CorrectionConfig | None = None,
-               scale=1.0, context: str = "", edges=None) -> np.ndarray:
+def delta_many(levelset: LevelSetDomain, points, sigma, scale=1.0, context: str = "",
+               edges=None) -> np.ndarray:
     """Gap delta at every point, each found as by itself.
 
     Each point must lie inside the domain or on its boundary (F(x) <= 1e-10);
-    its bracket is [0, delta_max_factor * scale].  `sigma` is one direction
+    its bracket is [0, DELTA_MAX_FACTOR * scale].  `sigma` is one direction
     (2,) or one per point (n, 2), `scale` a scalar or one per point.  Every
     point runs the same arithmetic in the same order: a sign scan over 65
     nodes, bisection to width 1e-10, then at most 30 Newton steps, each with
@@ -235,14 +233,13 @@ def delta_many(levelset: LevelSetDomain, points, sigma, cfg: CorrectionConfig | 
     sign change, or a stalled rootfinder) raises ValueError naming the point
     and, when `edges` gives one id per point, its boundary edge.
     """
-    cfg = cfg or CorrectionConfig()
     x = np.asarray(points, dtype=float)
     n = len(x)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n, 2))
-    tmax = cfg.delta_max_factor * np.broadcast_to(np.asarray(scale, dtype=float), (n,))
+    tmax = DELTA_MAX_FACTOR * np.broadcast_to(np.asarray(scale, dtype=float), (n,))
     f0 = levelset.f(x)
     fail = np.where(f0 > 1e-10, 1, 0)  # 1 outside, 2 no crossing, 3 stalled
-    (scan,) = np.nonzero((fail == 0) & (np.abs(f0) > cfg.root_tol))
+    (scan,) = np.nonzero((fail == 0) & (np.abs(f0) > ROOT_TOL))
     ts = np.linspace(0.0, tmax[scan], _SCAN_STEPS + 1, axis=1)
     hit = levelset.f((x[scan, None] + ts[:, :, None] * sig[scan, None])
                      .reshape(-1, 2)).reshape(ts.shape) >= 0.0
@@ -251,7 +248,7 @@ def delta_many(levelset: LevelSetDomain, points, sigma, cfg: CorrectionConfig | 
     live = scan[found]
     first = np.argmax(hit[found], axis=1)
     lo, hi = np.zeros(n), np.zeros(n)
-    # a point just outside (root_tol < F <= 1e-10) hits at node 0: bracket [0, 0]
+    # a point just outside (ROOT_TOL < F <= 1e-10) hits at node 0: bracket [0, 0]
     lo[live], hi[live] = ts[found, np.maximum(first - 1, 0)], ts[found, first]
     del ts, hit
     # bisection to an interval of width 1e-10
@@ -277,7 +274,7 @@ def delta_many(levelset: LevelSetDomain, points, sigma, cfg: CorrectionConfig | 
         t[live] = tn[ok]
         if not len(live):
             break
-    fail[roots[np.abs(levelset.f(x[roots] + t[roots, None] * sig[roots])) > cfg.root_tol]] = 3
+    fail[roots[np.abs(levelset.f(x[roots] + t[roots, None] * sig[roots])) > ROOT_TOL]] = 3
     bad = np.flatnonzero(fail)
     if len(bad):
         i = int(bad[0])
@@ -320,33 +317,34 @@ class TauReport:
         return self.tau_hat > self.threshold
 
 
-def boundary_gaps(levelset: LevelSetDomain, mesh: PolygonalMesh, edges, points: list,
+def boundary_gaps(levelset: LevelSetDomain, mesh: PolygonalMesh, edges, points,
                   cfg: CorrectionConfig) -> tuple:
-    """Per-edge directions sigma and the gaps at each edge's (nq, 2) points,
-    found in one `delta_many` pass scaled by the adjacent-cell diameters."""
+    """Directions sigma (n, 2) of boundary edges and the gaps (n, nq) at
+    their points (n, nq, 2), found in one `delta_many` pass scaled by the
+    adjacent-cell diameters."""
+    points = np.asarray(points, dtype=float)
+    n, nq = points.shape[:2]
     sigmas = choose_sigma(levelset, mesh, edges, cfg)
-    nq = [len(p) for p in points]
     htil = mesh.cell_diameters[mesh.edge_cells[edges, 0]]
-    ds = delta_many(levelset, np.concatenate(points),
-                    np.repeat(sigmas, nq, axis=0), cfg, np.repeat(htil, nq),
-                    edges=np.repeat(edges, nq))
-    return sigmas, np.split(ds, np.cumsum(nq)[:-1])
+    ds = delta_many(levelset, points.reshape(-1, 2), np.repeat(sigmas, nq, axis=0),
+                    np.repeat(htil, nq), edges=np.repeat(edges, nq))
+    return sigmas, ds.reshape(n, nq)
 
 
 def tau_report(levelset: LevelSetDomain, mesh: PolygonalMesh,
                cfg: CorrectionConfig) -> TauReport:
     idx = mesh.boundary_edges
-    pts = [segment_rule(*mesh.vertices[mesh.edges[e]], 7).points for e in idx]
+    ends = mesh.vertices[mesh.edges[idx]]
+    pts, _ = segment_rules(ends[:, 0], ends[:, 1], 7)
     _, gaps = boundary_gaps(levelset, mesh, idx, pts, cfg)
     htil = mesh.cell_diameters[mesh.edge_cells[idx, 0]]
-    taus = np.array([np.max(d) for d in gaps]) / htil
+    taus = np.max(gaps, axis=1) / htil
     worst = int(np.argmax(taus)) if len(taus) else 0
     tau_hat = float(taus[worst]) if len(taus) else 0.0
-    rep = TauReport(idx.copy(), tau_hat, int(idx[worst]) if len(idx) else -1,
-                    cfg.tau_threshold)
+    rep = TauReport(idx.copy(), tau_hat, int(idx[worst]) if len(idx) else -1, TAU_THRESHOLD)
     if rep.exceeded:
         warnings.warn(
-            f"boundary-gap ratio tau_hat = {tau_hat:.3f} exceeds {cfg.tau_threshold} "
+            f"boundary-gap ratio tau_hat = {tau_hat:.3f} exceeds {TAU_THRESHOLD} "
             f"(worst edge {rep.worst_edge}); the corrected problem may be unstable",
             stacklevel=2,
         )

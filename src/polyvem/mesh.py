@@ -19,8 +19,6 @@ from .quadrature import (
     fan_check,
     polygon_rule,
     polygon_shoelace,
-    segment_lobatto_points,
-    segment_rule,
     map_batches,
     triangle_rules,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "MeshQualityReport",
     "cell_quadrature",
     "cell_quadratures",
-    "edge_quadrature",
-    "gauss_lobatto_nodes",
     "quality_report",
     "mesh_to_json",
     "mesh_from_json",
@@ -84,13 +80,6 @@ class PolygonalMesh:
 
     def cell_vertices(self, cell: int) -> np.ndarray:
         return self.vertices[self.cells[cell]]
-
-    def cell_edges(self, cell: int) -> list:
-        """Edge indices of a cell in loop order (edge i joins loop vertices i, i+1)."""
-        return self.cell_edge_ids[cell]
-
-    def boundary_edge_cell(self, edge: int) -> int:
-        return int(self.edge_cells[edge, 0])
 
 
 def build_mesh(
@@ -242,17 +231,6 @@ def _cell_rules(cells: list, mesh: PolygonalMesh, exactness: int) -> list:
         pts, wts = pts.reshape(len(cells), -1, 2), wts.reshape(len(cells), -1)
     return [QuadratureRule(p, w) if ok else cell_quadrature(mesh, c, exactness)
             for c, p, w, ok in zip(cells, pts, wts, full)]
-
-
-def edge_quadrature(mesh: PolygonalMesh, edge: int, exactness: int) -> QuadratureRule:
-    a, b = mesh.edges[edge]
-    return segment_rule(mesh.vertices[a], mesh.vertices[b], exactness)
-
-
-def gauss_lobatto_nodes(mesh: PolygonalMesh, edge: int, k: int) -> np.ndarray:
-    """The k+1 Gauss-Lobatto points of an edge (endpoints plus k-1 interior)."""
-    a, b = mesh.edges[edge]
-    return segment_lobatto_points(mesh.vertices[a], mesh.vertices[b], k)
 
 
 @dataclass(frozen=True)

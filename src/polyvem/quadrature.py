@@ -18,7 +18,7 @@ __all__ = [
     "gauss_legendre",
     "gauss_lobatto",
     "segment_rule",
-    "segment_lobatto_points",
+    "segment_rules",
     "triangle_rule",
     "triangle_rules",
     "box_rules",
@@ -85,7 +85,14 @@ def _points_for_exactness(exactness: int) -> int:
 
 
 def segment_rule(a, b, exactness: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the segment from a to b."""
+    """Gauss-Legendre rule on the segment from a to b (a batch of one of
+    `segment_rules`)."""
+    return QuadratureRule(*segment_rules(a, b, exactness))
+
+
+def segment_rules(a, b, exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rules on segments from a to b, each (..., 2): points
+    (..., n, 2) and weights (..., n)."""
     if exactness < 0:
         raise ValueError("exactness must be nonnegative")
     a = np.asarray(a, dtype=float)
@@ -93,21 +100,9 @@ def segment_rule(a, b, exactness: int) -> QuadratureRule:
     x, w = gauss_legendre(_points_for_exactness(exactness))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    pts = mid[None, :] + x[:, None] * half[None, :]
-    length = float(np.hypot(*(b - a)))
-    return QuadratureRule(pts, w * (0.5 * length))
-
-
-def segment_lobatto_points(a, b, k: int) -> np.ndarray:
-    """The k+1 Gauss-Lobatto points on the segment a..b (endpoints first/last)."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x, _ = gauss_lobatto(k + 1)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid[None, :] + x[:, None] * half[None, :]
+    pts = mid[..., None, :] + x[:, None] * half[..., None, :]
+    length = np.hypot(b[..., 0] - a[..., 0], b[..., 1] - a[..., 1])
+    return pts, w * (0.5 * length)[..., None]
 
 
 def triangle_rule(v0, v1, v2, exactness: int) -> QuadratureRule:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .curved import correction_data
-from .element import STABILIZATIONS, GlobalDofMap, build_all_elements, error_integrals
+from .element import STABILIZATIONS, GlobalDofMap, _mv, build_all_elements, error_integrals
 from .generators import (
     build_disk_approx_mesh,
     build_squares_approx_mesh,
@@ -30,11 +30,12 @@ from .levelset import CorrectionConfig, kstar_default, named_levelset, tau_repor
 from .linsys import condest_1norm, export_matrix_market, solve
 from .mesh import quality_report
 from .weakbc import (
-    BoundaryNorms,
+    EdgeTable,
     MultiplierSpace,
     WeakBcConfig,
     assemble_bh,
     assemble_nitsche,
+    check_number,
     edge_workspaces,
     recover_multiplier,
 )
@@ -175,14 +176,19 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name, low in (("k", 1), ("refine_steps", 0), ("lloyd_iters", 0)):
-            if not isinstance(getattr(self, name), (int, np.integer)) or getattr(self, name) < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
+            check_number(self, name, low, integer=True)
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("gamma", "alpha"):
+            check_number(self, name, 0)
         for name, known in _SPELLINGS.items():
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; known: {list(known)}")
-        if self.kstar != "auto" and not (isinstance(self.kstar, int) and 0 <= self.kstar <= self.k):
-            raise ValueError(f"unknown kstar {self.kstar!r}; known: 'auto' or an int "
-                             f"in [0, {self.k}]")
+        if self.kstar != "auto":
+            if (isinstance(self.kstar, bool) or not isinstance(self.kstar, (int, np.integer))
+                    or not 0 <= self.kstar <= self.k):
+                raise ValueError(f"unknown kstar {self.kstar!r}; known: 'auto' or an int "
+                                 f"in [0, {self.k}]")
+            object.__setattr__(self, "kstar", int(self.kstar))
 
     def bc_config(self) -> WeakBcConfig:
         method = _SPELLINGS["method"][self.method]
@@ -242,17 +248,18 @@ def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad) -> tuple[float, 
 
 
 def multiplier_error(mesh, elements, mult: MultiplierSpace, coeffs: np.ndarray,
-                     exact_grad, exactness: int, works: list | None = None) -> float:
-    """|| -grad(u).nu - lambda_h || in the htilde-weighted boundary norm over
-    the level's edge workspaces `works` (built here when None)."""
-    if works is None:
-        works = edge_workspaces(mesh, elements, GlobalDofMap(mesh, elements[0].k), mult,
+                     exact_grad, exactness: int, table: EdgeTable | None = None) -> float:
+    """|| -grad(u).nu - lambda_h || in the mesh-dependent multiplier norm
+    (sum_f htilde ||.||^2_f)^(1/2) over the level's edge table (built here
+    when None); block j of `coeffs` belongs to boundary edge j."""
+    if table is None:
+        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, elements[0].k), mult,
                                 exactness)
-
-    def flux(points, e):
-        return -(np.asarray(exact_grad(points), dtype=float) @ mesh.edge_normals[e])
-
-    return BoundaryNorms(works).minus_half_mult(coeffs, flux)
+    grad = np.asarray(exact_grad(table.points.reshape(-1, 2)), dtype=float)
+    flux = -_mv(grad.reshape(table.points.shape), mesh.edge_normals[table.edge])
+    err2 = (_mv(table.psi, coeffs.reshape(len(table.edge), -1)) - flux) ** 2
+    per_edge = table.htilde * (table.weights[:, None, :] @ err2[..., None])[:, 0, 0]
+    return float(np.sqrt(np.cumsum(per_edge)[-1]))  # summed in edge order
 
 
 def estimate_rates(errors, hbars, floor: float = 0.0) -> list:
@@ -333,8 +340,8 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
             result.n_dofs = dofmap.n_dofs
             elements = build_all_elements(mesh, spec.k, stab=spec.stab)
             mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
-            # one boundary pass: the workspaces and the gaps serve every consumer
-            works = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
+            # one boundary pass: the edge table and the gaps serve every consumer
+            table = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
             if spec.correction and ls is not None:
                 regime = "h_linear" if spec.mesh == "squares" else "h_squared"
                 ccfg = spec.correction_config(regime)
@@ -343,26 +350,26 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
                     tau = tau_report(ls, mesh, ccfg)
                 result.tau_hat = tau.tau_hat
                 result.tau_worst_edge = tau.worst_edge
-                works = correction_data(mesh, elements, mult, ls, cfg, ccfg, works=works)
+                table = correction_data(mesh, elements, mult, ls, cfg, ccfg, table=table)
 
             if cfg.method == "barbosa_hughes":
                 system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g,
-                                     works=works)
+                                     table=table)
                 x = solve(system)
                 u_dofs = x[:dofmap.n_dofs]
                 lam = x[dofmap.n_dofs:]
             else:
                 system = assemble_nitsche(mesh, elements, cfg, problem.f, problem.g,
-                                          works=works, mult=mult)
+                                          table=table, mult=mult)
                 u_dofs = solve(system)
                 lam = recover_multiplier(u_dofs, mesh, elements, cfg, problem.g,
-                                         mult=mult, works=works)
+                                         mult=mult, table=table)
 
             result.e1, result.e0 = compute_errors(mesh, elements, u_dofs,
                                                   problem.u, problem.grad_u)
             result.multiplier_err = multiplier_error(mesh, elements, mult, lam,
                                                      problem.grad_u,
-                                                     cfg.resolved_edge_exactness, works)
+                                                     cfg.resolved_edge_exactness, table)
             if spec.condest:
                 result.condest = condest_1norm(system)
             if spec.export_matrix:

@@ -7,7 +7,10 @@ adjacent-cell diameter), and the Nitsche system obtained from it by edge-local
 static condensation with gamma = 1/alpha when k' = k.
 
 Every edge integral of one assembly uses a single shared quadrature rule, so
-the condensation identity holds at roundoff level.
+the condensation identity holds at roundoff level.  A level's boundary edges
+form one `EdgeTable` of stacked arrays; each term is computed and scattered
+for all edges at once, and each stacked product makes, edge by edge, the
+floating-point operations of a one-edge computation.
 """
 
 from __future__ import annotations
@@ -17,24 +20,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EdgePolyBasis
-from .element import GlobalDofMap, lagrange_eval_matrix, load_vectors, map_element_batches
+from .element import (
+    GlobalDofMap,
+    _mv,
+    _sym,
+    _T,
+    lagrange_eval_matrix,
+    load_vectors,
+    map_element_batches,
+    stacked_basis,
+)
 from .linsys import LinearSystem, SaddlePartition, TripletBuilder
 from .mesh import PolygonalMesh
-from .quadrature import gauss_lobatto, segment_rule
+from .quadrature import gauss_lobatto, segment_rules
 
 __all__ = [
     "WeakBcConfig",
     "MultiplierSpace",
-    "BoundaryNorms",
+    "EdgeBatch",
+    "EdgeTable",
     "assemble_bh",
     "assemble_nitsche",
     "recover_multiplier",
-    "boundary_norms",
     "edge_workspaces",
 ]
 
 METHODS = ("barbosa_hughes", "nitsche")
+
+
+def check_number(obj, name: str, low, integer: bool = False) -> None:
+    """Raise a ValueError naming the field unless `obj.<name>` is an integer
+    >= low (integer) or a finite real > low; bools are neither."""
+    value = getattr(obj, name)
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if integer:
+        ok, what = ok and value >= low, f"an integer >= {low}"
+    else:
+        ok, what = ok and bool(np.isfinite(value)) and value > low, f"a finite number > {low}"
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,15 +81,14 @@ class WeakBcConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.k < 1:
-            raise ValueError("order k must be >= 1")
+        check_number(self, "k", 1, integer=True)
         kp = self.resolved_kprime
-        if kp not in (self.k, self.k - 1):
+        if isinstance(kp, bool) or kp not in (self.k, self.k - 1):
             raise ValueError("kprime must be k or k-1")
         if self.method == "nitsche" and kp != self.k:
             raise ValueError("the Nitsche formulation requires kprime = k")
-        if self.alpha <= 0 or self.gamma <= 0:
-            raise ValueError("alpha and gamma must be positive")
+        check_number(self, "alpha", 0)
+        check_number(self, "gamma", 0)
         if self.method == "barbosa_hughes" and self.alpha >= 0.25:
             warnings.warn(
                 f"alpha = {self.alpha} is large; the multiplier penalty is only "
@@ -88,7 +112,7 @@ class WeakBcConfig:
 @dataclass(frozen=True)
 class MultiplierSpace:
     """Discontinuous edge polynomials of degree k' on the boundary edges; the
-    k'+1 coefficients of edge workspace j start at j * (k'+1)."""
+    k'+1 coefficients of boundary edge j start at j * (k'+1)."""
 
     kprime: int
     n_edges: int
@@ -103,70 +127,94 @@ class MultiplierSpace:
 
 
 @dataclass(frozen=True)
-class EdgeWork:
-    """Precomputed quantities of one boundary edge shared by all assemblies
-    and boundary norms; the workspaces of a corrected level come from
+class EdgeBatch:
+    """The boundary edges whose adjacent cells have one DOF count."""
+
+    rows: np.ndarray          # (nb,) positions in the table's edge order
+    cell_dofs: np.ndarray     # (nb, n_cell) global DOFs of the adjacent cells
+    normal_deriv: np.ndarray  # (nb, nq, n_cell) of d_nu Pi-nabla
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """A level's boundary edges, stacked in `mesh.boundary_edges` order, with
+    the quadrature data shared by all assemblies, the multiplier recovery and
+    the boundary norm.  The table of a corrected level comes from
     `curved.correction_data`."""
 
-    edge: int
-    cell: int
-    htilde: float
-    points: np.ndarray
-    weights: np.ndarray
-    data_points: np.ndarray    # where the boundary datum g is sampled
-    cell_dofs: np.ndarray      # global DOFs of the adjacent cell
-    edge_dofs: np.ndarray      # global DOFs of the k+1 edge point values
-    trace: np.ndarray          # (nq, k+1) values of v restricted to the edge
-    normal_deriv: np.ndarray   # (nq, n_cell_dofs) of d_nu Pi-nabla
-    psi: np.ndarray            # (nq, k'+1) multiplier basis values
-    mass: np.ndarray           # multiplier mass matrix
-    correction: np.ndarray | None  # (nq, n_cell_dofs) Taylor field, None when flat
+    dofmap: GlobalDofMap
+    edge: np.ndarray          # (n,)
+    cell: np.ndarray          # (n,) the adjacent cells
+    htilde: np.ndarray        # (n,) their diameters
+    points: np.ndarray        # (n, nq, 2)
+    weights: np.ndarray       # (n, nq)
+    data_points: np.ndarray   # (n, nq, 2) where the boundary datum g is sampled
+    edge_dofs: np.ndarray     # (n, k+1) global DOFs of the edge point values
+    trace: np.ndarray         # (n, nq, k+1) values of v restricted to the edge
+    psi: np.ndarray           # (n, nq, k'+1) multiplier basis values
+    mass: np.ndarray          # (n, k'+1, k'+1) multiplier mass matrices
+    batches: tuple            # one EdgeBatch per adjacent-cell DOF count
+    correction: tuple | None = None  # per batch the (nb, nq, n_cell) Taylor field; None when flat
+
+    def data(self, g) -> np.ndarray:
+        """The boundary datum g at the data points, (n, nq)."""
+        return np.asarray(g(self.data_points.reshape(-1, 2)), dtype=float).reshape(self.weights.shape)
+
+    def with_corrections(self) -> zip:
+        """Each batch with its Taylor field (None when flat)."""
+        return zip(self.batches, self.correction or (None,) * len(self.batches))
 
 
 def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
-                    mult: MultiplierSpace, exactness: int) -> list:
-    """Per-boundary-edge quadrature data, in `mesh.boundary_edges` order."""
-    k = dofmap.k
-    glx, _ = gauss_lobatto(k + 1)
-    works = []
-    for e in mesh.boundary_edges:
-        cell = mesh.boundary_edge_cell(e)
-        el = elements[cell]
-        local = mesh.cell_edges(cell).index(int(e))
-        ends = mesh.vertices[mesh.edges[e]]
-        rule = segment_rule(*ends, exactness)
+                    mult: MultiplierSpace, exactness: int) -> EdgeTable:
+    """The level's boundary edge table, built in array passes."""
+    k, m = dofmap.k, mult.kprime + 1
+    edge = mesh.boundary_edges
+    cell = mesh.edge_cells[edge, 0]
+    ends = mesh.vertices[mesh.edges[edge]]
+    points, weights = segment_rules(ends[:, 0], ends[:, 1], exactness)
 
-        loop = mesh.cells[cell]
-        va = mesh.vertices[loop[local]]
-        vb = mesh.vertices[loop[(local + 1) % len(loop)]]
-        mid = 0.5 * (va + vb)
-        length = el.edge_lengths[local]
-        t = 2.0 * ((rule.points - mid) @ (vb - va)) / length**2
-        trace = lagrange_eval_matrix(glx, t)
+    # the multiplier basis: powers of the arclength from the midpoint over the length
+    d = ends[:, 1] - ends[:, 0]
+    length = np.hypot(d[:, 0], d[:, 1])
+    s = _mv(points - (0.5 * (ends[:, 0] + ends[:, 1]))[:, None, :], d / length[:, None])
+    s = s / length[:, None]
+    psi = np.vander(s.ravel(), m, increasing=True).reshape(s.shape + (m,)) @ np.eye(m)
+    mass = _T(psi) @ (weights[..., None] * psi)
 
-        gx, gy = el.basis.eval_gradient(rule.points)
-        nrm = el.edge_normals[local]
-        normal_deriv = (nrm[0] * gx + nrm[1] * gy) @ el.pinabla
+    # each boundary edge is the only half-edge of its cell's loop to run
+    # along it: from the vertex at local position `local` to the one at `nxt`
+    nv = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
+    tails = np.concatenate(mesh.cells)
+    half = np.empty(mesh.n_edges, dtype=np.int64)
+    half[np.concatenate(mesh.cell_edge_ids)] = np.arange(len(tails))
+    half = half[edge]
+    local = half - (np.cumsum(nv) - nv)[cell]
+    nxt = np.where(local + 1 == nv[cell], 0, local + 1)
+    va, vb = mesh.vertices[tails[half]], mesh.vertices[tails[half - local + nxt]]
+    length2 = np.array([float(h) ** 2 for h in mesh.edge_lengths[edge]])  # C pow, not h * h
+    t = 2.0 * _mv(points - (0.5 * (va + vb))[:, None, :], vb - va) / length2[:, None]
 
-        psi = EdgePolyBasis.for_edge(*ends, mult.kprime).eval(rule.points)
-        mass = psi.T @ (rule.weights[:, None] * psi)
-        cell_dofs = dofmap.cell_dofs(cell)
-        works.append(EdgeWork(
-            edge=int(e),
-            cell=cell,
-            htilde=float(mesh.cell_diameters[cell]),
-            points=rule.points,
-            weights=rule.weights,
-            data_points=rule.points,
-            cell_dofs=cell_dofs,
-            edge_dofs=cell_dofs[el.layout.edge_point_dofs(local)],
-            trace=trace,
-            normal_deriv=normal_deriv,
-            psi=psi,
-            mass=0.5 * (mass + mass.T),
-            correction=None,
-        ))
-    return works
+    # local DOFs of the edge: vertex, interior nodes, next vertex
+    inner = nv[cell, None] + local[:, None] * (k - 1) + np.arange(k - 1)
+    local_dofs = np.concatenate([local[:, None], inner, nxt[:, None]], axis=1)
+    edge_dofs = dofmap.dofs[dofmap.offsets[cell, None] + local_dofs]
+
+    n_cell = np.diff(dofmap.offsets)[cell]
+    batches = []
+    for size in np.unique(n_cell):
+        rows = np.flatnonzero(n_cell == size)
+        els = [elements[c] for c in cell[rows]]
+        gx, gy = stacked_basis(els).eval_gradient(points[rows])
+        nrm = mesh.edge_normals[edge[rows]][:, None, None, :]
+        normal_deriv = (nrm[..., 0] * gx + nrm[..., 1] * gy) @ np.stack([el.pinabla for el in els])
+        cell_dofs = dofmap.dofs[dofmap.offsets[cell[rows], None] + np.arange(size)]
+        batches.append(EdgeBatch(rows, cell_dofs, normal_deriv))
+    return EdgeTable(
+        dofmap=dofmap, edge=edge, cell=cell, htilde=mesh.cell_diameters[cell],
+        points=points, weights=weights, data_points=points, edge_dofs=edge_dofs,
+        trace=lagrange_eval_matrix(gauss_lobatto(k + 1)[0], t), psi=psi, mass=_sym(mass), batches=tuple(batches),
+    )
 
 
 def _check_elements(elements: list, cfg: WeakBcConfig):
@@ -192,185 +240,127 @@ def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, elements, dofmap, 
 
 
 def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
-                cfg: WeakBcConfig, f, g, works: list | None = None) -> LinearSystem:
+                cfg: WeakBcConfig, f, g, table: EdgeTable | None = None) -> LinearSystem:
     """Assemble the stabilized-multiplier saddle system.
 
     Unknowns are (u, lambda); the multiplier couples through the boundary
     mass and the residual penalty -alpha * htilde * (lambda + dn u, mu + dn v).
-    g is sampled at each workspace's `data_points`; a workspace's Taylor
-    `correction` enters the multiplier-row coupling only, which makes the
-    system non-symmetric.
+    g is sampled at the table's `data_points`; its Taylor `correction` enters
+    the multiplier-row coupling only, which makes the system non-symmetric.
+    The table (built here when None) also gives the DOF map.
     """
     _check_elements(elements, cfg)
-    dofmap = GlobalDofMap(mesh, cfg.k)
-    if works is None:
-        works = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
+    if table is None:
+        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k), mult,
+                                cfg.resolved_edge_exactness)
+    dofmap = table.dofmap
     nu = dofmap.n_dofs
     n = nu + mult.dim
-    alpha = cfg.alpha
     builder = TripletBuilder(n)
     rhs = np.zeros(n)
     _scatter_volume(builder, rhs, elements, dofmap, f)
 
     m = mult.kprime + 1
-    for j, w in enumerate(works):
-        lam = nu + j * m + np.arange(m)
-        ah = alpha * w.htilde
-        wq = w.weights
+    lam = nu + np.arange(mult.dim).reshape(-1, m)
+    ah = -(cfg.alpha * table.htilde)[:, None, None]  # -alpha * htilde
+    wq = table.weights[..., None]
+    psi_t = _T(table.psi)
+    coupling = psi_t @ (wq * table.trace)  # multiplier row: the same block enters transposed
+    builder.add_block(lam, table.edge_dofs, coupling)
+    builder.add_block(table.edge_dofs, lam, _T(coupling))
+    builder.add_block(lam, lam, ah * table.mass)
+    for b, corr in table.with_corrections():
+        nd, lam_b, w_b = b.normal_deriv, lam[b.rows], wq[b.rows]
+        N = psi_t[b.rows] @ (w_b * nd)
+        builder.add_block(b.cell_dofs, b.cell_dofs, ah[b.rows] * _sym(_T(nd) @ (w_b * nd)))
+        builder.add_block(lam_b, b.cell_dofs, ah[b.rows] * N)
+        builder.add_block(b.cell_dofs, lam_b, ah[b.rows] * _T(N))
+        if corr is not None:
+            builder.add_block(lam_b, b.cell_dofs, psi_t[b.rows] @ (w_b * corr))
+    rhs[nu:] += _mv(psi_t, table.weights * table.data(g)).ravel()
 
-        T = w.psi.T @ (wq[:, None] * w.trace)              # (m, k+1)
-        N = w.psi.T @ (wq[:, None] * w.normal_deriv)       # (m, n_cell)
-        pen = w.normal_deriv.T @ (wq[:, None] * w.normal_deriv)
-        pen = 0.5 * (pen + pen.T)
-
-        builder.add_block(w.cell_dofs, w.cell_dofs, -ah * pen)
-        coupling_cols = T  # multiplier row: the same block enters transposed
-        builder.add_block(lam, w.edge_dofs, coupling_cols)
-        builder.add_block(w.edge_dofs, lam, coupling_cols.T)
-        builder.add_block(lam, w.cell_dofs, -ah * N)
-        builder.add_block(w.cell_dofs, lam, -ah * N.T)
-        builder.add_block(lam, lam, -ah * w.mass)
-        if w.correction is not None:
-            builder.add_block(lam, w.cell_dofs, w.psi.T @ (wq[:, None] * w.correction))
-
-        rhs[lam] += w.psi.T @ (wq * np.asarray(g(w.data_points), dtype=float))
-
-    blocks = [(j * m, m) for j in range(len(works))]
-    partition = SaddlePartition(n_primal=nu, blocks=blocks,
-                                edge_ids=[w.edge for w in works])
+    partition = SaddlePartition(n_primal=nu, blocks=[(j * m, m) for j in range(len(lam))],
+                                edge_ids=table.edge.tolist())
     return LinearSystem(matrix=builder.compress(), rhs=rhs,
-                        symmetric=all(w.correction is None for w in works), partition=partition)
+                        symmetric=table.correction is None, partition=partition)
 
 
 def assemble_nitsche(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig, f, g,
-                     works: list | None = None,
+                     table: EdgeTable | None = None,
                      mult: MultiplierSpace | None = None) -> LinearSystem:
     """Assemble the penalty (Nitsche) system over the primal DOFs.
 
-    The boundary data, sampled at each workspace's `data_points`, enters
-    through its edgewise L2 projection onto the multiplier space, evaluated
-    with the same quadrature as all other edge terms.  A workspace's Taylor
-    `correction` is tested against dn v - gamma/htilde * v.
+    The boundary data, sampled at the table's `data_points`, enters through
+    its edgewise L2 projection onto the multiplier space, evaluated with the
+    same quadrature as all other edge terms.  The table's Taylor
+    `correction` is tested against dn v - gamma/htilde * v.  The table (built
+    here when None) also gives the DOF map.
     """
     _check_elements(elements, cfg)
-    dofmap = GlobalDofMap(mesh, cfg.k)
-    if mult is None:
-        mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
-    if works is None:
-        works = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
+    if table is None:
+        mult = mult or MultiplierSpace.create(mesh, cfg.resolved_kprime)
+        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k), mult,
+                                cfg.resolved_edge_exactness)
+    dofmap = table.dofmap
     nu = dofmap.n_dofs
-    gamma = cfg.gamma
     builder = TripletBuilder(nu)
     rhs = np.zeros(nu)
     _scatter_volume(builder, rhs, elements, dofmap, f)
 
-    for w in works:
-        wq = w.weights
-        gh_scale = gamma / w.htilde
+    wq = table.weights
+    scale = (cfg.gamma / table.htilde)[:, None, None]  # gamma / htilde
+    trace_t = _T(table.trace)
+    builder.add_block(table.edge_dofs, table.edge_dofs,
+                      scale * _sym(trace_t @ (wq[..., None] * table.trace)))
+    proj = np.linalg.solve(table.mass, _mv(_T(table.psi), wq * table.data(g))[..., None])
+    gh = _mv(table.psi, proj[..., 0])
 
-        cross = w.trace.T @ (wq[:, None] * w.normal_deriv)  # (k+1, n_cell)
-        muv = w.trace.T @ (wq[:, None] * w.trace)
-        muv = 0.5 * (muv + muv.T)
-        builder.add_block(w.edge_dofs, w.cell_dofs, -cross)
-        builder.add_block(w.cell_dofs, w.edge_dofs, -cross.T)
-        builder.add_block(w.edge_dofs, w.edge_dofs, gh_scale * muv)
+    # the right side takes, edge after edge, the edge DOFs' term and then the
+    # cell DOFs' one: one np.add.at over that order
+    k1 = table.edge_dofs.shape[1]
+    size = k1 + np.diff(dofmap.offsets)[table.cell]
+    start = np.cumsum(size) - size
+    at, terms = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum())
+    pos = start[:, None] + np.arange(k1)
+    at[pos], terms[pos] = table.edge_dofs, scale[..., 0] * _mv(trace_t, wq * gh)
 
-        gv = np.asarray(g(w.data_points), dtype=float)
-        gh = w.psi @ np.linalg.solve(w.mass, w.psi.T @ (wq * gv))
-        rhs[w.edge_dofs] += gh_scale * (w.trace.T @ (wq * gh))
-        rhs[w.cell_dofs] -= w.normal_deriv.T @ (wq * gh)
+    for b, corr in table.with_corrections():
+        nd, ed, w_b = b.normal_deriv, table.edge_dofs[b.rows], wq[b.rows, :, None]
+        cross = trace_t[b.rows] @ (w_b * nd)
+        builder.add_block(ed, b.cell_dofs, -cross)
+        builder.add_block(b.cell_dofs, ed, -_T(cross))
+        pos = start[b.rows, None] + k1 + np.arange(b.cell_dofs.shape[1])
+        at[pos] = b.cell_dofs
+        terms[pos] = -_mv(_T(nd), wq[b.rows] * gh[b.rows])
+        if corr is not None:
+            builder.add_block(b.cell_dofs, b.cell_dofs, -(_T(nd) @ (w_b * corr)))
+            builder.add_block(ed, b.cell_dofs, scale[b.rows] * (trace_t[b.rows] @ (w_b * corr)))
+    np.add.at(rhs, at, terms)
 
-        if w.correction is not None:
-            dn_block = w.normal_deriv.T @ (wq[:, None] * w.correction)
-            tr_block = w.trace.T @ (wq[:, None] * w.correction)
-            builder.add_block(w.cell_dofs, w.cell_dofs, -dn_block)
-            builder.add_block(w.edge_dofs, w.cell_dofs, gh_scale * tr_block)
-
-    return LinearSystem(matrix=builder.compress(), rhs=rhs,
-                        symmetric=all(w.correction is None for w in works))
+    return LinearSystem(matrix=builder.compress(), rhs=rhs, symmetric=table.correction is None)
 
 
 def recover_multiplier(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: list,
                        cfg: WeakBcConfig, g, mult: MultiplierSpace | None = None,
-                       works: list | None = None) -> np.ndarray:
+                       table: EdgeTable | None = None) -> np.ndarray:
     """Edge-by-edge multiplier recovery from a penalty-system solution:
     lambda = gamma/htilde * proj(u - g) - dn u (plus the projected Taylor
     correction on curved domains).  No global solve."""
-    if mult is None:
-        mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
-    if works is None:
-        works = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k), mult,
+    if table is None:
+        mult = mult or MultiplierSpace.create(mesh, cfg.resolved_kprime)
+        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k), mult,
                                 cfg.resolved_edge_exactness)
-    gamma = cfg.gamma
-    out = np.zeros((len(works), mult.kprime + 1))
-    for j, w in enumerate(works):
-        wq = w.weights
-        uloc = u_dofs[w.cell_dofs]
-        uvals = w.trace @ u_dofs[w.edge_dofs]
-        resid = uvals - np.asarray(g(w.data_points), dtype=float)
-        if w.correction is not None:
-            resid = resid + w.correction @ uloc
-        rhsv = (gamma / w.htilde) * (w.psi.T @ (wq * resid))
-        # the normal-derivative term lies in the multiplier space already, so
-        # projecting it is exact; assembled this way for one mass solve
-        out[j] = np.linalg.solve(w.mass, rhsv - w.psi.T @ (wq * (w.normal_deriv @ uloc)))
+    wq = table.weights
+    resid = _mv(table.trace, u_dofs[table.edge_dofs]) - table.data(g)
+    flux = np.empty_like(resid)  # dn u at the quadrature points
+    for b, corr in table.with_corrections():
+        uloc = u_dofs[b.cell_dofs]
+        if corr is not None:
+            resid[b.rows] = resid[b.rows] + _mv(corr, uloc)
+        flux[b.rows] = _mv(b.normal_deriv, uloc)
+    psi_t = _T(table.psi)
+    rhsv = (cfg.gamma / table.htilde)[:, None] * _mv(psi_t, wq * resid)
+    # the normal-derivative term lies in the multiplier space already, so
+    # projecting it is exact; assembled this way for one mass solve
+    out = np.linalg.solve(table.mass, (rhsv - _mv(psi_t, wq * flux))[..., None])
     return out.ravel()
-
-
-@dataclass(frozen=True)
-class BoundaryNorms:
-    """Mesh-dependent boundary norms over a level's edge workspaces, weighted
-    by the adjacent-cell diameter htilde and integrated with their quadrature.
-
-    minus_half: (sum_f htilde ||.||^2_f)^(1/2)      (multiplier norm)
-    half:       (sum_f htilde^-1 ||.||^2_f)^(1/2)   (trace norm)
-    one(u):     (a_h-energy + ||proj u||^2_half)^(1/2) for VEM DOF vectors
-    """
-
-    works: list
-
-    def _accumulate(self, values, weight_fn) -> float:
-        total = 0.0
-        for j, w in enumerate(self.works):
-            vals = np.asarray(values(j, w), dtype=float)
-            total += weight_fn(w.htilde) * float(w.weights @ vals**2)
-        return float(np.sqrt(total))
-
-    def minus_half(self, fn) -> float:
-        """fn(points, edge) -> values on the boundary."""
-        return self._accumulate(lambda j, w: fn(w.points, w.edge), lambda h: h)
-
-    def half(self, fn) -> float:
-        return self._accumulate(lambda j, w: fn(w.points, w.edge), lambda h: 1.0 / h)
-
-    def minus_half_mult(self, coeffs: np.ndarray, fn=None) -> float:
-        """Norm of a discrete multiplier, optionally shifted by -fn; block j of
-        `coeffs` belongs to workspace j."""
-        blocks = coeffs.reshape(len(self.works), -1)
-
-        def ev(j, w):
-            vals = w.psi @ blocks[j]
-            if fn is not None:
-                vals = vals - np.asarray(fn(w.points, w.edge), dtype=float)
-            return vals
-
-        return self._accumulate(ev, lambda h: h)
-
-    def one(self, elements: list, dofmap: GlobalDofMap, u_dofs: np.ndarray) -> float:
-        locs = dofmap.local_values(u_dofs)
-        energy = 0.0
-        for el in elements:
-            energy += float(locs[el.cell] @ el.stiffness @ locs[el.cell])
-        half_sq = 0.0
-        for w in self.works:
-            uv = w.trace @ u_dofs[w.edge_dofs]
-            proj = w.psi @ np.linalg.solve(w.mass, w.psi.T @ (w.weights * uv))
-            half_sq += float(w.weights @ proj**2) / w.htilde
-        return float(np.sqrt(energy + half_sq))
-
-
-def boundary_norms(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig) -> BoundaryNorms:
-    """Boundary norms over newly built edge workspaces of `elements`."""
-    return BoundaryNorms(edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k),
-                                         MultiplierSpace.create(mesh, cfg.resolved_kprime),
-                                         cfg.resolved_edge_exactness))

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from polyvem import build_structured_mesh
 from polyvem.basis import (
     CellPolyBasis,
-    EdgePolyBasis,
     cell_basis_dim,
     directional_derivative_matrix,
     gram_matrix,
     monomial_exponents,
     orthonormalize,
 )
-from polyvem.quadrature import polygon_rule, segment_rule
+from polyvem.element import GlobalDofMap, build_all_elements
+from polyvem.quadrature import polygon_rule
+from polyvem.weakbc import MultiplierSpace, edge_workspaces
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -140,20 +142,32 @@ def test_directional_derivative_finite_difference():
     assert abs(fd[0] - exact[0]) <= 1e-8
 
 
+def test_directional_derivative_matrix_stacked():
+    # a stack of bases with one direction each gives each basis's matrix
+    rng = np.random.default_rng(9)
+    bases = [square_basis(3, "ortho")[0], CellPolyBasis(3, (0.2, -0.1), 0.7)]
+    ang = rng.uniform(0.0, 2.0 * np.pi, 2)
+    sig = np.column_stack([np.cos(ang), np.sin(ang)])
+    stacked = CellPolyBasis(3, np.stack([b.center for b in bases]),
+                            np.array([b.diameter for b in bases]),
+                            coef=np.stack([b.coef for b in bases]))
+    for j in (0, 1, 2):
+        got = directional_derivative_matrix(stacked, sig, j)
+        for b, s, m in zip(bases, sig, got):
+            assert np.array_equal(m, directional_derivative_matrix(b, s, j))
+    with pytest.raises(ValueError, match="unit"):
+        directional_derivative_matrix(stacked, [[1.0, 0.0], [1.0, 1.0]], 1)
+
+
 def test_edge_basis_dim_and_scaling():
-    eb = EdgePolyBasis.for_edge((0, 0), (2, 0), 3)
-    assert eb.dim == 4
-    pts = np.array([[1.0, 0.0], [2.0, 0.0]])
-    vals = eb.eval(pts)
-    np.testing.assert_allclose(vals[0], [1, 0, 0, 0], atol=1e-15)  # midpoint
-    np.testing.assert_allclose(vals[1], [1, 0.5, 0.25, 0.125], atol=1e-15)
-
-
-def test_edge_basis_gram_orthonormal():
-    eb = EdgePolyBasis.for_edge((0.3, 0.4), (1.1, -0.2), 3)
-    rule = segment_rule((0.3, 0.4), (1.1, -0.2), 8)
-    g = gram_matrix(eb, rule)
-    assert np.all(np.linalg.eigvalsh(g) > 0)
-    ob = orthonormalize(eb, rule)
-    g2 = gram_matrix(ob, rule)
-    assert np.max(np.abs(g2 - np.eye(ob.dim))) <= 1e-10
+    # the multiplier basis of each boundary edge: powers of the arclength
+    # from the edge midpoint over the edge length
+    mesh = build_structured_mesh((0, 0, 2, 2), 1, 1)
+    table = edge_workspaces(mesh, build_all_elements(mesh, 3), GlobalDofMap(mesh, 3),
+                            MultiplierSpace.create(mesh, 3), 8)
+    assert table.psi.shape == (4, 5, 4)
+    for j, e in enumerate(table.edge):
+        a, b = mesh.vertices[mesh.edges[e]]
+        s = (table.points[j] - 0.5 * (a + b)) @ (b - a) / 4.0
+        assert np.all(np.abs(s) < 0.5)
+        np.testing.assert_allclose(table.psi[j], s[:, None] ** np.arange(4), rtol=0, atol=1e-15)

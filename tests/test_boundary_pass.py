@@ -15,6 +15,8 @@ from polyvem import build_disk_approx_mesh, build_squares_approx_mesh
 from polyvem.curved import correction_data
 from polyvem.element import build_all_elements
 from polyvem.levelset import (
+    DELTA_MAX_FACTOR,
+    ROOT_TOL,
     CorrectionConfig,
     LevelSetDomain,
     boundary_gaps,
@@ -71,12 +73,12 @@ def _draw(name, rng, n=300):
     return ls, pts[order], sig[order]
 
 
-def _scalar_delta(ls, x, sigma, cfg, scale):
+def _scalar_delta(ls, x, sigma, scale):
     """Point-at-a-time statement of the gap search the kernel must reproduce
     bit for bit: sign scan, bisection, Newton polish (errors left out)."""
-    if abs(ls.value(x)) <= cfg.root_tol:
+    if abs(ls.value(x)) <= ROOT_TOL:
         return 0.0
-    ts = np.linspace(0.0, cfg.delta_max_factor * scale, 65)
+    ts = np.linspace(0.0, DELTA_MAX_FACTOR * scale, 65)
     i = int(np.nonzero(ls.f(x[None, :] + ts[:, None] * sigma[None, :]) >= 0.0)[0][0])
     lo, hi = ts[max(i - 1, 0)], ts[i]
     while hi - lo > 1e-10:
@@ -115,34 +117,33 @@ def test_delta_many_equals_per_point_delta(name, seed):
     rng = np.random.default_rng(seed)
     ls, pts, sig = _draw(name, rng)
     _, reach = DOMAINS[name]
-    cfg = CorrectionConfig()
     # per-point directions and scales, every bracket long enough
     scale = reach * (1.0 + rng.random(len(pts)))
-    got = delta_many(ls, pts, sig, cfg, scale)
-    want = np.array([delta(ls, p, s, cfg, h) for p, s, h in zip(pts, sig, scale)])
+    got = delta_many(ls, pts, sig, scale)
+    want = np.array([delta(ls, p, s, h) for p, s, h in zip(pts, sig, scale)])
     assert np.array_equal(got, want)
-    ref = [_scalar_delta(ls, p, s, cfg, h) for p, s, h in zip(pts, sig, scale)]
+    ref = [_scalar_delta(ls, p, s, h) for p, s, h in zip(pts, sig, scale)]
     assert np.array_equal(got, ref)
     assert np.all(got >= 0.0) and np.any(got == 0.0) and np.any(got > 0.0)
     # one shared direction and scale, from interior points only
     inner = pts[ls.f(pts) < -1e-9]
-    got = delta_many(ls, inner, sig[0], cfg, 2.0 * reach)
-    assert np.array_equal(got, [delta(ls, p, sig[0], cfg, 2.0 * reach) for p in inner])
+    got = delta_many(ls, inner, sig[0], 2.0 * reach)
+    assert np.array_equal(got, [delta(ls, p, sig[0], 2.0 * reach) for p in inner])
 
 
 def test_delta_just_outside_is_zero():
-    # root_tol < F(x) <= 1e-10: accepted as on the boundary, and the scan
+    # ROOT_TOL < F(x) <= 1e-10: accepted as on the boundary, and the scan
     # hits at its first node, so the bracket is [0, 0], not [tmax, 0]
-    ls, cfg = circle(), CorrectionConfig()
+    ls = circle()
     near = [(1.0 + 2.5e-11, 0.0), (1.0 + 5e-13, 0.0)]
     for p in near:
-        assert cfg.root_tol < ls.value(p) <= 1e-10
+        assert ROOT_TOL < ls.value(p) <= 1e-10
         assert delta(ls, p, (1.0, 0.0)) == 0.0
     pts = np.array(near + [(0.5, 0.0), (0.0, 0.3), (0.6, 0.8)])
     sig = np.array([(1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
-    got = delta_many(ls, pts, sig, cfg)
-    assert np.array_equal(got, [delta(ls, p, s, cfg) for p, s in zip(pts, sig)])
-    assert np.array_equal(got, [_scalar_delta(ls, p, s, cfg, 1.0) for p, s in zip(pts, sig)])
+    got = delta_many(ls, pts, sig)
+    assert np.array_equal(got, [delta(ls, p, s) for p, s in zip(pts, sig)])
+    assert np.array_equal(got, [_scalar_delta(ls, p, s, 1.0) for p, s in zip(pts, sig)])
     assert got[0] == got[1] == 0.0 and np.all(got[2:4] > 0.0)
 
 
@@ -164,7 +165,7 @@ def test_delta_many_raises_first_per_point_error(name):
 
 # -- errors of the batched passes name the edge -------------------------------
 
-def _disk_case(case):
+def _disk_case(case, monkeypatch):
     """(level set, mesh, correction config) that make one root search fail."""
     ls = circle()
     mesh = build_disk_approx_mesh(ls, 24, 3)
@@ -181,7 +182,7 @@ def _disk_case(case):
                             ls.interior_point, ls.bounding_box)
         cfg = CorrectionConfig(kstar=1, sigma_strategy="distance_gradient")
     elif case == "short":
-        cfg = CorrectionConfig(kstar=1, sigma_strategy="edge_normal", delta_max_factor=1e-6)
+        monkeypatch.setattr(levelset_module, "DELTA_MAX_FACTOR", 1e-6)
     elif case == "stalled":
         # a jump across the circle: the scan brackets it, Newton has no slope
         ls = LevelSetDomain("step", lambda p: np.where(circle().f(p) < 0.0, -1.0, 1.0),
@@ -193,8 +194,8 @@ def _disk_case(case):
 def _per_edge_error(ls, mesh, cfg, exactness):
     """The first error of the per-edge loop of per-point searches."""
     def one(e, p):
-        h = mesh.cell_diameters[mesh.boundary_edge_cell(e)]
-        delta(ls, p, choose_sigma(ls, mesh, [e], cfg)[0], cfg, h, context=f" (edge {e})")
+        h = mesh.cell_diameters[mesh.edge_cells[e, 0]]
+        delta(ls, p, choose_sigma(ls, mesh, [e], cfg)[0], h, context=f" (edge {e})")
 
     items = [(e, p) for e in mesh.boundary_edges
              for p in segment_rule(*mesh.vertices[mesh.edges[e]], exactness).points]
@@ -207,8 +208,8 @@ KINDS = {"outside": "outside the domain", "inward": "no boundary crossing",
 
 @pytest.mark.parametrize("case", sorted(KINDS))
 @pytest.mark.parametrize("pass_name", ["tau_report", "correction_data"])
-def test_batched_pass_error_names_edge_and_point(case, pass_name):
-    ls, mesh, cfg = _disk_case(case)
+def test_batched_pass_error_names_edge_and_point(case, pass_name, monkeypatch):
+    ls, mesh, cfg = _disk_case(case, monkeypatch)
     k = 2
     bc = WeakBcConfig(method="nitsche", k=k, gamma=1e3)
     exactness = 7 if pass_name == "tau_report" else bc.resolved_edge_exactness
@@ -287,7 +288,7 @@ def test_star_gaps_match_dense_search(base, steps):
     nq = [len(p) for p in pts]
     scale = np.repeat(mesh.cell_diameters[mesh.edge_cells[edges, 0]], nq)
     want = _dense_gaps(ls, np.concatenate(pts), np.repeat(sigmas, nq, axis=0),
-                       cfg.delta_max_factor * scale, cfg.root_tol)
+                       DELTA_MAX_FACTOR * scale, ROOT_TOL)
     assert np.max(np.abs(np.concatenate(gaps) - want)) <= 1e-10
 
 
@@ -317,7 +318,6 @@ def test_star_edge_normal_miss_names_edge():
 def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correction, sigma,
                                                    passes):
     counts = {"root_passes": 0, "workspaces": 0, "edge_rules": 0, "sigma_grads": 0}
-    boundary_edges = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -330,26 +330,21 @@ def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correcti
         return choose_sigma(dataclasses.replace(levelset, grad=grad), *args)
 
     edge_workspaces = counted("workspaces", weakbc_module.edge_workspaces)
-
-    def ws(mesh, *args):
-        boundary_edges.append(len(mesh.boundary_edges))
-        return edge_workspaces(mesh, *args)
-
     monkeypatch.setattr(levelset_module, "delta_many",
                         counted("root_passes", levelset_module.delta_many))
     monkeypatch.setattr(levelset_module, "choose_sigma", sigma_counted)
-    monkeypatch.setattr(weakbc_module, "segment_rule",
-                        counted("edge_rules", weakbc_module.segment_rule))
+    monkeypatch.setattr(weakbc_module, "segment_rules",
+                        counted("edge_rules", weakbc_module.segment_rules))
     for module in (weakbc_module, curved_module, study_module):
-        monkeypatch.setattr(module, "edge_workspaces", ws)
+        monkeypatch.setattr(module, "edge_workspaces", edge_workspaces)
     spec = ProblemSpec(problem="disk", k=2, mesh="disk", method=method,
                        correction=correction, sigma=sigma)
     rep = run_study(spec, 1)
     assert rep.levels[0].error is None
     assert (rep.levels[0].tau_worst_edge is not None) == correction
     # the tau audit and the correction data are the only root searches, each
-    # with one gradient call for all its directions; one quadrature rule per
-    # boundary edge serves the assembly, the recovery and the boundary norms
-    assert counts == {"root_passes": passes, "workspaces": 1,
-                      "edge_rules": boundary_edges[0],
+    # with one gradient call for all its directions; one stacked quadrature
+    # call for the level's boundary edges serves the assembly, the recovery
+    # and the boundary norm
+    assert counts == {"root_passes": passes, "workspaces": 1, "edge_rules": 1,
                       "sigma_grads": passes if sigma == "distance-gradient" else 0}

@@ -54,10 +54,10 @@ def test_correction_data_kstar0_empty():
     els = build_all_elements(mesh, 2)
     mult = MultiplierSpace.create(mesh, 2)
     cfg = WeakBcConfig(method="barbosa_hughes", k=2, alpha=1e-3)
-    works = correction_data(mesh, els, mult, ls, cfg,
+    table = correction_data(mesh, els, mult, ls, cfg,
                             CorrectionConfig(kstar=0, sigma_strategy="edge_normal"))
-    assert len(works) == len(mesh.boundary_edges)
-    assert all(w.correction is None for w in works)
+    assert np.array_equal(table.edge, mesh.boundary_edges)
+    assert table.correction is None
 
 
 def test_correction_block_oracle_single_edge():
@@ -69,20 +69,21 @@ def test_correction_block_oracle_single_edge():
     mult = MultiplierSpace.create(mesh, k)
     cfgb = WeakBcConfig(method="barbosa_hughes", k=k, alpha=1e-3)
     ccfg = CorrectionConfig(kstar=1, sigma_strategy="edge_normal")
-    works = correction_data(mesh, els, mult, ls, cfgb, ccfg)
-    sigmas, gaps = boundary_gaps(ls, mesh, [w.edge for w in works],
-                                 [w.points for w in works], ccfg)
+    table = correction_data(mesh, els, mult, ls, cfgb, ccfg)
+    sigmas, gaps = boundary_gaps(ls, mesh, table.edge, table.points, ccfg)
     rng = np.random.default_rng(4)
-    for w, sigma, ds in list(zip(works, sigmas, gaps))[:4]:
-        el = els[w.cell]
-        block = w.psi.T @ (w.weights[:, None] * w.correction)  # multiplier-row coupling
-        coeffs = rng.standard_normal(el.basis.dim)
-        dofs_p = el.dof_of_poly @ coeffs  # DOFs of a known polynomial p
-        got = block @ dofs_p  # integral of (delta d_sigma p) psi_j
-        m1 = directional_derivative_matrix(el.basis, sigma, 1)
-        dp_vals = el.basis.eval(w.points) @ (m1 @ coeffs)
-        want = w.psi.T @ (w.weights * (ds * dp_vals))
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    for batch, corr in zip(table.batches, table.correction):
+        for j, field in list(zip(batch.rows, corr))[:2]:
+            el = els[table.cell[j]]
+            psi, wq = table.psi[j], table.weights[j]
+            block = psi.T @ (wq[:, None] * field)  # multiplier-row coupling
+            coeffs = rng.standard_normal(el.basis.dim)
+            dofs_p = el.dof_of_poly @ coeffs  # DOFs of a known polynomial p
+            got = block @ dofs_p  # integral of (delta d_sigma p) psi_j
+            m1 = directional_derivative_matrix(el.basis, sigmas[j], 1)
+            dp_vals = el.basis.eval(table.points[j]) @ (m1 @ coeffs)
+            want = psi.T @ (wq * (gaps[j] * dp_vals))
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_degeneration_to_flat_assemblies():
@@ -131,14 +132,13 @@ def test_taylor_transfer_consistency_slope():
 
     def gap_residual(n, kstar):
         mesh = build_disk_approx_mesh(ls, n, 1)
-        cfg = CorrectionConfig(kstar=kstar, sigma_strategy="edge_normal")
         worst = 0.0
         dmax = 0.0
         for e in mesh.boundary_edges:
             mid = mesh.edge_midpoints[e]
             sig = mesh.edge_normals[e]
-            d = delta_many(ls, mid[None, :], sig, cfg,
-                           scale=mesh.cell_diameters[mesh.boundary_edge_cell(e)])[0]
+            d = delta_many(ls, mid[None, :], sig,
+                           scale=mesh.cell_diameters[mesh.edge_cells[e, 0]])[0]
             # Taylor transfer of u from the chord midpoint
             taylor = u(mid[None, :])[0]
             h = 1e-5
@@ -196,7 +196,7 @@ def test_kstar_capped_by_k():
 
 
 def test_shared_workspaces_reused():
-    # correction_data accepts externally built workspaces
+    # correction_data accepts an externally built table and shares its arrays
     ls = circle()
     mesh = build_disk_approx_mesh(ls, 12, 2)
     k = 2
@@ -205,13 +205,13 @@ def test_shared_workspaces_reused():
     cfgb = WeakBcConfig(method="barbosa_hughes", k=k, alpha=1e-3)
     ccfg = CorrectionConfig(kstar=1, sigma_strategy="edge_normal")
     dm = GlobalDofMap(mesh, k)
-    works = edge_workspaces(mesh, els, dm, mult, cfgb.resolved_edge_exactness)
-    corrected = correction_data(mesh, els, mult, ls, cfgb, ccfg, works=works)
-    assert len(corrected) == len(works)
-    for w, c in zip(works, corrected):
-        assert c.trace is w.trace and c.points is w.points and c.psi is w.psi
-        assert w.correction is None and c.correction is not None
-        assert w.data_points is w.points and c.data_points is not w.points
+    flat = edge_workspaces(mesh, els, dm, mult, cfgb.resolved_edge_exactness)
+    corrected = correction_data(mesh, els, mult, ls, cfgb, ccfg, table=flat)
+    for name in ("dofmap", "edge", "cell", "htilde", "points", "weights", "edge_dofs",
+                 "trace", "psi", "mass", "batches"):
+        assert getattr(corrected, name) is getattr(flat, name), name
+    assert flat.correction is None and len(corrected.correction) == len(flat.batches)
+    assert flat.data_points is flat.points and corrected.data_points is not flat.points
 
 
 @pytest.mark.parametrize("method", ["nitsche", "bh"])

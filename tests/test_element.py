@@ -246,7 +246,7 @@ def _per_cell_dofs(mesh, k, cell):
     n_moment = (k - 1) * k // 2
     loop, nv = mesh.cells[cell], len(mesh.cells[cell])
     dofs = list(loop)
-    for i, e in enumerate(mesh.cell_edges(cell)):
+    for i, e in enumerate(mesh.cell_edge_ids[cell]):
         base = mesh.n_vertices + e * (k - 1)
         if loop[i] < loop[(i + 1) % nv]:
             dofs += [base + j for j in range(k - 1)]

@@ -85,13 +85,12 @@ def test_disk_octagon():
 def test_disk_sagitta_closed_form():
     ls = circle()
     m = build_disk_approx_mesh(ls, 16, 2)
-    cfg = CorrectionConfig(sigma_strategy="edge_normal")
     # gap at boundary-edge midpoints along the edge normal equals the chord
     # sagitta 1 - cos(pi/16)
     gaps = []
     for e in m.boundary_edges:
-        cell = m.boundary_edge_cell(e)
-        gaps.append(delta(ls, m.edge_midpoints[e], m.edge_normals[e], cfg,
+        cell = m.edge_cells[e, 0]
+        gaps.append(delta(ls, m.edge_midpoints[e], m.edge_normals[e],
                           scale=m.cell_diameters[cell]))
     want = 1.0 - np.cos(np.pi / 16.0)
     assert abs(max(gaps) - want) <= 1e-10
@@ -99,13 +98,12 @@ def test_disk_sagitta_closed_form():
 
 def test_disk_gap_quarters_when_doubling():
     ls = circle()
-    cfg = CorrectionConfig(sigma_strategy="edge_normal")
 
     def max_gap(n):
         m = build_disk_approx_mesh(ls, n, 2)
         return max(
-            delta(ls, m.edge_midpoints[e], m.edge_normals[e], cfg,
-                  scale=m.cell_diameters[m.boundary_edge_cell(e)])
+            delta(ls, m.edge_midpoints[e], m.edge_normals[e],
+                  scale=m.cell_diameters[m.edge_cells[e, 0]])
             for e in m.boundary_edges
         )
 
@@ -125,7 +123,7 @@ def test_outward_normals_convex_generators():
               build_disk_approx_mesh(circle(), 16, 3)]
     for m in meshes:
         for e in m.boundary_edges:
-            c = m.boundary_edge_cell(e)
+            c = m.edge_cells[e, 0]
             assert np.dot(m.edge_normals[e],
                           m.edge_midpoints[e] - m.cell_centroids[c]) > 0
 

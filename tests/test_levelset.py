@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import polyvem.levelset as levelset_module
 from polyvem import build_disk_approx_mesh, build_structured_mesh
 from polyvem.levelset import (
     CorrectionConfig,
@@ -51,11 +52,10 @@ def test_delta_ellipse():
 def test_delta_continuity_along_edge():
     # no root-jumping: gap values at nearby points differ proportionally
     ls = circle()
-    cfg = CorrectionConfig(sigma_strategy="edge_normal")
     th = np.linspace(0.2, 0.4, 33)
     chord_pts = np.column_stack([0.9 * np.cos(th), 0.9 * np.sin(th)])
     sigma = np.array([np.cos(0.3), np.sin(0.3)])
-    vals = np.array([delta(ls, p, sigma, cfg) for p in chord_pts])
+    vals = np.array([delta(ls, p, sigma) for p in chord_pts])
     spacing = np.max(np.hypot(*np.diff(chord_pts, axis=0).T))
     assert np.max(np.abs(np.diff(vals))) <= 5.0 * spacing
 
@@ -174,10 +174,11 @@ def test_tau_decreases_under_disk_refinement():
     assert taus[0] > taus[1] > taus[2]
 
 
-def test_tau_warns_above_threshold():
+def test_tau_warns_above_threshold(monkeypatch):
     ls = circle()
     mesh = build_disk_approx_mesh(ls, 8, 1)
-    cfg = CorrectionConfig(sigma_strategy="edge_normal", tau_threshold=1e-4)
+    cfg = CorrectionConfig(sigma_strategy="edge_normal")
+    monkeypatch.setattr(levelset_module, "TAU_THRESHOLD", 1e-4)
     with pytest.warns(UserWarning, match="tau_hat"):
         tau_report(ls, mesh, cfg)
 

@@ -6,13 +6,12 @@ import pytest
 from polyvem import (
     build_structured_mesh,
     cell_quadrature,
-    edge_quadrature,
-    gauss_lobatto_nodes,
     mesh_from_json,
     mesh_to_json,
     quality_report,
 )
 from polyvem.mesh import build_mesh
+from polyvem.quadrature import gauss_lobatto, segment_rule
 
 
 def boundary_loops(mesh):
@@ -20,7 +19,7 @@ def boundary_loops(mesh):
     succ = {}
     for e in mesh.boundary_edges:
         a, b = mesh.edges[e]
-        cell = mesh.boundary_edge_cell(e)
+        cell = mesh.edge_cells[e, 0]
         loop = mesh.cells[cell]
         pos = loop.index(a)
         if loop[(pos + 1) % len(loop)] == b:
@@ -85,7 +84,7 @@ def test_diameter_is_max_vertex_distance():
 def test_boundary_normals_outward():
     m = build_structured_mesh((0, 0, 1, 1), 2, 2)
     for e in m.boundary_edges:
-        c = m.boundary_edge_cell(e)
+        c = m.edge_cells[e, 0]
         assert np.dot(m.edge_normals[e], m.edge_midpoints[e] - m.cell_centroids[c]) > 0
 
 
@@ -138,10 +137,10 @@ def test_cell_quadrature_exactness():
 def test_edge_quadrature_and_lobatto():
     m = build_structured_mesh((0, 0, 1, 1), 1, 1)
     e = m.boundary_edges[0]
-    rule = edge_quadrature(m, e, 3)
+    rule = segment_rule(*m.vertices[m.edges[e]], 3)
     assert abs(rule.measure - 1.0) <= 1e-14
-    pts = gauss_lobatto_nodes(m, e, 2)
-    assert pts.shape == (3, 2)
+    x, _ = gauss_lobatto(3)
+    assert x.shape == (3,)
 
 
 def test_json_roundtrip(tmp_path):
@@ -271,5 +270,5 @@ def test_edge_table_matches_reference():
         assert np.array_equal(m.edge_cells, edge_cells), name
         assert np.array_equal(m.boundary_edges, boundary), name
         assert np.array_equal(m.edge_normals, normals), name
-        assert all(np.array_equal(m.cell_edges(c), cell_edges[c]) for c in range(m.n_cells)), name
-        assert [m.boundary_edge_cell(e) for e in m.boundary_edges] == list(edge_cells[boundary, 0])
+        assert all(np.array_equal(m.cell_edge_ids[c], cell_edges[c]) for c in range(m.n_cells)), name
+        assert [m.edge_cells[e, 0] for e in m.boundary_edges] == list(edge_cells[boundary, 0])

@@ -7,7 +7,6 @@ from polyvem.quadrature import (
     polygon_area,
     polygon_centroid,
     polygon_rule,
-    segment_lobatto_points,
     segment_rule,
     triangle_rule,
     triangulate_polygon,
@@ -43,14 +42,13 @@ def test_gauss_lobatto_exactness(npts):
 
 
 def test_lobatto_nodes_k1_endpoints_only():
-    pts = segment_lobatto_points((0, 0), (2, 0), 1)
-    assert pts.shape == (2, 2)
-    np.testing.assert_allclose(pts, [[0, 0], [2, 0]])
+    x, _ = gauss_lobatto(2)
+    np.testing.assert_array_equal(x, [-1.0, 1.0])
 
 
 def test_lobatto_nodes_k2_midpoint():
-    pts = segment_lobatto_points((0, 0), (2, 0), 2)
-    np.testing.assert_allclose(pts, [[0, 0], [1, 0], [2, 0]], atol=1e-14)
+    x, _ = gauss_lobatto(3)
+    np.testing.assert_allclose(x, [-1.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_triangle_rule_positive_and_exact():

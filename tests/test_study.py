@@ -14,6 +14,7 @@ from polyvem.study import (
     report_to_json,
     run_study,
 )
+from polyvem.weakbc import WeakBcConfig
 from conftest import random_polynomial
 
 # published errors and mean mesh sizes of the reference study the rate
@@ -169,6 +170,22 @@ def test_problem_spec_rejects_bad_numeric_fields(field, value, low):
         ProblemSpec(**{"problem": "test1-2d", "k": 2, field: value})
 
 
+@pytest.mark.parametrize("make,field,value", [
+    (ProblemSpec, "k", True), (ProblemSpec, "refine_steps", False),
+    (ProblemSpec, "lloyd_iters", True), (ProblemSpec, "kstar", True),
+    (ProblemSpec, "gamma", -1), (ProblemSpec, "gamma", np.inf), (ProblemSpec, "alpha", np.nan),
+    (ProblemSpec, "alpha", 0.0), (ProblemSpec, "alpha", True),
+    (WeakBcConfig, "k", True), (WeakBcConfig, "kprime", True), (WeakBcConfig, "alpha", np.nan),
+    (WeakBcConfig, "alpha", -1e-3), (WeakBcConfig, "gamma", np.inf), (WeakBcConfig, "gamma", "1e3"),
+])
+def test_bad_study_parameters_fail_up_front(make, field, value):
+    # bools once passed as integers, gamma=-1 failed only when the study
+    # built its config, and nan or inf penalties were accepted
+    base = {"problem": "test1-2d", "k": 2} if make is ProblemSpec else {"method": "barbosa_hughes", "k": 1}
+    with pytest.raises(ValueError, match=rf"^(unknown )?{field} "):
+        make(**{**base, field: value})
+
+
 def test_ladder_sizes_continue_past_the_tables():
     from polyvem.study import DISK_BOUNDARY, SQUARES_BASE, VORONOI_SEEDS, _ladder_size
     assert [_ladder_size(VORONOI_SEEDS, lv, 4) for lv in range(6)] == [16, 64, 256, 1024, 4096, 16384]
@@ -187,8 +204,9 @@ def test_problem_spec_option_spellings():
                             ("distance_gradient", "distance_gradient")):
         ccfg = ProblemSpec("disk", 2, sigma=sigma).correction_config("h_squared")
         assert ccfg.sigma_strategy == strategy
-    for kstar in (0, 2):
-        assert ProblemSpec("disk", 2, kstar=kstar).correction_config("h_squared").kstar == kstar
+    for kstar in (0, 2, np.int64(1)):
+        ccfg = ProblemSpec("disk", 2, kstar=kstar).correction_config("h_squared")
+        assert ccfg.kstar == kstar and type(ccfg.kstar) is int
     assert ProblemSpec("test1-2d", 2, mesh="voronoi", stab="euclidean").stab == "euclidean"
 
 

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from polyvem import EdgePolyBasis, build_structured_mesh, build_voronoi_mesh
+from polyvem import build_structured_mesh, build_voronoi_mesh
 from polyvem.element import GlobalDofMap, build_all_elements, interpolate, load_vectors
 from polyvem.linsys import TripletBuilder, schur_condense_bh, solve
-from polyvem.study import compute_errors
+from polyvem.study import compute_errors, multiplier_error
 from polyvem.weakbc import (
     MultiplierSpace,
     WeakBcConfig,
     _scatter_volume,
     assemble_bh,
     assemble_nitsche,
-    boundary_norms,
+    edge_workspaces,
     recover_multiplier,
 )
 from conftest import random_polynomial
@@ -39,10 +39,8 @@ def test_bh_patch(unit_square_2x2, k, kprime_off):
     e1, e0 = compute_errors(unit_square_2x2, els, x[:dm.n_dofs], u, grad)
     assert e1 <= 1e-9 and e0 <= 1e-9
     # multiplier equals -grad u . nu in the boundary norm
-    bn = boundary_norms(unit_square_2x2, els, cfg)
-    lam_err = bn.minus_half_mult(
-        x[dm.n_dofs:],
-        fn=lambda p, e: -(grad(p) @ unit_square_2x2.edge_normals[e]))
+    lam_err = multiplier_error(unit_square_2x2, els, mult, x[dm.n_dofs:], grad,
+                               cfg.resolved_edge_exactness)
     assert lam_err <= 1e-8
 
 
@@ -107,12 +105,10 @@ def test_multiplier_recovery_signs(unit_square_2x2):
     mult = MultiplierSpace.create(unit_square_2x2, 1)
     lam = recover_multiplier(uh, unit_square_2x2, els, cfg, u, mult=mult)
     m = unit_square_2x2
-    for j, e in enumerate(m.boundary_edges):
-        coeffs = lam.reshape(mult.n_edges, -1)[j]
-        basis = EdgePolyBasis.for_edge(*m.vertices[m.edges[e]], mult.kprime)
-        val = basis.eval(m.edge_midpoints[e][None, :]) @ coeffs
-        want = -m.edge_normals[e][0]  # -grad(x).nu = -nu_x
-        assert abs(val[0] - want) <= 1e-9
+    table = edge_workspaces(m, els, GlobalDofMap(m, 1), mult, cfg.resolved_edge_exactness)
+    vals = table.psi @ lam.reshape(mult.n_edges, -1, 1)  # at each edge's quadrature points
+    want = -m.edge_normals[table.edge][:, 0]  # -grad(x).nu = -nu_x
+    assert np.max(np.abs(vals[..., 0] - want[:, None])) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -162,30 +158,20 @@ def test_condensation_kprime_lower_differs(unit_square_2x2):
 
 
 def test_boundary_norm_constant_single_edge():
+    # the multiplier 1 on one unit edge, 0 elsewhere: norm sqrt(htilde)
     mesh = build_structured_mesh((0, 0, 1, 1), 1, 1)
     cfg = WeakBcConfig(method="nitsche", k=1, gamma=10.0)
-    bn = boundary_norms(mesh, build_all_elements(mesh, 1), cfg)
+    els = build_all_elements(mesh, 1)
+    mult = MultiplierSpace.create(mesh, 1)
     e0 = mesh.boundary_edges[0]
-    htil = mesh.cell_diameters[mesh.boundary_edge_cell(e0)]
-    val = bn.minus_half(lambda p, e: np.where(e == e0, 1.0, 0.0) * np.ones(len(p)))
+    htil = mesh.cell_diameters[mesh.edge_cells[e0, 0]]
+    no_flux = lambda p: np.zeros((len(p), 2))
+    coeffs = np.zeros(mult.dim)
+    coeffs[0] = 1.0  # the constant member of edge 0's basis
+    val = multiplier_error(mesh, els, mult, coeffs, no_flux, cfg.resolved_edge_exactness)
     assert abs(val - np.sqrt(htil * 1.0)) <= 1e-12
-    assert bn.minus_half(lambda p, e: np.zeros(len(p))) == 0.0
-    assert bn.half(lambda p, e: np.zeros(len(p))) == 0.0
-
-
-def test_boundary_norm_duality(unit_square_2x2):
-    cfg = WeakBcConfig(method="nitsche", k=2, gamma=10.0)
-    bn = boundary_norms(unit_square_2x2, build_all_elements(unit_square_2x2, 2), cfg)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        c1 = rng.standard_normal(3)
-        c2 = rng.standard_normal(3)
-        lam = lambda p, e: c1[0] + c1[1] * p[:, 0] + c1[2] * p[:, 1]
-        phi = lambda p, e: c2[0] + c2[1] * p[:, 0] + c2[2] * p[:, 1]
-        total = 0.0
-        for w in bn.works:
-            total += w.weights @ (lam(w.points, w.edge) * phi(w.points, w.edge))
-        assert abs(total) <= bn.minus_half(lam) * bn.half(phi) + 1e-12
+    assert multiplier_error(mesh, els, mult, np.zeros(mult.dim), no_flux,
+                            cfg.resolved_edge_exactness) == 0.0
 
 
 def test_gamma_monotone_definiteness(unit_square_2x2):
@@ -222,18 +208,6 @@ def test_config_validation_and_warnings():
         WeakBcConfig(method="barbosa_hughes", k=1, alpha=0.5)
     with pytest.warns(UserWarning):
         WeakBcConfig(method="nitsche", k=1, gamma=2.0)
-
-
-def test_norm_one_positive(unit_square_2x2):
-    k = 2
-    els = build_all_elements(unit_square_2x2, k)
-    dm = GlobalDofMap(unit_square_2x2, k)
-    cfg = WeakBcConfig(method="nitsche", k=k, gamma=10.0)
-    bn = boundary_norms(unit_square_2x2, els, cfg)
-    u = interpolant(unit_square_2x2, els, k, lambda p: p[:, 0] + 0.5 * p[:, 1] ** 2)
-    assert bn.one(els, dm, u) > 0.0
-    zero = np.zeros(dm.n_dofs)
-    assert bn.one(els, dm, zero) == 0.0
 
 
 def test_stacked_volume_scatter_equals_shuffled_tiles():
