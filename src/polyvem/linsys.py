@@ -59,15 +59,22 @@ class TripletBuilder:
         self._vals.append(block.ravel())
 
     def compress(self) -> sp.csc_matrix:
-        """Deterministic compression: triplets are sorted by (col, row, value)
-        before summation, so any insertion order yields the same matrix."""
-        if not self._keys:
+        """Deterministic compression: triplets are summed in (col, row, value)
+        order, so any insertion order yields the same matrix.  The keys are
+        sorted in full, the values only inside groups of colliding triplets;
+        equal values (+0.0 and -0.0 too) give the same sum in either order."""
+        if not sum(k.size for k in self._keys):
             return sp.csc_matrix((self.n, self.n))
         key = np.concatenate(self._keys)
         vals = np.concatenate(self._vals)
-        order = np.lexsort((vals, key))
+        order = np.argsort(key)  # need not be stable: each group's values get sorted
         key, vals = key[order], vals[order]
         starts = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
+        size = np.diff(starts, append=len(key))
+        multi = np.flatnonzero(size > 1)
+        for s in np.unique(size[multi]):  # one stack of groups per group size
+            idx = starts[multi[size[multi] == s]][:, None] + np.arange(s)
+            vals[idx] = np.sort(vals[idx], axis=1)
         summed = np.add.reduceat(vals, starts)
         cols, rows = np.divmod(key[starts], self.n)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.n))))

@@ -232,14 +232,16 @@ def _build_level_mesh(spec: ProblemSpec, problem: Problem, level: int):
                                      spec.refine_steps), ls
 
 
-def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad) -> tuple[float, float]:
+def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad,
+                   dofmap: GlobalDofMap | None = None) -> tuple[float, float]:
     """Relative broken-H1 and L2 errors of a discrete solution.
 
     The gradient error uses the L2 projection of the discrete gradient onto
     P_{k-1}; the L2 error uses the energy projection of the solution (the
-    full-degree L2 projector is not computable from these DOFs).
+    full-degree L2 projector is not computable from these DOFs).  `dofmap`
+    is built here when None.
     """
-    locs = GlobalDofMap(mesh, elements[0].k).local_values(u_dofs)
+    locs = (dofmap or GlobalDofMap(mesh, elements[0].k)).local_values(u_dofs)
     parts = error_integrals(elements, [locs[el.cell] for el in elements], exact_u, exact_grad)
     num1, den1, num0, den0 = np.cumsum(parts, axis=0)[-1]  # summed in cell order
     if den1 <= 0.0 or den0 <= 0.0:
@@ -366,7 +368,7 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
                                          mult=mult, table=table)
 
             result.e1, result.e0 = compute_errors(mesh, elements, u_dofs,
-                                                  problem.u, problem.grad_u)
+                                                  problem.u, problem.grad_u, dofmap)
             result.multiplier_err = multiplier_error(mesh, elements, mult, lam,
                                                      problem.grad_u,
                                                      cfg.resolved_edge_exactness, table)

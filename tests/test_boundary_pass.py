@@ -317,7 +317,8 @@ def test_star_edge_normal_miss_names_edge():
 ], ids=["nitsche-True-2", "bh-True-2", "nitsche-False-0", "bh-True-distance-gradient-2"])
 def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correction, sigma,
                                                    passes):
-    counts = {"root_passes": 0, "workspaces": 0, "edge_rules": 0, "sigma_grads": 0}
+    counts = {"root_passes": 0, "workspaces": 0, "edge_rules": 0, "sigma_grads": 0,
+              "dofmaps": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -335,8 +336,10 @@ def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correcti
     monkeypatch.setattr(levelset_module, "choose_sigma", sigma_counted)
     monkeypatch.setattr(weakbc_module, "segment_rules",
                         counted("edge_rules", weakbc_module.segment_rules))
+    dofmap = counted("dofmaps", study_module.GlobalDofMap)
     for module in (weakbc_module, curved_module, study_module):
         monkeypatch.setattr(module, "edge_workspaces", edge_workspaces)
+        monkeypatch.setattr(module, "GlobalDofMap", dofmap)
     spec = ProblemSpec(problem="disk", k=2, mesh="disk", method=method,
                        correction=correction, sigma=sigma)
     rep = run_study(spec, 1)
@@ -345,6 +348,7 @@ def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correcti
     # the tau audit and the correction data are the only root searches, each
     # with one gradient call for all its directions; one stacked quadrature
     # call for the level's boundary edges serves the assembly, the recovery
-    # and the boundary norm
+    # and the boundary norm; one DOF map serves the table and the errors
     assert counts == {"root_passes": passes, "workspaces": 1, "edge_rules": 1,
-                      "sigma_grads": passes if sigma == "distance-gradient" else 0}
+                      "sigma_grads": passes if sigma == "distance-gradient" else 0,
+                      "dofmaps": 1}

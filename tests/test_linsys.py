@@ -1,7 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import polyvem.linsys as linsys_module
+import polyvem.weakbc as weakbc_module
+from polyvem import build_squares_approx_mesh, build_voronoi_mesh
+from polyvem.curved import correction_data
+from polyvem.element import GlobalDofMap, build_all_elements
+from polyvem.levelset import CorrectionConfig, kstar_default, quarter_disk
 from polyvem.linsys import (
     LinearSystem,
     SaddlePartition,
@@ -11,6 +19,13 @@ from polyvem.linsys import (
     export_matrix_market,
     schur_condense_bh,
     solve,
+)
+from polyvem.weakbc import (
+    MultiplierSpace,
+    WeakBcConfig,
+    assemble_bh,
+    assemble_nitsche,
+    edge_workspaces,
 )
 
 
@@ -76,9 +91,177 @@ def test_triplet_compress_deterministic():
     b2 = TripletBuilder(10)
     for i in order:
         b2.add_block([rows[i]], [cols[i]], [[vals[i]]])
-    m1, m2 = b1.compress(), b2.compress()
-    assert (m1 != m2).nnz == 0
-    assert m1.data.tobytes() == m2.data.tobytes()
+    assert_same_bits(b2.compress(), b1.compress())
+
+
+# -- compress against the lexsort it replaced ------------------------------------
+
+def lexsort_compress(n, key, vals):
+    """Reference compression: every triplet sorted by (col, row, value) with
+    one lexsort, then summed group by group."""
+    if not len(key):
+        return sp.csc_matrix((n, n))
+    order = np.lexsort((vals, key))
+    key, vals = key[order], vals[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
+    summed = np.add.reduceat(vals, starts)
+    cols, rows = np.divmod(key[starts], n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return sp.csc_matrix((summed, rows, indptr), shape=(n, n))
+
+
+def assert_same_bits(got, want):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
+def builder_triplets(builder):
+    """The (key, value) triplets a builder holds, in insertion order."""
+    return np.concatenate(builder._keys), np.concatenate(builder._vals)
+
+
+def shuffled_copy(builder, rng):
+    """The builder's triplets re-added with the blocks and the triplets
+    inside each block in random order, as stacked 1x1 blocks."""
+    out = TripletBuilder(builder.n)
+    for b in rng.permutation(len(builder._keys)):
+        p = rng.permutation(len(builder._keys[b]))
+        cols, rows = np.divmod(builder._keys[b][p], builder.n)
+        out.add_block(rows[:, None], cols[:, None], builder._vals[b][p][:, None, None])
+    return out
+
+
+VALUE_KINDS = {
+    "normal": lambda rng, m: rng.standard_normal(m),
+    # ties between equal values, cancellations to zero and signed zeros
+    "repeats": lambda rng, m: rng.choice([-1.5, -0.1, 0.1, 0.3, 1.5, 1e-17, -1e-17], m),
+    "zeros": lambda rng, m: rng.choice([0.0, -0.0, -0.0, 0.25, -0.25], m),
+    "all-negative-zero": lambda rng, m: np.full(m, -0.0),
+    "mixed-scale": lambda rng, m: rng.standard_normal(m) * 10.0 ** rng.integers(-20, 20, m),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", list(VALUE_KINDS))
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_compress_matches_lexsort_reference(n, kind, seed):
+    rng = np.random.default_rng([seed, n, len(kind)])
+    n_groups = min(n * n, 40)
+    cells = rng.choice(n * n, n_groups, replace=False)
+    sizes = rng.integers(1, 31, n_groups)  # group sizes 1-30
+    key = np.repeat(cells, sizes)
+    vals = VALUE_KINDS[kind](rng, len(key))
+    # blocks of random length in one order, the same triplets shuffled in another
+    cuts = np.sort(rng.choice(np.arange(1, len(key)), min(5, len(key) - 1), replace=False))
+    first = TripletBuilder(n)
+    for k, v in zip(np.split(key, cuts), np.split(vals, cuts)):
+        cols, rows = np.divmod(k, n)
+        first.add_block(rows[:, None], cols[:, None], v[:, None, None])
+    want = lexsort_compress(n, key, vals)
+    assert_same_bits(first.compress(), want)
+    assert_same_bits(shuffled_copy(first, rng).compress(), want)
+
+
+def test_compress_dense_blocks_match_lexsort_reference():
+    rng = np.random.default_rng(11)
+    b = TripletBuilder(30)
+    for _ in range(20):
+        rows, cols = rng.integers(0, 30, (2, 6))  # repeated indices inside a block too
+        b.add_block(rows, cols, rng.choice([-0.0, 0.0, 1.0, -2.0, 0.5], (6, 6)))
+    b.add_block(rng.integers(0, 30, (4, 3)), rng.integers(0, 30, (4, 2)),
+                rng.standard_normal((4, 3, 2)))  # a batch of four 3x2 blocks
+    assert_same_bits(b.compress(), lexsort_compress(30, *builder_triplets(b)))
+
+
+def test_compress_empty_builders():
+    want = lexsort_compress(5, np.zeros(0, dtype=np.int64), np.zeros(0))
+    assert_same_bits(TripletBuilder(5).compress(), want)
+    b = TripletBuilder(5)
+    b.add_block(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 0)))
+    b.add_block(np.zeros((3, 0), dtype=int), np.zeros((3, 2), dtype=int), np.zeros((3, 0, 2)))
+    assert_same_bits(b.compress(), want)  # blocks without a triplet
+    assert TripletBuilder(1).compress().shape == (1, 1)
+
+
+# -- compress on real assemblies -------------------------------------------------
+
+MESHES = {  # name -> (mesh, level set or None)
+    "voronoi-16": lambda: (build_voronoi_mesh(None, 16, lloyd_iters=1, rng_seed=3), None),
+    "squares-4": lambda: (build_squares_approx_mesh(quarter_disk(), 4, 1), quarter_disk()),
+    # level 1 of each benchmark ladder
+    "voronoi-64": lambda: (build_voronoi_mesh(None, 64, lloyd_iters=2, rng_seed=0), None),
+    "squares-8": lambda: (build_squares_approx_mesh(quarter_disk(), 8, 2), quarter_disk()),
+}
+
+
+@lru_cache(maxsize=None)
+def _level(name, k):
+    mesh, ls = MESHES[name]()
+    return mesh, ls, build_all_elements(mesh, k)
+
+
+def _load(p):
+    return np.sin(2.0 * p[:, 0]) * np.cos(p[:, 1]) + p[:, 0] * p[:, 1]
+
+
+def assembled_builders(monkeypatch, name, k, method, corrected):
+    """Every builder one assembly compresses; a multiplier system is also
+    condensed, which compresses one more."""
+    mesh, ls, els = _level(name, k)
+    builders = []
+
+    class Recording(TripletBuilder):
+        def compress(self):
+            builders.append(self)
+            return super().compress()
+
+    monkeypatch.setattr(weakbc_module, "TripletBuilder", Recording)
+    monkeypatch.setattr(linsys_module, "TripletBuilder", Recording)
+    cfg = WeakBcConfig(method=method, k=k, kprime=k, alpha=1e-3, gamma=1e3)
+    mult = MultiplierSpace.create(mesh, k)
+    table = edge_workspaces(mesh, els, GlobalDofMap(mesh, k), mult, cfg.resolved_edge_exactness)
+    if corrected:
+        ccfg = CorrectionConfig(kstar=kstar_default(k, "h_linear"),
+                                sigma_strategy="distance_gradient")
+        table = correction_data(mesh, els, mult, ls, cfg, ccfg, table=table)
+    if method == "barbosa_hughes":
+        schur_condense_bh(assemble_bh(mesh, els, mult, cfg, _load, _load, table=table))
+    else:
+        assemble_nitsche(mesh, els, cfg, _load, _load, table=table)
+    return tuple(builders)
+
+
+@pytest.mark.parametrize("name,k,method,corrected", [
+    ("voronoi-64", 4, "barbosa_hughes", False),
+    ("squares-8", 2, "nitsche", True),
+])
+def test_compress_matches_lexsort_reference_on_real_levels(monkeypatch, name, k, method,
+                                                           corrected):
+    builders = assembled_builders(monkeypatch, name, k, method, corrected)
+    assert len(builders) == (2 if method == "barbosa_hughes" else 1)
+    for builder in builders:
+        key, vals = builder_triplets(builder)
+        assert len(np.unique(key)) < len(key)  # colliding triplets
+        assert_same_bits(TripletBuilder.compress(builder), lexsort_compress(builder.n, key, vals))
+
+
+ORDER_CASES = (
+    [("voronoi-16", k, m, False) for k in (1, 2, 3, 4) for m in ("barbosa_hughes", "nitsche")]
+    + [("squares-4", k, m, c) for k in (1, 2, 3, 4) for m in ("barbosa_hughes", "nitsche")
+       for c in (False, True)]
+)
+
+
+@pytest.mark.parametrize("name,k,method,corrected", ORDER_CASES)
+def test_assembly_does_not_depend_on_insertion_order(monkeypatch, name, k, method, corrected):
+    rng = np.random.default_rng(k)
+    for builder in assembled_builders(monkeypatch, name, k, method, corrected):
+        want = TripletBuilder.compress(builder)
+        for _ in range(2):
+            assert_same_bits(shuffled_copy(builder, rng).compress(), want)
+        assert_same_bits(want, lexsort_compress(builder.n, *builder_triplets(builder)))
 
 
 def test_symmetry_check():

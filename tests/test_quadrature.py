@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyvem.quadrature import (
+    fan_check,
     gauss_legendre,
     gauss_lobatto,
     polygon_area,
@@ -119,6 +120,64 @@ def test_triangulate_nonconvex_covers_area():
         for a, b, c in tris
     )
     assert abs(area - polygon_area(poly)) <= 1e-12
+
+
+# -- the ear-clip fallback -------------------------------------------------------
+
+# not star shaped about their centroids, so triangulated by ear clipping
+EAR_CLIP_CELLS = {
+    # a U with collinear vertices on its bottom and on both walls of its notch
+    "u-collinear": [(0, 0), (1, 0), (2, 0), (3, 0), (3, 2), (2, 2), (2, 1.25), (2, 0.5),
+                    (1, 0.5), (1, 1.25), (1, 2), (0, 2)],
+    # a chevron 1e-4 thick: its centroid lies outside it
+    "sliver": [(0, 0), (2, 0.5), (4, 0), (4, 1e-4), (2, 0.5001), (0, 1e-4)],
+}
+
+
+def green_moment(verts, a, b):
+    """Integral of x^a y^b over a simple polygon by Green's theorem, as the
+    loop integral of x^(a+1) y^b / (a+1) dy with a Gauss rule exact on each
+    edge."""
+    x, w = np.polynomial.legendre.leggauss(a + b + 2)
+    t = 0.5 * (x + 1.0)
+    total = 0.0
+    for p, q in zip(verts, np.roll(verts, -1, axis=0)):
+        px, py = (p + t[:, None] * (q - p)).T
+        total += 0.5 * (q[1] - p[1]) * (w @ (px ** (a + 1) * py ** b))
+    return total / (a + 1)
+
+
+@pytest.mark.parametrize("name", list(EAR_CLIP_CELLS))
+def test_ear_clip_triangulates_non_star_cells(name):
+    v = np.array(EAR_CLIP_CELLS[name], dtype=float)
+    area = polygon_area(v)
+    assert not fan_check(v, polygon_centroid(v), area)[1]
+    tris = triangulate_polygon(v)
+    assert len(tris) <= len(v) - 2
+    doubled = [(b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0] for a, b, c in tris]
+    assert min(doubled) > 0.0  # counter-clockwise, none degenerate
+    assert abs(0.5 * sum(doubled) - area) <= 1e-12 * area
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(EAR_CLIP_CELLS))
+def test_ear_clip_rule_integrates_pk_exactly(name, k):
+    v = np.array(EAR_CLIP_CELLS[name], dtype=float)
+    rule = polygon_rule(v, k)
+    assert np.all(rule.weights > 0.0)
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            got = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b)
+            want = green_moment(v, a, b)
+            assert abs(got - want) <= 1e-12 * max(abs(want), polygon_area(v)), (a, b)
+
+
+def test_ear_clip_rejects_self_intersecting_loop():
+    # a figure-eight with positive signed area: clipping ends, the area does not match
+    v = np.array([(0, 0), (2, 0), (2, 1), (0, 3), (-1, 3), (1, 1), (1, -0.5)], dtype=float)
+    assert polygon_area(v) > 0.0
+    with pytest.raises(ValueError, match="area mismatch"):
+        triangulate_polygon(v)
 
 
 def test_gauss_legendre_cached_readonly():

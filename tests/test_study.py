@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polyvem.element import GlobalDofMap, build_all_elements, interpolate
+from polyvem.generators import build_voronoi_mesh
 from polyvem.study import (
     PROBLEMS,
     ProblemSpec,
@@ -91,6 +92,18 @@ def test_compute_errors_exact_polynomial(unit_square_2x2):
         dofs[dm.cell_dofs(el.cell)] = interpolate(el, u)
     e1, e0 = compute_errors(unit_square_2x2, els, dofs, u, grad)
     assert e1 <= 1e-10 and e0 <= 1e-10
+
+
+def test_compute_errors_takes_the_level_dofmap():
+    mesh = build_voronoi_mesh(None, 24, lloyd_iters=1, rng_seed=2)
+    prob = PROBLEMS["test1-2d"]
+    for k in (1, 3):
+        els = build_all_elements(mesh, k)
+        dm = GlobalDofMap(mesh, k)
+        u = np.random.default_rng(k).standard_normal(dm.n_dofs)
+        got = compute_errors(mesh, els, u, prob.u, prob.grad_u, dofmap=dm)
+        want = compute_errors(mesh, els, u, prob.u, prob.grad_u)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_compute_errors_zero_solution_is_one(unit_square_2x2):
