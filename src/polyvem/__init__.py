@@ -7,15 +7,7 @@ from .basis import (
     gram_matrix,
     orthonormalize,
 )
-from .element import (
-    GlobalDofMap,
-    LocalVemElement,
-    build_all_elements,
-    build_element,
-    interpolate,
-    load_vector,
-    project_gradient_l2,
-)
+from .element import CellTable, GlobalDofMap, build_all_elements
 from .generators import (
     build_disk_approx_mesh,
     build_squares_approx_mesh,

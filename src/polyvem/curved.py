@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .basis import directional_derivative_matrix
-from .element import GlobalDofMap, stacked_basis
+from .element import CellTable, GlobalDofMap
 from .levelset import CorrectionConfig, LevelSetDomain, boundary_gaps
 from .linsys import LinearSystem
 from .mesh import PolygonalMesh
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-def correction_data(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
+def correction_data(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSpace,
                     levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                     cfg_corr: CorrectionConfig, table: EdgeTable | None = None) -> EdgeTable:
     """The edge table of the corrected problem.
@@ -69,14 +69,14 @@ def correction_data(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
                    correction=correction)
 
 
-def _taylor_field(elements: list, table: EdgeTable, batch: EdgeBatch, sigma: np.ndarray,
+def _taylor_field(elements: CellTable, table: EdgeTable, batch: EdgeBatch, sigma: np.ndarray,
                   ds: np.ndarray, kstar: int) -> np.ndarray:
     """sum_j ds^j / j! * d_sigma^j Pi-nabla at the quadrature points of a batch."""
-    els = [elements[c] for c in table.cell[batch.rows]]
-    basis = stacked_basis(els)
+    cells = table.cell[batch.rows]
+    basis = elements.basis(cells)
     m1 = directional_derivative_matrix(basis, sigma, 1)
     evals = basis.eval(table.points[batch.rows])
-    cur = np.stack([el.pinabla for el in els])
+    cur = elements.gather("pinabla", cells)
     values = np.zeros(batch.normal_deriv.shape)
     for j in range(1, kstar + 1):
         cur = m1 @ cur
@@ -84,7 +84,7 @@ def _taylor_field(elements: list, table: EdgeTable, batch: EdgeBatch, sigma: np.
     return values
 
 
-def assemble_bdt_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
+def assemble_bdt_bh(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSpace,
                     levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                     cfg_corr: CorrectionConfig, f, g,
                     data: EdgeTable | None = None) -> LinearSystem:
@@ -96,7 +96,7 @@ def assemble_bdt_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
     return assemble_bh(mesh, elements, mult, cfg_bc, f, g, table=table)
 
 
-def assemble_bdt_nitsche(mesh: PolygonalMesh, elements: list,
+def assemble_bdt_nitsche(mesh: PolygonalMesh, elements: CellTable,
                          levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                          cfg_corr: CorrectionConfig, f, g,
                          mult: MultiplierSpace | None = None,
@@ -108,7 +108,7 @@ def assemble_bdt_nitsche(mesh: PolygonalMesh, elements: list,
     return assemble_nitsche(mesh, elements, cfg_bc, f, g, table=table, mult=mult)
 
 
-def recover_multiplier_curved(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: list,
+def recover_multiplier_curved(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: CellTable,
                               levelset: LevelSetDomain, cfg_bc: WeakBcConfig,
                               cfg_corr: CorrectionConfig, g,
                               mult: MultiplierSpace | None = None,

@@ -1,4 +1,4 @@
-"""Per-cell virtual element of order k for the Laplacian.
+"""Virtual elements of order k for the Laplacian, a level's cells at a time.
 
 Degrees of freedom: vertex values in loop order, then the k-1 interior
 Gauss-Lobatto point values of each edge in loop order, then area-normalized
@@ -6,16 +6,19 @@ moments against the scaled monomials of degree <= k-2 (orthonormalized in the
 area-weighted product at k = 4, where the raw-monomial duals are too badly
 scaled for the stabilization tolerances).
 
-The element carries the energy projector onto P_k (computed from the weak
+An element carries the energy projector onto P_k (computed from the weak
 integration-by-parts identity, with the constant mode fixed by the boundary
 mean), the consistency stiffness, and a stabilization acting on the
 projector-free part of the degrees of freedom (plain or diagonally weighted
-euclidean product).
+euclidean product).  A level's elements are one `CellTable`: its cells in
+batches of one vertex count and quadrature size, every field stacked over a
+batch.  Every stacked call makes, cell by cell, the floating-point operations
+of a one-cell build, so a cell's data do not depend on its batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,22 +32,16 @@ from .basis import (
     scaled_powers,
 )
 from .mesh import PolygonalMesh, cell_quadratures
-from .quadrature import QuadratureRule, gauss_lobatto, map_batches
+from .quadrature import batch_runs, gauss_lobatto
 
 __all__ = [
-    "DofLayout",
-    "LocalVemElement",
+    "CellBatch",
+    "CellTable",
     "GlobalDofMap",
-    "build_element",
     "build_all_elements",
     "error_integrals",
-    "map_element_batches",
-    "stacked_basis",
-    "interpolate",
     "interpolate_all",
-    "load_vector",
     "load_vectors",
-    "project_gradient_l2",
     "project_gradients_l2",
     "lagrange_eval_matrix",
 ]
@@ -53,58 +50,57 @@ STABILIZATIONS = ("euclidean", "d_recipe")
 
 
 @dataclass(frozen=True)
-class DofLayout:
-    """Deterministic per-cell DOF ordering."""
+class CellBatch:
+    """The elements of cells of one vertex count and quadrature size, each
+    field stacked along the first axis."""
 
-    k: int
-    n_vertices: int
-    point_coords: np.ndarray  # vertex coords then edge-interior GL nodes
-    moment_exponents: list
-
-    @property
-    def n_point(self) -> int:
-        return self.n_vertices * self.k
-
-    @property
-    def n_moment(self) -> int:
-        return len(self.moment_exponents)
-
-    @property
-    def n_dofs(self) -> int:
-        return self.n_point + self.n_moment
-
-    def edge_point_dofs(self, local_edge: int) -> list:
-        """Local indices of the k+1 GL values along local edge i, in traversal
-        order (vertex i, interior nodes, vertex i+1)."""
-        nv, k = self.n_vertices, self.k
-        out = [local_edge]
-        out += [nv + local_edge * (k - 1) + j for j in range(k - 1)]
-        out.append((local_edge + 1) % nv)
-        return out
+    cells: np.ndarray          # (nb,) cell ids
+    points: np.ndarray         # (nb, nq, 2) quadrature points, exact to degree 2k + 2
+    weights: np.ndarray        # (nb, nq)
+    point_coords: np.ndarray   # (nb, nv k, 2) vertices, then edge-interior GL nodes
+    center: np.ndarray         # (nb, 2) centroids
+    diameter: np.ndarray       # (nb,)
+    area: np.ndarray           # (nb,)
+    coef: np.ndarray           # (nb, dim P_k, dim P_k) cell basis in raw scaled monomials
+    pinabla: np.ndarray        # (nb, dim P_k, n_dofs) DOFs -> P_k coefficients
+    stiffness: np.ndarray      # (nb, n_dofs, n_dofs) consistency plus stabilization
+    boundary_mean: np.ndarray  # (nb, n_dofs) row of |dK|^-1 int_dK phi_i
+    moment_coef: np.ndarray | None    # (nb, m, m) moment weights in raw P_{k-2}; None at k = 1
+    moment_to_raw: np.ndarray | None  # (nb, m, m) family moments -> raw monomial moments
 
 
 @dataclass(frozen=True)
-class LocalVemElement:
-    cell: int
-    k: int
-    layout: DofLayout
-    basis: CellPolyBasis
-    quad: QuadratureRule
-    area: float
-    diameter: float
-    pinabla: np.ndarray       # (dim P_k, n_dofs): DOFs -> P_k coefficients
-    dof_of_poly: np.ndarray   # (n_dofs, dim P_k): DOFs of basis polynomials
-    stiff_gram: np.ndarray    # grad-grad Gram of the basis
-    consistency: np.ndarray   # K_c
-    stability: np.ndarray     # S
-    stiffness: np.ndarray     # K_c + S
-    boundary_mean: np.ndarray   # row of |dK|^-1 int_dK phi_i
-    moment_family: CellPolyBasis | None  # weight functions of the moment DOFs
-    moment_to_raw: np.ndarray | None     # family moments -> raw monomial moments
+class CellTable:
+    """A level's elements of order k: one `CellBatch` per run of cells of one
+    vertex count and quadrature size, and each cell's batch and row."""
 
-    @property
-    def n_dofs(self) -> int:
-        return self.layout.n_dofs
+    k: int
+    batches: tuple
+    batch_of: np.ndarray = field(init=False, repr=False)  # (n_cells,)
+    row_of: np.ndarray = field(init=False, repr=False)    # (n_cells,)
+
+    def __post_init__(self):
+        n = sum(len(b.cells) for b in self.batches)
+        batch_of, row_of = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        for i, b in enumerate(self.batches):
+            batch_of[b.cells], row_of[b.cells] = i, np.arange(len(b.cells))
+        object.__setattr__(self, "batch_of", batch_of)
+        object.__setattr__(self, "row_of", row_of)
+
+    def gather(self, name: str, cells: np.ndarray) -> np.ndarray:
+        """Field `name` of cells of one vertex count, stacked in their order."""
+        where, rows = self.batch_of[cells], self.row_of[cells]
+        fields = [getattr(b, name) for b in self.batches]
+        out = np.empty((len(cells),) + fields[where[0]].shape[1:])
+        for i in np.unique(where):
+            sel = where == i
+            out[sel] = fields[i][rows[sel]]
+        return out
+
+    def basis(self, cells: np.ndarray) -> CellPolyBasis:
+        """The P_k bases of cells of one vertex count as one stacked basis."""
+        return CellPolyBasis(self.k, self.gather("center", cells), self.gather("diameter", cells),
+                             coef=self.gather("coef", cells))
 
 
 def lagrange_eval_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -163,41 +159,20 @@ class GlobalDofMap:
         dofs.setflags(write=False)
         self.dofs = dofs
 
-    def cell_dofs(self, cell: int) -> np.ndarray:
-        return self.dofs[self.offsets[cell]:self.offsets[cell + 1]]
-
-    def local_values(self, u: np.ndarray) -> list:
-        """Each cell's local DOF values of the global vector u, in cell order."""
-        return np.split(u[self.dofs], self.offsets[1:-1])
+    def batch_dofs(self, cells: np.ndarray) -> np.ndarray:
+        """Global DOFs (nb, n) of cells (nb,) of one DOF count n, in local order."""
+        n = self.offsets[cells[0] + 1] - self.offsets[cells[0]]
+        return self.dofs[self.offsets[cells, None] + np.arange(n)]
 
 
-def build_element(mesh: PolygonalMesh, cell: int, k: int, stab: str = "d_recipe") -> LocalVemElement:
-    """Construct the order-k element on one cell (a batch of one).
+def build_all_elements(mesh: PolygonalMesh, k: int, stab: str = "d_recipe") -> CellTable:
+    """The order-k elements of every cell, as one table.
 
     stab: 'euclidean' (identity on the DOF product) or 'd_recipe' (diagonal
     weights max(diag(K_c), trace(K_c)/n_dofs)).  The cell basis is
     orthonormalized for k >= 3.
     """
-    return _build_elements(mesh, [cell], k, stab)[0]
-
-
-def build_all_elements(mesh: PolygonalMesh, k: int, stab: str = "d_recipe") -> list:
-    """Elements of every cell, indexed by cell."""
-    return _build_elements(mesh, range(mesh.n_cells), k, stab)
-
-
-def stacked_basis(elements: list) -> CellPolyBasis:
-    """The cell bases of elements of one order as one stacked basis."""
-    return CellPolyBasis(elements[0].k, np.stack([el.basis.center for el in elements]),
-                         np.array([el.basis.diameter for el in elements]),
-                         coef=np.stack([el.basis.coef for el in elements]))
-
-
-def map_element_batches(elements: list, items: list, kernel, *args) -> list:
-    """`map_batches` over batches of elements of one order and cell shape;
-    items[i] goes with elements[i]."""
-    keys = [(el.k, el.layout.n_vertices, len(el.quad.weights)) for el in elements]
-    return map_batches(keys, items, kernel, *args)
+    return CellTable(k, tuple(batch for batch, _ in _build_batches(mesh, k, stab)))
 
 
 def _T(a: np.ndarray) -> np.ndarray:
@@ -213,34 +188,32 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
-def _build_elements(mesh: PolygonalMesh, cells, k: int, stab: str) -> list:
+def _build_batches(mesh: PolygonalMesh, k: int, stab: str):
+    """Each batch of the table, with the arrays of its build that only tests
+    read: `consistency`, `stability`, the basis gradient Gram `stiff_gram`
+    and `dof_of_poly`, the DOFs of each basis polynomial."""
     if k < 1:
         raise ValueError("order k must be >= 1")
     if stab not in STABILIZATIONS:
         raise ValueError(f"unknown stabilization {stab!r}")
-    cells = list(cells)
-    quads = cell_quadratures(mesh, cells, 2 * k + 2)
-    keys = [(len(mesh.cells[c]), len(q.weights)) for c, q in zip(cells, quads)]
-    return map_batches(keys, list(zip(cells, quads)), _build_batch, mesh, k, stab)
+    quads = cell_quadratures(mesh, range(mesh.n_cells), 2 * k + 2)
+    keys = [(len(loop), len(q.weights)) for loop, q in zip(mesh.cells, quads)]
+    return (_build_batch(run, [quads[c] for c in run], mesh, k, stab) for run in batch_runs(keys))
 
 
-def _build_batch(items: list, mesh: PolygonalMesh, k: int, stab: str) -> list:
-    """Elements of cells with one vertex count and quadrature size.
-
-    Every stacked call makes, cell by cell, the floating-point operations of
-    a one-cell build in the same order, so an element does not depend on
-    the batch it was built in.
-    """
-    cells, quads = [c for c, _ in items], [q for _, q in items]
+def _build_batch(cells: list, quads: list, mesh: PolygonalMesh, k: int, stab: str):
+    """The batch of cells of one vertex count and quadrature size, and its
+    test-only arrays."""
     nb = len(cells)
     verts = mesh.vertices[[mesh.cells[c] for c in cells]]
     nv = verts.shape[1]
     xK, hK, area = mesh.cell_centroids[cells], mesh.cell_diameters[cells], mesh.cell_areas[cells]
-    wq = np.stack([q.weights for q in quads])[..., None]
+    points, weights = np.stack([q.points for q in quads]), np.stack([q.weights for q in quads])
+    wq = weights[..., None]
     npoly = cell_basis_dim(k)
     eye = np.broadcast_to(np.eye(npoly), (nb, npoly, npoly))
 
-    px, py = scaled_powers(np.stack([q.points for q in quads]), xK, hK, k)
+    px, py = scaled_powers(points, xK, hK, k)
     raw_q = monomial_values(px, py, k)
     coef = eye
     if k >= 3:
@@ -259,8 +232,8 @@ def _build_batch(items: list, mesh: PolygonalMesh, k: int, stab: str) -> list:
 
     edge_len, edge_nrm, gl_nodes, gl_w = _edge_nodes(verts, k)
     perimeter = np.sum(edge_len, axis=1)
-    layout = DofLayout(k, nv, None, monomial_exponents(k - 2) if k >= 2 else [])
-    n_point, n_mom, n_dofs = layout.n_point, layout.n_moment, layout.n_dofs
+    n_point, n_mom = nv * k, cell_basis_dim(k - 2) if k >= 2 else 0
+    n_dofs = n_point + n_mom
     point_coords = np.concatenate([verts, gl_nodes[:, :, 1:-1].reshape(nb, -1, 2)], axis=1)
 
     # D: DOFs of each basis polynomial.  Moment DOFs weigh against the raw
@@ -282,7 +255,7 @@ def _build_batch(items: list, mesh: PolygonalMesh, k: int, stab: str) -> list:
         D[:, n_point:] = _T(raw_m @ fam_coef) @ (wq * vals_q) / area[:, None, None]
         moment_to_raw = _T(np.linalg.inv(fam_coef))
         lap = np.zeros((nb, n_mom, npoly))  # raw Laplacian, P_k -> P_{k-2}
-        row = {e: i for i, e in enumerate(layout.moment_exponents)}
+        row = {e: i for i, e in enumerate(monomial_exponents(k - 2))}
         h2 = np.array([float(h) ** 2 for h in hK])  # C pow: h * h may round differently
         for j, (a1, a2) in enumerate(monomial_exponents(k)):
             if a1 >= 2:
@@ -300,7 +273,7 @@ def _build_batch(items: list, mesh: PolygonalMesh, k: int, stab: str) -> list:
     share = gl_w / perimeter[:, None, None]
     # a vertex takes one term from each adjacent edge; two terms sum alike
     # in either order, so the first k nodes of every edge go in first
-    pdofs = np.array([layout.edge_point_dofs(i) for i in range(nv)])
+    pdofs = _edge_point_dofs(nv, k)
     bmean = np.zeros((nb, n_dofs))
     for part in (slice(0, k), k):
         B[:, :, pdofs[:, part]] += contrib[..., part]
@@ -323,26 +296,26 @@ def _build_batch(items: list, mesh: PolygonalMesh, k: int, stab: str) -> list:
     consistency = _sym(_T(pinabla) @ stiff_gram @ pinabla)
     resid = np.eye(n_dofs) - D @ pinabla
     if stab == "euclidean":
-        weights = np.ones((nb, n_dofs))
+        scale = np.ones((nb, n_dofs))
     else:
         floor = np.trace(consistency, axis1=1, axis2=2) / n_dofs
-        weights = np.maximum(np.diagonal(consistency, axis1=1, axis2=2), floor[:, None])
-    stability = _sym(_T(resid) @ (weights[..., None] * resid))
-    arrays = dict(pinabla=pinabla, dof_of_poly=D, stiff_gram=stiff_gram, consistency=consistency,
-                  stability=stability, stiffness=consistency + stability, boundary_mean=bmean)
+        scale = np.maximum(np.diagonal(consistency, axis1=1, axis2=2), floor[:, None])
+    stability = _sym(_T(resid) @ (scale[..., None] * resid))
+    batch = CellBatch(
+        cells=np.array(cells), points=points, weights=weights, point_coords=point_coords,
+        center=xK, diameter=hK, area=area, coef=np.ascontiguousarray(coef), pinabla=pinabla,
+        stiffness=consistency + stability, boundary_mean=bmean,
+        moment_coef=None if k < 2 else np.ascontiguousarray(fam_coef),
+        moment_to_raw=moment_to_raw)
+    return batch, dict(consistency=consistency, stability=stability, stiff_gram=stiff_gram,
+                       dof_of_poly=D)
 
-    out = []
-    for j, c in enumerate(cells):
-        h = float(hK[j])
-        out.append(LocalVemElement(
-            cell=c, k=k, layout=DofLayout(k, nv, point_coords[j], layout.moment_exponents),
-            basis=CellPolyBasis(k, xK[j], h, coef=coef[j], cell_index=c),
-            quad=quads[j], area=float(area[j]), diameter=h,
-            moment_family=None if k < 2 else CellPolyBasis(k - 2, xK[j], h, coef=fam_coef[j]),
-            moment_to_raw=None if k < 2 else moment_to_raw[j],
-            **{name: a[j] for name, a in arrays.items()},
-        ))
-    return out
+
+def _edge_point_dofs(nv: int, k: int) -> np.ndarray:
+    """Local DOFs (nv, k + 1) of the GL values along each edge, in traversal
+    order: vertex i, the edge's interior nodes, vertex i + 1."""
+    i = np.arange(nv)[:, None]
+    return np.concatenate([i, nv + i * (k - 1) + np.arange(k - 1), (i + 1) % nv], axis=1)
 
 
 def _edge_nodes(verts: np.ndarray, k: int):
@@ -357,47 +330,35 @@ def _edge_nodes(verts: np.ndarray, k: int):
     return edge_len, edge_nrm, gl_nodes, 0.5 * edge_len[..., None] * glw
 
 
-def _tables(els: list, degree: int):
-    """Quadrature weights (nb, nq), centers, diameters and the raw scaled
-    monomials of the given degree at the quadrature points of a batch."""
-    qp = np.stack([el.quad.points for el in els])
-    center = np.stack([el.basis.center for el in els])
-    h = np.array([el.basis.diameter for el in els])
-    raw = monomial_values(*scaled_powers(qp, center, h, degree), degree)
-    return np.stack([el.quad.weights for el in els]), center, h, raw
+def _raw(b: CellBatch, degree: int) -> np.ndarray:
+    """Raw scaled monomials of the given degree at a batch's quadrature points."""
+    return monomial_values(*scaled_powers(b.points, b.center, b.diameter, degree), degree)
 
 
-def _field(func, els: list, shape) -> np.ndarray:
+def _field(func, b: CellBatch, shape) -> np.ndarray:
     # a pointwise field at the quadrature points of a batch, in one call
-    pts = np.concatenate([el.quad.points for el in els])
-    return np.asarray(func(pts), dtype=float).reshape(shape)
+    return np.asarray(func(b.points.reshape(-1, 2)), dtype=float).reshape(shape)
 
 
-def interpolate(element: LocalVemElement, u) -> np.ndarray:
-    """DOF vector of the interpolant of a scalar field (callable on (n, 2))."""
-    return interpolate_all([element], u)[0]
+def interpolate_all(table: CellTable, u) -> list:
+    """DOF vectors (nb, n_dofs) of the interpolant of a scalar field u
+    (callable on (n, 2)), one array per batch."""
+    return [_interpolate_batch(b, table.k, u) for b in table.batches]
 
 
-def interpolate_all(elements: list, u) -> list:
-    """`interpolate` on each element, evaluated in batches of one cell shape."""
-    return map_element_batches(elements, elements, _interpolate_batch, u)
-
-
-def _interpolate_batch(els: list, u) -> np.ndarray:
-    lay = els[0].layout
-    pts = np.concatenate([el.layout.point_coords for el in els])
-    dofs = np.zeros((len(els), lay.n_dofs))
-    dofs[:, :lay.n_point] = np.asarray(u(pts), dtype=float).reshape(len(els), -1)
-    if lay.n_moment:
-        wq, _, _, raw = _tables(els, els[0].k - 2)
-        fam = raw @ np.stack([el.moment_family.coef for el in els])
-        area = np.array([el.area for el in els])
-        dofs[:, lay.n_point:] = _mv(_T(fam), wq * _field(u, els, wq.shape)) / area[:, None]
+def _interpolate_batch(b: CellBatch, k: int, u) -> np.ndarray:
+    nb, n_point = b.point_coords.shape[:2]
+    dofs = np.zeros(b.boundary_mean.shape)
+    dofs[:, :n_point] = np.asarray(u(b.point_coords.reshape(-1, 2)), dtype=float).reshape(nb, -1)
+    if k >= 2:
+        fam = _raw(b, k - 2) @ b.moment_coef
+        dofs[:, n_point:] = _mv(_T(fam), b.weights * _field(u, b, b.weights.shape)) / b.area[:, None]
     return dofs
 
 
-def load_vector(element: LocalVemElement, f) -> np.ndarray:
-    """Computable source functional approximating v -> int_K f v.
+def load_vectors(table: CellTable, f) -> list:
+    """Computable source functionals approximating v -> int_K f v, one
+    (nb, n_dofs) array per batch.
 
     k = 1: (int_K f) times the boundary mean of v.  k >= 2: the moment
     projection of f tested against v plus an energy-projection correction,
@@ -409,106 +370,82 @@ def load_vector(element: LocalVemElement, f) -> np.ndarray:
     better than the plain moment load, keeping the L2 rate at k + 1 for
     every k.
     """
-    return load_vectors([element], f)[0]
+    return [_load_batch(b, table.k, f) for b in table.batches]
 
 
-def load_vectors(elements: list, f) -> list:
-    """`load_vector` of each element, evaluated in batches of one cell shape."""
-    return map_element_batches(elements, elements, _load_batch, f)
-
-
-def _load_batch(els: list, f) -> np.ndarray:
-    k, lay = els[0].k, els[0].layout
-    wq, _, _, raw = _tables(els, k)
-    fv = _field(f, els, wq.shape)
+def _load_batch(b: CellBatch, k: int, f) -> np.ndarray:
+    wq = b.weights
+    fv = _field(f, b, wq.shape)
     if k == 1:
-        return (wq[:, None, :] @ fv[:, :, None])[:, 0] * np.stack([el.boundary_mean for el in els])
-    raw_vals = raw[..., :lay.n_moment] @ np.eye(lay.n_moment)
+        return (wq[:, None, :] @ fv[:, :, None])[:, 0] * b.boundary_mean
+    n_mom = cell_basis_dim(k - 2)
+    raw = _raw(b, k)
+    raw_vals = raw[..., :n_mom] @ np.eye(n_mom)
     gram = _T(raw_vals) @ (wq[..., None] * raw_vals)
     cf = np.linalg.solve(_sym(gram), _mv(_T(raw_vals), wq * fv)[..., None])[..., 0]
     pf = _mv(raw_vals, cf)  # Pi0_{k-2} f at the quadrature points
-    poly_vals = raw @ np.stack([el.basis.coef for el in els])
-    pinabla = np.stack([el.pinabla for el in els])
-    b = _mv(_T(pinabla), _mv(_T(poly_vals), wq * (fv - pf)))
-    to_raw_t = np.stack([el.moment_to_raw.T for el in els])
-    area = np.array([el.area for el in els])
-    b[:, lay.n_point:] += area[:, None] * _mv(to_raw_t, cf)
-    return b
+    out = _mv(_T(b.pinabla), _mv(_T(raw @ b.coef), wq * (fv - pf)))
+    out[:, b.point_coords.shape[1]:] += b.area[:, None] * _mv(_T(b.moment_to_raw), cf)
+    return out
 
 
-def project_gradient_l2(element: LocalVemElement, dofs: np.ndarray) -> tuple[np.ndarray, CellPolyBasis]:
-    """Componentwise L2 projection of the gradient onto P_{k-1}.
-
-    Returns (coeffs, basis) with coeffs of shape (2, dim P_{k-1}) in the raw
-    scaled-monomial basis; computable from the DOFs by integration by parts.
-    """
-    coeffs = project_gradients_l2([element], [dofs])[0]
-    return coeffs, CellPolyBasis(element.k - 1, element.basis.center, element.basis.diameter)
-
-
-def project_gradients_l2(elements: list, dofs: list) -> list:
-    """`project_gradient_l2` coefficients for each element and its local DOF
-    vector, evaluated in batches of one cell shape."""
-    return map_element_batches(elements, list(zip(elements, dofs)), _gradient_batch)
+def project_gradients_l2(table: CellTable, local: list) -> list:
+    """Componentwise L2 projections of the gradient onto P_{k-1}, computable
+    from the DOFs by integration by parts: for the local DOF vectors
+    local[i] (nb, n_dofs) of batch i, coefficients (nb, 2, dim P_{k-1}) in
+    the raw scaled monomials."""
+    n_out = cell_basis_dim(table.k - 1)
+    return [_gradient_batch(b, table.k, u, _raw(b, table.k - 1) @ np.eye(n_out))
+            for b, u in zip(table.batches, local)]
 
 
-def _gradient_batch(items: list) -> np.ndarray:
-    els = [el for el, _ in items]
-    u = np.stack([np.asarray(dofs, dtype=float) for _, dofs in items])
-    k, lay = els[0].k, els[0].layout
-    nv, n_out = lay.n_vertices, cell_basis_dim(k - 1)
-    eye = np.eye(n_out)
-    wq, center, h, raw = _tables(els, k - 1)
-    vals = raw @ eye
-    gram = _sym(_T(vals) @ (wq[..., None] * vals))
+def _gradient_batch(b: CellBatch, k: int, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    # vals: the raw P_{k-1} monomials at the quadrature points
+    n_point, n_out = b.point_coords.shape[1], vals.shape[-1]
+    nv, h = n_point // k, b.diameter
+    gram = _sym(_T(vals) @ (b.weights[..., None] * vals))
 
     # moment part: int_K v dc(m_beta), with dc(m_beta) in raw P_{k-2}
-    rhs = np.zeros((len(els), 2, n_out))
+    rhs = np.zeros((len(b.cells), 2, n_out))
     if k >= 2:
-        mom = _mv(_T(np.stack([el.moment_to_raw.T for el in els])), u[:, lay.n_point:])
-        area = np.array([el.area for el in els])
-        index = {e: i for i, e in enumerate(lay.moment_exponents)}
+        mom = _mv(b.moment_to_raw, u[:, n_point:])
+        index = {e: i for i, e in enumerate(monomial_exponents(k - 2))}
         for bi, (a1, a2) in enumerate(monomial_exponents(k - 1)):
             if a1 > 0:
-                rhs[:, 0, bi] -= area * (a1 / h) * mom[:, index[(a1 - 1, a2)]]
+                rhs[:, 0, bi] -= b.area * (a1 / h) * mom[:, index[(a1 - 1, a2)]]
             if a2 > 0:
-                rhs[:, 1, bi] -= area * (a2 / h) * mom[:, index[(a1, a2 - 1)]]
+                rhs[:, 1, bi] -= b.area * (a2 / h) * mom[:, index[(a1, a2 - 1)]]
 
     # boundary part via the GL point values
-    _, nrm, nodes, w = _edge_nodes(np.stack([el.layout.point_coords[:nv] for el in els]), k)
-    pdofs = np.array([lay.edge_point_dofs(i) for i in range(nv)])
-    mvals = monomial_values(*scaled_powers(nodes, center[:, None], h[:, None], k - 1), k - 1) @ eye
-    contrib = _mv(_T(mvals), w * u[:, pdofs])  # (nb, nv, n_out)
+    _, nrm, nodes, w = _edge_nodes(b.point_coords[:, :nv], k)
+    mvals = monomial_values(*scaled_powers(nodes, b.center[:, None], h[:, None], k - 1), k - 1)
+    contrib = _mv(_T(mvals @ np.eye(n_out)), w * u[:, _edge_point_dofs(nv, k)])  # (nb, nv, n_out)
     for i in range(nv):
         rhs[:, 0] += nrm[:, i, 0, None] * contrib[:, i]
         rhs[:, 1] += nrm[:, i, 1, None] * contrib[:, i]
     return _T(np.linalg.solve(gram, _T(rhs)))
 
 
-def error_integrals(elements: list, dofs: list, exact_u, exact_grad) -> np.ndarray:
+def error_integrals(table: CellTable, local: list, exact_u, exact_grad) -> np.ndarray:
     """Integrals of |grad u - G v|^2, |grad u|^2, |u - P v|^2 and |u|^2 over
-    each element for its local DOF vector v, shape (len(elements), 4), with
-    G the L2-projected gradient and P the energy projection; evaluated in
-    batches of one cell shape."""
-    items = list(zip(elements, dofs, project_gradients_l2(elements, dofs)))
-    return np.array(map_element_batches(elements, items, _error_batch, exact_u, exact_grad))
-
-
-def _error_batch(items: list, exact_u, exact_grad) -> np.ndarray:
-    els, dofs, coeffs = zip(*items)
-    k = els[0].k
-    wq, _, _, raw = _tables(els, k)
-    vals = raw[..., :cell_basis_dim(k - 1)] @ np.eye(cell_basis_dim(k - 1))
-    co = np.stack(coeffs)[..., None]
-    gh = np.concatenate([vals @ co[:, 0], vals @ co[:, 1]], axis=-1)
-    ge = _field(exact_grad, els, gh.shape)
-    ue = _field(exact_u, els, wq.shape + (1,))
-    pin_u = np.stack([el.pinabla for el in els]) @ np.stack(dofs)[..., None]
-    uh = (raw @ np.stack([el.basis.coef for el in els])) @ pin_u
-    wq = wq[:, None, :]
-    return np.concatenate([
-        wq @ np.sum((ge - gh) ** 2, axis=-1, keepdims=True),
-        wq @ np.sum(ge**2, axis=-1, keepdims=True),
-        wq @ (ue - uh) ** 2,
-        wq @ ue**2,
-    ], axis=-1)[:, 0]
+    each cell, shape (n_cells, 4) in cell order, for the local DOF vectors
+    local[i] (nb, n_dofs) of batch i; G is the L2-projected gradient and P
+    the energy projection."""
+    k, n_out = table.k, cell_basis_dim(table.k - 1)
+    out = np.empty((len(table.batch_of), 4))
+    for b, u in zip(table.batches, local):
+        raw = _raw(b, k)
+        vals = raw[..., :n_out] @ np.eye(n_out)  # the degree k-1 table leads the graded order
+        co = np.ascontiguousarray(_gradient_batch(b, k, u, vals))[..., None]
+        gh = np.concatenate([vals @ co[:, 0], vals @ co[:, 1]], axis=-1)
+        ge = _field(exact_grad, b, gh.shape)
+        ue = _field(exact_u, b, b.weights.shape + (1,))
+        uh = (raw @ b.coef) @ (b.pinabla @ u[..., None])
+        wq = b.weights[:, None, :]
+        out[b.cells] = np.concatenate([
+            wq @ np.sum((ge - gh) ** 2, axis=-1, keepdims=True),
+            wq @ np.sum(ge**2, axis=-1, keepdims=True),
+            wq @ (ue - uh) ** 2,
+            wq @ ue**2,
+        ], axis=-1)[:, 0]
+    return out

@@ -23,6 +23,7 @@ __all__ = [
     "triangle_rules",
     "box_rules",
     "fan_check",
+    "batch_runs",
     "map_batches",
     "polygon_rule",
     "polygon_area",
@@ -184,7 +185,22 @@ def triangulate_polygon(verts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray,
     t2, fan_ok = fan_check(v, c, area)
     if fan_ok:
         return [(c, v[i], v[(i + 1) % len(v)]) for i in range(len(v)) if t2[i] > 0.0]
-    return _ear_clip(v, area)
+    tris = _ear_clip(v, area)
+    if _edges_cross(v):  # clipping can cover the signed area of a crossing loop
+        raise ValueError("polygon edges cross; polygon is non-simple")
+    return tris
+
+
+def _edges_cross(v: np.ndarray) -> bool:
+    """Whether two non-adjacent edges of the loop cross at an interior point
+    of both."""
+    a, d = v, np.roll(v, -1, axis=0) - v
+    i, j = np.triu_indices(len(v), 2)
+    keep = j - i < len(v) - 1  # the last edge meets the first
+    i, j = i[keep], j[keep]
+    sides_of_j = _cross(d[i], a[j] - a[i]) * _cross(d[i], a[j] + d[j] - a[i])
+    sides_of_i = _cross(d[j], a[i] - a[j]) * _cross(d[j], a[i] + d[i] - a[j])
+    return bool(np.any((sides_of_j < 0.0) & (sides_of_i < 0.0)))
 
 
 def fan_check(verts: np.ndarray, centroid: np.ndarray, area) -> tuple[np.ndarray, np.ndarray]:
@@ -279,19 +295,25 @@ def box_rules(boxes: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray
     return pts.reshape(*lead, -1, 2), wts.reshape(*lead, -1)
 
 
-def map_batches(keys, items, kernel, *args) -> list:
-    """Apply `kernel(batch, *args)` to runs of items with equal keys, at most
-    _CHUNK items a run (which bounds a batched kernel's temporaries).  The
-    kernel returns one result per item; they come back in item order."""
+def batch_runs(keys) -> list:
+    """Positions of the items in runs of equal keys, at most _CHUNK a run
+    (which bounds a batched kernel's temporaries); keys in order of first
+    appearance."""
     groups: dict = {}
     for pos, key in enumerate(keys):
         groups.setdefault(key, []).append(pos)
+    return [positions[start:start + _CHUNK] for positions in groups.values()
+            for start in range(0, len(positions), _CHUNK)]
+
+
+def map_batches(keys, items, kernel, *args) -> list:
+    """Apply `kernel(batch, *args)` to the `batch_runs` of items with equal
+    keys.  The kernel returns one result per item; they come back in item
+    order."""
     out = [None] * len(items)
-    for positions in groups.values():
-        for start in range(0, len(positions), _CHUNK):
-            run = positions[start:start + _CHUNK]
-            for pos, result in zip(run, kernel([items[p] for p in run], *args)):
-                out[pos] = result
+    for run in batch_runs(keys):
+        for pos, result in zip(run, kernel([items[p] for p in run], *args)):
+            out[pos] = result
     return out
 
 

@@ -241,8 +241,9 @@ def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad,
     full-degree L2 projector is not computable from these DOFs).  `dofmap`
     is built here when None.
     """
-    locs = (dofmap or GlobalDofMap(mesh, elements[0].k)).local_values(u_dofs)
-    parts = error_integrals(elements, [locs[el.cell] for el in elements], exact_u, exact_grad)
+    dofmap = dofmap or GlobalDofMap(mesh, elements.k)
+    local = [u_dofs[dofmap.batch_dofs(b.cells)] for b in elements.batches]
+    parts = error_integrals(elements, local, exact_u, exact_grad)
     num1, den1, num0, den0 = np.cumsum(parts, axis=0)[-1]  # summed in cell order
     if den1 <= 0.0 or den0 <= 0.0:
         raise ValueError("exact solution has zero norm; relative errors undefined")
@@ -255,7 +256,7 @@ def multiplier_error(mesh, elements, mult: MultiplierSpace, coeffs: np.ndarray,
     (sum_f htilde ||.||^2_f)^(1/2) over the level's edge table (built here
     when None); block j of `coeffs` belongs to boundary edge j."""
     if table is None:
-        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, elements[0].k), mult,
+        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, elements.k), mult,
                                 exactness)
     grad = np.asarray(exact_grad(table.points.reshape(-1, 2)), dtype=float)
     flux = -_mv(grad.reshape(table.points.shape), mesh.edge_normals[table.edge])

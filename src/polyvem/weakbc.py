@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import (
-    GlobalDofMap,
-    _mv,
-    _sym,
-    _T,
-    lagrange_eval_matrix,
-    load_vectors,
-    map_element_batches,
-    stacked_basis,
-)
+from .element import CellTable, GlobalDofMap, _mv, _sym, _T, lagrange_eval_matrix, load_vectors
 from .linsys import LinearSystem, SaddlePartition, TripletBuilder
 from .mesh import PolygonalMesh
 from .quadrature import gauss_lobatto, segment_rules
@@ -165,7 +156,7 @@ class EdgeTable:
         return zip(self.batches, self.correction or (None,) * len(self.batches))
 
 
-def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
+def edge_workspaces(mesh: PolygonalMesh, elements: CellTable, dofmap: GlobalDofMap,
                     mult: MultiplierSpace, exactness: int) -> EdgeTable:
     """The level's boundary edge table, built in array passes."""
     k, m = dofmap.k, mult.kprime + 1
@@ -204,12 +195,11 @@ def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
     batches = []
     for size in np.unique(n_cell):
         rows = np.flatnonzero(n_cell == size)
-        els = [elements[c] for c in cell[rows]]
-        gx, gy = stacked_basis(els).eval_gradient(points[rows])
+        cells = cell[rows]
+        gx, gy = elements.basis(cells).eval_gradient(points[rows])
         nrm = mesh.edge_normals[edge[rows]][:, None, None, :]
-        normal_deriv = (nrm[..., 0] * gx + nrm[..., 1] * gy) @ np.stack([el.pinabla for el in els])
-        cell_dofs = dofmap.dofs[dofmap.offsets[cell[rows], None] + np.arange(size)]
-        batches.append(EdgeBatch(rows, cell_dofs, normal_deriv))
+        normal_deriv = (nrm[..., 0] * gx + nrm[..., 1] * gy) @ elements.gather("pinabla", cells)
+        batches.append(EdgeBatch(rows, dofmap.batch_dofs(cells), normal_deriv))
     return EdgeTable(
         dofmap=dofmap, edge=edge, cell=cell, htilde=mesh.cell_diameters[cell],
         points=points, weights=weights, data_points=points, edge_dofs=edge_dofs,
@@ -217,29 +207,26 @@ def edge_workspaces(mesh: PolygonalMesh, elements: list, dofmap: GlobalDofMap,
     )
 
 
-def _check_elements(elements: list, cfg: WeakBcConfig):
-    for el in elements:
-        if el.k != cfg.k:
-            raise ValueError(
-                f"element of cell {el.cell} has order {el.k}, config expects {cfg.k}"
-            )
+def _check_elements(elements: CellTable, cfg: WeakBcConfig):
+    if elements.k != cfg.k:
+        raise ValueError(f"elements have order {elements.k}, config expects {cfg.k}")
 
 
-def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, elements, dofmap, f):
+def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, elements: CellTable,
+                    dofmap: GlobalDofMap, f):
     """Add each batch's stacked stiffness in one block, then every load in
     one `np.add.at` over the cells' DOFs in cell order: each entry of rhs
     takes its additions in the order of a cell-by-cell loop."""
-    def stiffness(els):
-        gd = np.stack([dofmap.cell_dofs(el.cell) for el in els])
-        builder.add_block(gd, gd, np.stack([el.stiffness for el in els]))
-        return gd
-
     loads = load_vectors(elements, f)  # first: its batch temporaries then sit on no triplets
-    dofs = map_element_batches(elements, elements, stiffness)
-    np.add.at(rhs, np.concatenate(dofs), np.concatenate(loads))
+    in_cell_order = np.empty(len(dofmap.dofs))
+    for b, load in zip(elements.batches, loads):
+        gd = dofmap.batch_dofs(b.cells)
+        builder.add_block(gd, gd, b.stiffness)
+        in_cell_order[dofmap.offsets[b.cells, None] + np.arange(gd.shape[1])] = load
+    np.add.at(rhs, dofmap.dofs, in_cell_order)
 
 
-def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
+def assemble_bh(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSpace,
                 cfg: WeakBcConfig, f, g, table: EdgeTable | None = None) -> LinearSystem:
     """Assemble the stabilized-multiplier saddle system.
 
@@ -285,7 +272,7 @@ def assemble_bh(mesh: PolygonalMesh, elements: list, mult: MultiplierSpace,
                         symmetric=table.correction is None, partition=partition)
 
 
-def assemble_nitsche(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig, f, g,
+def assemble_nitsche(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig, f, g,
                      table: EdgeTable | None = None,
                      mult: MultiplierSpace | None = None) -> LinearSystem:
     """Assemble the penalty (Nitsche) system over the primal DOFs.
@@ -340,7 +327,7 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: list, cfg: WeakBcConfig, f, 
     return LinearSystem(matrix=builder.compress(), rhs=rhs, symmetric=table.correction is None)
 
 
-def recover_multiplier(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: list,
+def recover_multiplier(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: CellTable,
                        cfg: WeakBcConfig, g, mult: MultiplierSpace | None = None,
                        table: EdgeTable | None = None) -> np.ndarray:
     """Edge-by-edge multiplier recovery from a penalty-system solution:

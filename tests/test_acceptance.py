@@ -17,8 +17,8 @@ from polyvem import (
     build_voronoi_mesh,
 )
 from polyvem.curved import assemble_bdt_bh, assemble_bdt_nitsche
-from polyvem.element import GlobalDofMap, build_all_elements, build_element, interpolate
-from polyvem.levelset import CorrectionConfig, circle, delta, quarter_disk
+from polyvem.element import CellTable, GlobalDofMap, _build_batches, build_all_elements, interpolate_all
+from polyvem.levelset import CorrectionConfig, circle, delta, named_levelset, quarter_disk
 from polyvem.linsys import condest_1norm, schur_condense_bh, solve
 from polyvem.study import ProblemSpec, compute_errors, estimate_rates, multiplier_error, run_study
 from polyvem.weakbc import MultiplierSpace, WeakBcConfig, assemble_bh, assemble_nitsche
@@ -256,19 +256,63 @@ def test_criterion_stabilization_comparison():
         "known 2D limitation, see the decisions ledger")
 
 
+def _boundary_area(mesh) -> float:
+    """Area enclosed by the mesh boundary: the shoelace sum over the boundary
+    half-edges, each in its cell's loop direction."""
+    on_boundary = np.zeros(mesh.n_edges, dtype=bool)
+    on_boundary[mesh.boundary_edges] = True
+    total = 0.0
+    for loop, edges in zip(mesh.cells, mesh.cell_edge_ids):
+        v = mesh.vertices[loop]
+        w = np.roll(v, -1, axis=0)
+        cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
+        total += 0.5 * np.sum(cross[on_boundary[edges]])
+    return total
+
+
+def _invariant_draws(n_per_family: int, seed: int) -> list:
+    """Random meshes with an order each: Voronoi (3-300 seeds, Lloyd 0-3) and
+    quarter-disk squares (base 3-16, refine steps 0-3); every family meets
+    each k = 1..4 once per four draws."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for family in ("voronoi", "squares"):
+        ks = np.concatenate([rng.permutation(4) + 1 for _ in range(-(-n_per_family // 4))])
+        for k in ks[:n_per_family]:
+            if family == "voronoi":
+                args = (int(rng.integers(3, 301)), int(rng.integers(0, 4)), int(rng.integers(0, 10**6)))
+                mesh = build_voronoi_mesh(None, args[0], lloyd_iters=args[1], rng_seed=args[2])
+            else:
+                args = (int(rng.integers(3, 17)), int(rng.integers(0, 4)))
+                mesh = build_squares_approx_mesh(named_levelset("quarter_disk"), *args)
+            draws.append((f"{family}{args} k={k}", mesh, int(k)))
+    return draws
+
+
 def test_criterion_invariant_suite():
     """Projector, stiffness, quadrature, gap and solver invariants."""
-    # projector fixes polynomials; stiffness kernel/symmetry/PSD
-    mesh = build_voronoi_mesh(None, 6, rng_seed=3)
-    for k in (1, 2, 3, 4):
-        for cell in range(mesh.n_cells):
-            el = build_element(mesh, cell, k)
-            assert np.max(np.abs(el.pinabla @ el.dof_of_poly - np.eye(el.basis.dim))) <= 1e-10
-            ones = interpolate(el, lambda p: np.ones(len(p)))
-            assert np.max(np.abs(el.stiffness @ ones)) <= 1e-10
-            assert np.max(np.abs(el.stiffness - el.stiffness.T)) <= 1e-12
-            ev = np.linalg.eigvalsh(el.stiffness)
-            assert ev[0] >= -1e-10 and ev[1] > 0
+    # on random meshes and orders: the projector fixes polynomials, the
+    # stiffness is symmetric PSD with the constants as its only kernel, and
+    # the cells partition the domain
+    hand_picked = build_voronoi_mesh(None, 6, rng_seed=3)
+    draws = [(f"voronoi(6, 0, 3) k={k}", hand_picked, k) for k in (1, 2, 3, 4)]
+    for what, mesh, k in draws + _invariant_draws(8, seed=2024):
+        built = list(_build_batches(mesh, k, "d_recipe"))
+        table = CellTable(k, tuple(batch for batch, _ in built))
+        ones = interpolate_all(table, lambda p: np.ones(len(p)))
+        for (b, extra), one in zip(built, ones):
+            dim = b.pinabla.shape[1]
+            assert np.max(np.abs(b.pinabla @ extra["dof_of_poly"] - np.eye(dim))) <= 1e-10, what
+            K = b.stiffness
+            scale = np.max(np.abs(K), axis=(1, 2))  # badly shaped cells have entries near 1e5
+            assert np.all(np.max(np.abs(K - np.swapaxes(K, 1, 2)), axis=(1, 2)) <= 1e-12 * scale), what
+            assert np.all(np.max(np.abs(K @ one[..., None]), axis=(1, 2)) <= 1e-12 * scale), what
+            ev = np.linalg.eigvalsh(K)
+            assert np.all(ev[:, 0] >= -1e-12 * ev[:, -1]), what
+            assert np.all(ev[:, 1] > 1e-8), what  # the constants are the whole kernel
+            assert np.allclose(b.weights.sum(axis=1), b.area, rtol=1e-12, atol=0), what
+        area = sum(b.area.sum() for b in table.batches)
+        assert abs(area - _boundary_area(mesh)) <= 1e-12 * area, what
     # quadrature exactness on a polygonal cell
     from polyvem.mesh import cell_quadrature
     rule = cell_quadrature(mesh, 0, 6)

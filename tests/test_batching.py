@@ -8,14 +8,11 @@ import pytest
 
 from polyvem.element import (
     GlobalDofMap,
+    _build_batches,
     build_all_elements,
-    build_element,
     error_integrals,
-    interpolate,
     interpolate_all,
-    load_vector,
     load_vectors,
-    project_gradient_l2,
     project_gradients_l2,
 )
 from polyvem.generators import build_squares_approx_mesh, build_voronoi_mesh
@@ -23,6 +20,7 @@ from polyvem.levelset import named_levelset
 from polyvem.mesh import build_mesh
 from polyvem.quadrature import fan_check
 from polyvem.study import PROBLEMS
+from conftest import per_cell
 
 PROBLEM = PROBLEMS["test1-2d"]
 
@@ -51,17 +49,28 @@ def _one_cell_mesh(mesh, cell):
     return build_mesh(mesh.vertices[loop], [list(range(len(loop)))], cell_boxes=boxes)
 
 
-def _arrays(obj, path="") -> dict:
-    """Every array and float reachable through an element's dataclass fields."""
-    if isinstance(obj, np.ndarray):
-        return {path: obj}
-    if isinstance(obj, float):
-        return {path: np.array(obj)}
+def _arrays(mesh, k, stab) -> dict:
+    """Every cell's row of each `CellBatch` field and of the build's test-only
+    arrays, keyed (cell, name)."""
     out = {}
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            out.update(_arrays(getattr(obj, f.name), f"{path}.{f.name}"))
+    for batch, extra in _build_batches(mesh, k, stab):
+        fields = {f.name: getattr(batch, f.name) for f in dataclasses.fields(batch)} | extra
+        for name, a in fields.items():
+            for j, cell in enumerate(batch.cells):
+                out[cell, name] = None if a is None else a[j]
     return out
+
+
+def _results(mesh, k, stab, u_dofs):
+    """Each cell's load, interpolant, projected gradient and error parts for
+    the global DOF vector u_dofs, in cell order."""
+    table = build_all_elements(mesh, k, stab=stab)
+    dofmap = GlobalDofMap(mesh, k)
+    local = [u_dofs[dofmap.batch_dofs(b.cells)] for b in table.batches]
+    per_batch = (load_vectors(table, PROBLEM.f), interpolate_all(table, PROBLEM.u),
+                 project_gradients_l2(table, local))
+    return ([per_cell(table, arrays) for arrays in per_batch]
+            + [list(error_integrals(table, local, PROBLEM.u, PROBLEM.grad_u))])
 
 
 def test_l_shape_takes_the_ear_clip_path():
@@ -74,24 +83,24 @@ def test_l_shape_takes_the_ear_clip_path():
 def test_batched_cell_matches_one_cell_mesh(name, k, stab):
     mesh = MESHES[name]()
     assert len({len(loop) for loop in mesh.cells}) > 1  # several batches
-    els = build_all_elements(mesh, k, stab=stab)
     dofmap = GlobalDofMap(mesh, k)
     u_dofs = np.random.default_rng(5).standard_normal(dofmap.n_dofs)
-    locs = [u_dofs[dofmap.cell_dofs(c)] for c in range(mesh.n_cells)]
-    loads = load_vectors(els, PROBLEM.f)
-    interps = interpolate_all(els, PROBLEM.u)
-    grads = project_gradients_l2(els, locs)
-    errs = error_integrals(els, locs, PROBLEM.u, PROBLEM.grad_u)
+    got = _arrays(mesh, k, stab)
+    results = _results(mesh, k, stab, u_dofs)
 
-    for cell, el in enumerate(els):
+    for cell in range(mesh.n_cells):
         one_mesh = _one_cell_mesh(mesh, cell)
-        one = build_element(one_mesh, 0, k, stab=stab)
-        got, want = _arrays(el), _arrays(one)
-        assert got.keys() == want.keys()
-        for path in got:
-            assert np.array_equal(got[path], want[path]), (cell, path)
-        assert np.array_equal(loads[cell], load_vector(one, PROBLEM.f)), cell
-        assert np.array_equal(interps[cell], interpolate(one, PROBLEM.u)), cell
-        assert np.array_equal(grads[cell], project_gradient_l2(one, locs[cell])[0]), cell
-        one_errs = error_integrals([one], [locs[cell]], PROBLEM.u, PROBLEM.grad_u)
-        assert np.array_equal(errs[cell], one_errs[0]), cell
+        want = _arrays(one_mesh, k, stab)
+        assert {field for _, field in want} == {field for c, field in got if c == cell}
+        for (_, field), a in want.items():
+            if field == "cells":
+                continue
+            b = got[cell, field]
+            assert (a is None and b is None) or np.array_equal(a, b), (cell, field)
+        local = u_dofs[dofmap.dofs[dofmap.offsets[cell]:dofmap.offsets[cell + 1]]]
+        one_u = np.zeros(GlobalDofMap(one_mesh, k).n_dofs)
+        one_u[GlobalDofMap(one_mesh, k).dofs] = local
+        for what, row, one_row in zip(("load", "interpolant", "gradient", "errors"),
+                                      (r[cell] for r in results),
+                                      (r[0] for r in _results(one_mesh, k, stab, one_u))):
+            assert np.array_equal(row, one_row), (cell, what)

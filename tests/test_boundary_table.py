@@ -30,6 +30,7 @@ from polyvem.weakbc import (
     edge_workspaces,
     recover_multiplier,
 )
+from conftest import cell_elements
 
 # ---------------------------------------------------------------- reference
 
@@ -68,12 +69,16 @@ def ref_psi(a, b, kprime, points):
 
 
 def ref_workspaces(mesh, elements, dofmap, kprime, exactness):
-    glx, _ = gauss_lobatto(dofmap.k + 1)
+    """elements: each cell's element, in cell order (`conftest.cell_elements`)."""
+    k = dofmap.k
+    glx, _ = gauss_lobatto(k + 1)
     works = []
     for e in mesh.boundary_edges:
         cell = int(mesh.edge_cells[e, 0])
         el = elements[cell]
         local = mesh.cell_edge_ids[cell].index(int(e))
+        nv = len(mesh.cells[cell])
+        point_dofs = [local] + [nv + local * (k - 1) + j for j in range(k - 1)] + [(local + 1) % nv]
         a, b = mesh.vertices[mesh.edges[e]]
         points, weights = ref_segment_rule(a, b, exactness)
         loop = mesh.cells[cell]
@@ -85,11 +90,11 @@ def ref_workspaces(mesh, elements, dofmap, kprime, exactness):
         nrm = mesh.edge_normals[e]
         psi = ref_psi(a, b, kprime, points)
         mass = psi.T @ (weights[:, None] * psi)
-        cell_dofs = dofmap.cell_dofs(cell)
+        cell_dofs = dofmap.dofs[dofmap.offsets[cell]:dofmap.offsets[cell + 1]]
         works.append(SimpleNamespace(
             edge=int(e), cell=cell, htilde=float(mesh.cell_diameters[cell]),
             points=points, weights=weights, data_points=points, cell_dofs=cell_dofs,
-            edge_dofs=cell_dofs[el.layout.edge_point_dofs(local)],
+            edge_dofs=cell_dofs[point_dofs],
             trace=ref_lagrange(glx, t), normal_deriv=(nrm[0] * gx + nrm[1] * gy) @ el.pinabla,
             psi=psi, mass=0.5 * (mass + mass.T), correction=None))
     return works
@@ -213,16 +218,16 @@ def _equal(got, want):
 @pytest.mark.parametrize("name", CASES)
 def test_table_and_consumers_match_per_edge_reference(name):
     mesh, ls, k, kp, kstar, sigma = _case(name)
-    els = build_all_elements(mesh, k)
+    els, per_cell = build_all_elements(mesh, k), cell_elements(mesh, k)
     dofmap, mult = GlobalDofMap(mesh, k), MultiplierSpace.create(mesh, kp)
     bh = WeakBcConfig(method="barbosa_hughes", k=k, kprime=kp, alpha=1e-3)
     nit = WeakBcConfig(method="nitsche", k=k, gamma=1e3)
     table = edge_workspaces(mesh, els, dofmap, mult, bh.resolved_edge_exactness)
-    works = ref_workspaces(mesh, els, dofmap, kp, bh.resolved_edge_exactness)
+    works = ref_workspaces(mesh, per_cell, dofmap, kp, bh.resolved_edge_exactness)
     if ls is not None:
         ccfg = CorrectionConfig(kstar=kstar, sigma_strategy=sigma)
         table = correction_data(mesh, els, mult, ls, bh, ccfg, table=table)
-        works = ref_correct(mesh, els, works, ls, ccfg)
+        works = ref_correct(mesh, per_cell, works, ls, ccfg)
 
     # the table
     assert _equal(table.edge, mesh.boundary_edges)

@@ -26,6 +26,7 @@ from polyvem.weakbc import (
     assemble_nitsche,
     edge_workspaces,
 )
+from conftest import cell_elements
 
 
 def radial_problem():
@@ -72,9 +73,10 @@ def test_correction_block_oracle_single_edge():
     table = correction_data(mesh, els, mult, ls, cfgb, ccfg)
     sigmas, gaps = boundary_gaps(ls, mesh, table.edge, table.points, ccfg)
     rng = np.random.default_rng(4)
+    per_cell = cell_elements(mesh, k)
     for batch, corr in zip(table.batches, table.correction):
         for j, field in list(zip(batch.rows, corr))[:2]:
-            el = els[table.cell[j]]
+            el = per_cell[table.cell[j]]
             psi, wq = table.psi[j], table.weights[j]
             block = psi.T @ (wq[:, None] * field)  # multiplier-row coupling
             coeffs = rng.standard_normal(el.basis.dim)

@@ -6,29 +6,46 @@ from polyvem import (
     build_structured_mesh,
     build_voronoi_mesh,
 )
+from polyvem.basis import CellPolyBasis
 from polyvem.element import (
     GlobalDofMap,
     build_all_elements,
-    build_element,
-    interpolate,
-    load_vector,
-    project_gradient_l2,
+    interpolate_all,
+    load_vectors,
+    project_gradients_l2,
 )
 from polyvem.levelset import named_levelset
-from conftest import random_polynomial
+from conftest import cell_elements, per_cell, random_polynomial
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def _interpolants(mesh, k, u, stab="d_recipe"):
+    """Each cell's interpolant DOFs of u, in cell order."""
+    table = build_all_elements(mesh, k, stab)
+    return per_cell(table, interpolate_all(table, u))
+
+
+def _loads(mesh, k, f):
+    table = build_all_elements(mesh, k)
+    return per_cell(table, load_vectors(table, f))
+
+
+def _gradients_of_interpolant(mesh, k, u):
+    """Each cell's projected gradient coefficients of the interpolant of u."""
+    table = build_all_elements(mesh, k)
+    return per_cell(table, project_gradients_l2(table, interpolate_all(table, u)))
+
+
 def test_dof_counts(unit_square_1):
     for k in (1, 2, 3, 4):
-        el = build_element(unit_square_1, 0, k)
+        el = cell_elements(unit_square_1, k)[0]
         assert el.n_dofs == 4 * k + k * (k - 1) // 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_projector_fixes_polynomials(unit_square_1, k):
-    el = build_element(unit_square_1, 0, k)
+    el = cell_elements(unit_square_1, k)[0]
     err = np.max(np.abs(el.pinabla @ el.dof_of_poly - np.eye(el.basis.dim)))
     assert err <= 1e-10
 
@@ -36,26 +53,25 @@ def test_projector_fixes_polynomials(unit_square_1, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("stab", ["euclidean", "d_recipe"])
 def test_stiffness_kernel_symmetry_psd(unit_square_2x2, k, stab):
-    for cell in range(unit_square_2x2.n_cells):
-        el = build_element(unit_square_2x2, cell, k, stab=stab)
+    ones = _interpolants(unit_square_2x2, k, lambda p: np.ones(len(p)), stab)
+    for cell, el in enumerate(cell_elements(unit_square_2x2, k, stab)):
         assert np.max(np.abs(el.stiffness - el.stiffness.T)) <= 1e-13
-        ones = interpolate(el, lambda p: np.ones(len(p)))
-        assert np.max(np.abs(el.stiffness @ ones)) <= 1e-10
+        assert np.max(np.abs(el.stiffness @ ones[cell])) <= 1e-10
         ev = np.linalg.eigvalsh(el.stiffness)
         assert ev[0] >= -1e-10
         assert ev[1] > 1e-8  # one-dimensional kernel only
 
 
 def test_energy_of_x_is_area(unit_square_1):
-    el = build_element(unit_square_1, 0, 1)
-    dx = interpolate(el, lambda p: p[:, 0])
+    el = cell_elements(unit_square_1, 1)[0]
+    (dx,) = _interpolants(unit_square_1, 1, lambda p: p[:, 0])
     assert abs(dx @ el.stiffness @ dx - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_k_consistency(unit_square_1, k):
     # a_h(phi, p) equals the projected energy pairing for any phi and p in P_k
-    el = build_element(unit_square_1, 0, k)
+    el = cell_elements(unit_square_1, k)[0]
     rng = np.random.default_rng(k)
     phi = rng.standard_normal(el.n_dofs)
     for _ in range(3):
@@ -68,27 +84,26 @@ def test_k_consistency(unit_square_1, k):
 
 def test_stability_vanishes_on_polynomials(unit_square_1):
     for k in (1, 2, 3, 4):
-        el = build_element(unit_square_1, 0, k)
+        el = cell_elements(unit_square_1, k)[0]
         assert np.max(np.abs(el.stability @ el.dof_of_poly)) <= 1e-10
 
 
 def test_interpolate_constant(unit_square_1):
-    el = build_element(unit_square_1, 0, 3)
-    dofs = interpolate(el, lambda p: np.ones(len(p)))
-    np.testing.assert_allclose(dofs[: el.layout.n_point], 1.0, atol=1e-14)
-    assert abs(dofs[el.layout.n_point] - 1.0) <= 1e-14  # zeroth moment
-    assert np.max(np.abs(dofs[el.layout.n_point + 1:])) <= 1e-14  # centered
+    el = cell_elements(unit_square_1, 3)[0]
+    (dofs,) = _interpolants(unit_square_1, 3, lambda p: np.ones(len(p)))
+    np.testing.assert_allclose(dofs[: el.n_point], 1.0, atol=1e-14)
+    assert abs(dofs[el.n_point] - 1.0) <= 1e-14  # zeroth moment
+    assert np.max(np.abs(dofs[el.n_point + 1:])) <= 1e-14  # centered
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_interpolate_reproduces_polynomials(unit_square_2x2, k):
     rng = np.random.default_rng(5)
     u, _, _ = random_polynomial(k, rng)
-    for cell in range(4):
-        el = build_element(unit_square_2x2, cell, k)
-        dofs = interpolate(el, u)
-        uh = el.basis.eval(el.quad.points) @ (el.pinabla @ dofs)
-        assert np.max(np.abs(uh - u(el.quad.points))) <= 1e-10
+    interps = _interpolants(unit_square_2x2, k, u)
+    for cell, el in enumerate(cell_elements(unit_square_2x2, k)):
+        uh = el.basis.eval(el.points) @ (el.pinabla @ interps[cell])
+        assert np.max(np.abs(uh - u(el.points))) <= 1e-10
 
 
 def test_interpolation_l2_decay_k2():
@@ -98,23 +113,21 @@ def test_interpolation_l2_decay_k2():
     for n in (4, 8, 16):
         mesh = build_structured_mesh((0, 0, 1, 1), n, n)
         total = 0.0
-        for el in build_all_elements(mesh, 2):
-            dofs = interpolate(el, u)
-            uh = el.basis.eval(el.quad.points) @ (el.pinabla @ dofs)
-            total += el.quad.weights @ (uh - u(el.quad.points)) ** 2
+        for el, dofs in zip(cell_elements(mesh, 2), _interpolants(mesh, 2, u)):
+            uh = el.basis.eval(el.points) @ (el.pinabla @ dofs)
+            total += el.weights @ (uh - u(el.points)) ** 2
         errs.append(np.sqrt(total))
     rates = [np.log(errs[i] / errs[i + 1]) / np.log(2.0) for i in range(2)]
     assert rates[-1] >= 2.8  # h^3
 
 
 def test_load_zero(unit_square_1):
-    el = build_element(unit_square_1, 0, 2)
-    assert np.max(np.abs(load_vector(el, lambda p: np.zeros(len(p))))) == 0.0
+    (b,) = _loads(unit_square_1, 2, lambda p: np.zeros(len(p)))
+    assert np.max(np.abs(b)) == 0.0
 
 
 def test_load_constant_k1(unit_square_1):
-    el = build_element(unit_square_1, 0, 1)
-    b = load_vector(el, lambda p: np.ones(len(p)))
+    (b,) = _loads(unit_square_1, 1, lambda p: np.ones(len(p)))
     np.testing.assert_allclose(b, 0.25, atol=1e-14)
 
 
@@ -122,20 +135,17 @@ def test_load_constant_k1(unit_square_1):
 def test_load_constant_moments(k):
     # on any cell the f = 1 functional is exactly area at the first moment
     mesh = build_voronoi_mesh(None, 5, rng_seed=2)
-    for cell in range(mesh.n_cells):
-        el = build_element(mesh, cell, k)
-        b = load_vector(el, lambda p: np.ones(len(p)))
-        mom = b[el.layout.n_point:]
+    loads = _loads(mesh, k, lambda p: np.ones(len(p)))
+    for el, b in zip(cell_elements(mesh, k), loads):
+        mom = b[el.n_point:]
         assert abs(mom[0] - el.area) <= 1e-12
         if len(mom) > 1:
             assert np.max(np.abs(mom[1:])) <= 1e-12
-        assert np.max(np.abs(b[: el.layout.n_point])) <= 1e-12
+        assert np.max(np.abs(b[: el.n_point])) <= 1e-12
 
 
 def test_project_gradient_constant(unit_square_1):
-    el = build_element(unit_square_1, 0, 2)
-    dofs = interpolate(el, lambda p: np.ones(len(p)))
-    co, _ = project_gradient_l2(el, dofs)
+    (co,) = _gradients_of_interpolant(unit_square_1, 2, lambda p: np.ones(len(p)))
     assert np.max(np.abs(co)) <= 1e-12
 
 
@@ -143,11 +153,10 @@ def test_project_gradient_constant(unit_square_1):
 def test_project_gradient_polynomials(unit_square_2x2, k):
     rng = np.random.default_rng(9)
     u, grad, _ = random_polynomial(k, rng)
-    el = build_element(unit_square_2x2, 1, k)
-    dofs = interpolate(el, u)
-    co, gb = project_gradient_l2(el, dofs)
-    pts = el.quad.points
-    vals = gb.eval(pts)
+    el = cell_elements(unit_square_2x2, k)[1]
+    co = _gradients_of_interpolant(unit_square_2x2, k, u)[1]
+    pts = el.points
+    vals = CellPolyBasis(k - 1, el.center, el.diameter).eval(pts)
     got = np.column_stack([vals @ co[0], vals @ co[1]])
     assert np.max(np.abs(got - grad(pts))) <= 1e-10
 
@@ -161,11 +170,10 @@ def test_project_gradient_accuracy_vs_quadrature_oracle():
         -np.pi * np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
     ])
     mesh = build_structured_mesh((0, 0, 1, 1), 8, 8)
-    el = build_element(mesh, 27, 2)
-    dofs = interpolate(el, u)
-    co, gb = project_gradient_l2(el, dofs)
-    pts, w = el.quad.points, el.quad.weights
-    vals = gb.eval(pts)
+    el = cell_elements(mesh, 2)[27]
+    co = _gradients_of_interpolant(mesh, 2, u)[27]
+    pts, w = el.points, el.weights
+    vals = CellPolyBasis(1, el.center, el.diameter).eval(pts)
     # oracle: project the exact gradient by quadrature
     gram = vals.T @ (w[:, None] * vals)
     co_ex = np.linalg.solve(gram, vals.T @ (w[:, None] * gu(pts)))
@@ -179,16 +187,16 @@ def test_scaling_invariance():
     m1 = build_structured_mesh((0, 0, 1, 1), 2, 2)
     m2 = build_structured_mesh((0, 0, 100, 100), 2, 2)
     for k in (1, 2, 3):
-        e1 = build_element(m1, 1, k)
-        e2 = build_element(m2, 1, k)
+        e1 = cell_elements(m1, k)[1]
+        e2 = cell_elements(m2, k)[1]
         assert np.max(np.abs(e1.stiffness - e2.stiffness)) <= 1e-10 * max(
             1.0, np.max(np.abs(e1.stiffness)))
 
 
 def test_both_stabilizations_share_consistency(unit_square_1):
     for k in (1, 2, 3):
-        ee = build_element(unit_square_1, 0, k, stab="euclidean")
-        ed = build_element(unit_square_1, 0, k, stab="d_recipe")
+        ee = cell_elements(unit_square_1, k, stab="euclidean")[0]
+        ed = cell_elements(unit_square_1, k, stab="d_recipe")[0]
         assert np.max(np.abs(ee.pinabla - ed.pinabla)) == 0.0
         assert np.max(np.abs(ee.consistency - ed.consistency)) == 0.0
         if k >= 2:
@@ -204,7 +212,7 @@ def test_stability_sandwich_diagnostic():
     rng = np.random.default_rng(11)
     for mesh in meshes:
         for k in (1, 2, 3, 4):
-            el = build_element(mesh, 0, k)
+            el = cell_elements(mesh, k)[0]
             resid = np.eye(el.n_dofs) - el.dof_of_poly @ el.pinabla
             scale = np.diag(el.consistency)
             for _ in range(5):
@@ -232,9 +240,8 @@ def test_dofmap_shared_edges_consistent():
     k = 3
     dm = GlobalDofMap(mesh, k)
     glob = np.full(dm.n_dofs, np.nan)
-    for el in build_all_elements(mesh, k):
-        vals = interpolate(el, u)
-        idx = dm.cell_dofs(el.cell)
+    for cell, vals in enumerate(_interpolants(mesh, k, u)):
+        idx = dm.dofs[dm.offsets[cell]:dm.offsets[cell + 1]]
         ok = np.isnan(glob[idx]) | (np.abs(glob[idx] - vals) <= 1e-12)
         assert np.all(ok)
         glob[idx] = vals
@@ -264,27 +271,28 @@ def test_dofmap_matches_per_cell_numbering(k):
         dm = GlobalDofMap(mesh, k)
         want = [_per_cell_dofs(mesh, k, c) for c in range(mesh.n_cells)]
         assert dm.n_dofs == mesh.n_vertices + mesh.n_edges * (k - 1) + mesh.n_cells * (k - 1) * k // 2
-        for c in range(mesh.n_cells):
-            assert dm.cell_dofs(c).dtype == want[c].dtype
-            assert np.array_equal(dm.cell_dofs(c), want[c])
+        assert dm.dofs.dtype == want[0].dtype
         assert np.array_equal(dm.dofs, np.concatenate(want))
+        assert np.array_equal(dm.offsets[1:], np.cumsum([len(w) for w in want]))
+        sizes = np.diff(dm.offsets)
+        for size in np.unique(sizes):
+            cells = np.flatnonzero(sizes == size)
+            assert np.array_equal(dm.batch_dofs(cells), np.stack([want[c] for c in cells]))
 
 
 def test_dofmap_table_shared_per_mesh_and_order(unit_square_2x2):
     a, b = GlobalDofMap(unit_square_2x2, 3), GlobalDofMap(unit_square_2x2, 3)
     other = GlobalDofMap(unit_square_2x2, 2)
-    for cell in range(unit_square_2x2.n_cells):
-        dofs = a.cell_dofs(cell)
-        assert np.array_equal(b.cell_dofs(cell), dofs)
-        assert other.cell_dofs(cell) is not dofs
-        assert len(other.cell_dofs(cell)) < len(dofs)
-        assert not dofs.flags.writeable and not other.cell_dofs(cell).flags.writeable
-        with pytest.raises(ValueError):
-            dofs[0] = -1
+    cells = np.arange(unit_square_2x2.n_cells)
+    assert np.array_equal(a.batch_dofs(cells), b.batch_dofs(cells))
+    assert other.batch_dofs(cells).shape[1] < a.batch_dofs(cells).shape[1]
+    assert not a.dofs.flags.writeable and not other.dofs.flags.writeable
+    with pytest.raises(ValueError):
+        a.dofs[0] = -1
 
 
 def test_build_element_rejects_bad_args(unit_square_1):
     with pytest.raises(ValueError):
-        build_element(unit_square_1, 0, 0)
+        build_all_elements(unit_square_1, 0)
     with pytest.raises(ValueError):
-        build_element(unit_square_1, 0, 2, stab="other")
+        build_all_elements(unit_square_1, 2, stab="other")

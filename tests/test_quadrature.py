@@ -180,6 +180,17 @@ def test_ear_clip_rejects_self_intersecting_loop():
         triangulate_polygon(v)
 
 
+def test_ear_clip_rejects_crossing_loop_that_covers_its_area():
+    # the edge from (0,2) to (1,-1) crosses the bottom edge; clipping alone
+    # covers the signed area
+    v = np.array([(0, 0), (2, 0), (2, 2), (0, 2), (1, -1), (3, 1)], dtype=float)
+    assert not fan_check(v, polygon_centroid(v), polygon_area(v))[1]
+    with pytest.raises(ValueError, match="edges cross"):
+        triangulate_polygon(v)
+    with pytest.raises(ValueError, match="edges cross"):
+        polygon_rule(v, 2)
+
+
 def test_gauss_legendre_cached_readonly():
     x, w = gauss_legendre(4)
     assert not x.flags.writeable and not w.flags.writeable

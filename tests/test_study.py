@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from polyvem.element import GlobalDofMap, build_all_elements, interpolate
+from polyvem.element import GlobalDofMap, build_all_elements
 from polyvem.generators import build_voronoi_mesh
 from polyvem.study import (
     PROBLEMS,
@@ -16,7 +16,7 @@ from polyvem.study import (
     run_study,
 )
 from polyvem.weakbc import WeakBcConfig
-from conftest import random_polynomial
+from conftest import interpolant, random_polynomial
 
 # published errors and mean mesh sizes of the reference study the rate
 # formula is checked against (fourth-order runs on a sequence of four
@@ -86,10 +86,7 @@ def test_compute_errors_exact_polynomial(unit_square_2x2):
     k = 2
     u, grad, _ = random_polynomial(k, rng)
     els = build_all_elements(unit_square_2x2, k)
-    dm = GlobalDofMap(unit_square_2x2, k)
-    dofs = np.zeros(dm.n_dofs)
-    for el in els:
-        dofs[dm.cell_dofs(el.cell)] = interpolate(el, u)
+    dofs = interpolant(unit_square_2x2, els, u)
     e1, e0 = compute_errors(unit_square_2x2, els, dofs, u, grad)
     assert e1 <= 1e-10 and e0 <= 1e-10
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polyvem import build_structured_mesh, build_voronoi_mesh
-from polyvem.element import GlobalDofMap, build_all_elements, interpolate, load_vectors
+from polyvem.element import GlobalDofMap, build_all_elements, load_vectors
 from polyvem.linsys import TripletBuilder, schur_condense_bh, solve
 from polyvem.study import compute_errors, multiplier_error
 from polyvem.weakbc import (
@@ -14,15 +14,7 @@ from polyvem.weakbc import (
     edge_workspaces,
     recover_multiplier,
 )
-from conftest import random_polynomial
-
-
-def interpolant(mesh, elements, k, u):
-    dm = GlobalDofMap(mesh, k)
-    out = np.zeros(dm.n_dofs)
-    for el in elements:
-        out[dm.cell_dofs(el.cell)] = interpolate(el, u)
-    return out
+from conftest import interpolant, per_cell, random_polynomial
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -52,7 +44,7 @@ def test_bh_linear_patch_explicit(unit_square_2x2):
     mult = MultiplierSpace.create(unit_square_2x2, 1)
     x = solve(assemble_bh(unit_square_2x2, els, mult, cfg,
                           lambda p: np.zeros(len(p)), u))
-    ui = interpolant(unit_square_2x2, els, 1, u)
+    ui = interpolant(unit_square_2x2, els, u)
     dm = GlobalDofMap(unit_square_2x2, 1)
     assert np.max(np.abs(x[:dm.n_dofs] - ui)) <= 1e-9
 
@@ -189,6 +181,42 @@ def test_gamma_monotone_definiteness(unit_square_2x2):
     assert mins[0] <= mins[1] <= mins[2]
 
 
+def _quiet_config(**kwargs) -> WeakBcConfig:
+    # a penalty outside its stable range warns; here it is meant
+    with pytest.warns(UserWarning, match="is (small|large)"):
+        return WeakBcConfig(**kwargs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_parameter_regimes_on_coarse_voronoi(k):
+    # the paper's well-posedness condition: gamma large enough for Nitsche,
+    # alpha small enough for the multiplier method
+    mesh = build_voronoi_mesh(None, 16, lloyd_iters=1, rng_seed=3)
+    els = build_all_elements(mesh, k)
+    zero = lambda p: np.zeros(len(p))
+
+    def smallest(cfg):
+        a = assemble_nitsche(mesh, els, cfg, zero, zero).matrix.toarray()
+        return np.linalg.eigvalsh(0.5 * (a + a.T))[0]
+
+    assert smallest(WeakBcConfig(method="nitsche", k=k, gamma=1000.0)) > 0.0
+    assert smallest(_quiet_config(method="nitsche", k=k, gamma=1.0)) < 0.0
+
+    def inertia(cfg):
+        mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
+        a = assemble_bh(mesh, els, mult, cfg, zero, zero).matrix.toarray()
+        ev = np.linalg.eigvalsh(a)
+        return (int(np.sum(ev > 0.0)), int(np.sum(ev < 0.0))), mult.dim
+
+    n_u = GlobalDofMap(mesh, k).n_dofs
+    for kprime in (k, k - 1):
+        counts, n_mult = inertia(WeakBcConfig(method="barbosa_hughes", k=k, kprime=kprime,
+                                              alpha=1e-3))
+        assert counts == (n_u, n_mult), kprime
+    counts, _ = inertia(_quiet_config(method="barbosa_hughes", k=k, alpha=1.0))
+    assert counts[0] < n_u
+
+
 def test_mismatched_order_rejected(unit_square_2x2):
     els = build_all_elements(unit_square_2x2, 2)
     cfg = WeakBcConfig(method="nitsche", k=3, gamma=100.0)
@@ -222,16 +250,17 @@ def test_stacked_volume_scatter_equals_shuffled_tiles():
     f = lambda p: np.sin(3.0 * p[:, 0]) * np.cos(2.0 * p[:, 1])
     stacked, rhs = TripletBuilder(dm.n_dofs), np.zeros(dm.n_dofs)
     _scatter_volume(stacked, rhs, els, dm, f)
-    assert len(stacked._keys) == len({el.layout.n_vertices for el in els})
+    assert len(stacked._keys) == len(els.batches) == len({len(loop) for loop in mesh.cells})
 
+    stiffness = per_cell(els, [b.stiffness for b in els.batches])
     tiles, want = [], np.zeros(dm.n_dofs)
-    for el, load in zip(els, load_vectors(els, f)):
-        gd = dm.cell_dofs(el.cell)
+    for cell, load in enumerate(per_cell(els, load_vectors(els, f))):
+        gd = dm.dofs[dm.offsets[cell]:dm.offsets[cell + 1]]
         want[gd] += load
         cuts = np.arange(0, len(gd), rng.integers(1, len(gd) + 1))
         for r in np.split(np.arange(len(gd)), cuts[1:]):
             for c in np.split(np.arange(len(gd)), cuts[1:]):
-                tiles.append((gd[r], gd[c], el.stiffness[np.ix_(r, c)]))
+                tiles.append((gd[r], gd[c], stiffness[cell][np.ix_(r, c)]))
     shuffled = TripletBuilder(dm.n_dofs)
     for i in rng.permutation(len(tiles)):
         shuffled.add_block(*tiles[i])
