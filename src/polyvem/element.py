@@ -394,14 +394,14 @@ def project_gradients_l2(table: CellTable, local: list) -> list:
     from the DOFs by integration by parts: for the local DOF vectors
     local[i] (nb, n_dofs) of batch i, coefficients (nb, 2, dim P_{k-1}) in
     the raw scaled monomials."""
-    n_out = cell_basis_dim(table.k - 1)
-    return [_gradient_batch(b, table.k, u, _raw(b, table.k - 1) @ np.eye(n_out))
-            for b, u in zip(table.batches, local)]
+    return [_gradient_batch(b, table.k, u, _raw(b, table.k))[0] for b, u in zip(table.batches, local)]
 
 
-def _gradient_batch(b: CellBatch, k: int, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    # vals: the raw P_{k-1} monomials at the quadrature points
-    n_point, n_out = b.point_coords.shape[1], vals.shape[-1]
+def _gradient_batch(b: CellBatch, k: int, u: np.ndarray, raw: np.ndarray):
+    # coefficients and the raw P_{k-1} monomials at the quadrature points,
+    # which lead the graded order of the degree-k table raw
+    n_point, n_out = b.point_coords.shape[1], cell_basis_dim(k - 1)
+    vals = raw[..., :n_out] @ np.eye(n_out)
     nv, h = n_point // k, b.diameter
     gram = _sym(_T(vals) @ (b.weights[..., None] * vals))
 
@@ -423,7 +423,7 @@ def _gradient_batch(b: CellBatch, k: int, u: np.ndarray, vals: np.ndarray) -> np
     for i in range(nv):
         rhs[:, 0] += nrm[:, i, 0, None] * contrib[:, i]
         rhs[:, 1] += nrm[:, i, 1, None] * contrib[:, i]
-    return _T(np.linalg.solve(gram, _T(rhs)))
+    return _T(np.linalg.solve(gram, _T(rhs))), vals
 
 
 def error_integrals(table: CellTable, local: list, exact_u, exact_grad) -> np.ndarray:
@@ -431,12 +431,12 @@ def error_integrals(table: CellTable, local: list, exact_u, exact_grad) -> np.nd
     each cell, shape (n_cells, 4) in cell order, for the local DOF vectors
     local[i] (nb, n_dofs) of batch i; G is the L2-projected gradient and P
     the energy projection."""
-    k, n_out = table.k, cell_basis_dim(table.k - 1)
+    k = table.k
     out = np.empty((len(table.batch_of), 4))
     for b, u in zip(table.batches, local):
         raw = _raw(b, k)
-        vals = raw[..., :n_out] @ np.eye(n_out)  # the degree k-1 table leads the graded order
-        co = np.ascontiguousarray(_gradient_batch(b, k, u, vals))[..., None]
+        co, vals = _gradient_batch(b, k, u, raw)
+        co = np.ascontiguousarray(co)[..., None]
         gh = np.concatenate([vals @ co[:, 0], vals @ co[:, 1]], axis=-1)
         ge = _field(exact_grad, b, gh.shape)
         ue = _field(exact_u, b, b.weights.shape + (1,))

@@ -173,7 +173,8 @@ def triangulate_polygon(verts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray,
 
     Tries the centroid fan first; falls back to ear clipping for cells that
     are not star shaped with respect to their centroid (staircase unions,
-    loaded meshes).  Raises ValueError for non-simple input.
+    loaded meshes).  Raises ValueError for non-simple input: two edges that
+    cross, on either path, or a loop the clipping cannot cover.
     """
     v = np.asarray(verts, dtype=float)
     if len(v) < 3:
@@ -183,10 +184,9 @@ def triangulate_polygon(verts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray,
         raise ValueError("polygon must be counter-clockwise with positive area")
     c = polygon_centroid(v)
     t2, fan_ok = fan_check(v, c, area)
-    if fan_ok:
-        return [(c, v[i], v[(i + 1) % len(v)]) for i in range(len(v)) if t2[i] > 0.0]
-    tris = _ear_clip(v, area)
-    if _edges_cross(v):  # clipping can cover the signed area of a crossing loop
+    tris = ([(c, v[i], v[(i + 1) % len(v)]) for i in range(len(v)) if t2[i] > 0.0]
+            if fan_ok else _ear_clip(v, area))
+    if _edges_cross(v):  # the fan and the clip can both cover the signed area of a crossing loop
         raise ValueError("polygon edges cross; polygon is non-simple")
     return tris
 

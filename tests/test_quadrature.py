@@ -191,6 +191,19 @@ def test_ear_clip_rejects_crossing_loop_that_covers_its_area():
         polygon_rule(v, 2)
 
 
+def test_fan_rejects_crossing_loop_that_passes_the_fan_test():
+    # a pentagram: every fan triangle about the centroid is positive and the
+    # fan area telescopes to the signed area, yet the loop covers its inner
+    # pentagon twice
+    angles = np.pi / 2 + 2 * np.pi * np.arange(5) * 2 / 5
+    v = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    assert fan_check(v, polygon_centroid(v), polygon_area(v))[1]
+    with pytest.raises(ValueError, match="edges cross"):
+        triangulate_polygon(v)
+    with pytest.raises(ValueError, match="edges cross"):
+        polygon_rule(v, 2)
+
+
 def test_gauss_legendre_cached_readonly():
     x, w = gauss_legendre(4)
     assert not x.flags.writeable and not w.flags.writeable
