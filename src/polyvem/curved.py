@@ -48,12 +48,13 @@ def correction_data(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSp
                     cfg_corr: CorrectionConfig, table: EdgeTable | None = None) -> EdgeTable:
     """The edge table of the corrected problem.
 
-    It is the flat table (`table`, built here when None) with `data_points`
-    moved to the foot points x + delta(x) sigma and with the Taylor
-    `correction` of each batch (None when kstar = 0); every other array is
-    shared with the flat table.  delta is found at every quadrature node of
-    every boundary edge in one batched root search, and the result is meant
-    to be shared by the assembly and the multiplier recovery of a level.
+    It is the flat table (`table`, built here when None) with the `gaps`
+    delta at its points, `data_points` moved to the foot points
+    x + delta(x) sigma and the Taylor `correction` of each batch (None when
+    kstar = 0); every other array is shared with the flat table.  delta is
+    found at every quadrature node of every boundary edge in one batched root
+    search, and the result is meant to be shared by the assembly, the
+    multiplier recovery and the tau audit of a level.
     """
     if cfg_corr.kstar > cfg_bc.k:
         raise ValueError("kstar must not exceed the space order k")
@@ -66,7 +67,7 @@ def correction_data(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSp
         correction = tuple(_taylor_field(elements, table, b, sigmas[b.rows], gaps[b.rows],
                                          cfg_corr.kstar) for b in table.batches)
     return replace(table, data_points=table.points + gaps[..., None] * sigmas[:, None, :],
-                   correction=correction)
+                   correction=correction, gaps=gaps)
 
 
 def _taylor_field(elements: CellTable, table: EdgeTable, batch: EdgeBatch, sigma: np.ndarray,

@@ -31,6 +31,7 @@ __all__ = [
     "delta_many",
     "boundary_gaps",
     "choose_sigma",
+    "tau_from_gaps",
     "tau_report",
     "kstar_default",
 ]
@@ -331,20 +332,25 @@ def boundary_gaps(levelset: LevelSetDomain, mesh: PolygonalMesh, edges, points,
     return sigmas, ds.reshape(n, nq)
 
 
+def tau_from_gaps(edges, gaps, htilde) -> TauReport:
+    """The TauReport of gaps (n, nq) on boundary edges (n,) of adjacent-cell diameters htilde."""
+    taus = np.max(gaps, axis=1) / htilde
+    worst = int(np.argmax(taus)) if len(taus) else 0
+    tau_hat = float(taus[worst]) if len(taus) else 0.0
+    return TauReport(np.array(edges), tau_hat, int(edges[worst]) if len(edges) else -1, TAU_THRESHOLD)
+
+
 def tau_report(levelset: LevelSetDomain, mesh: PolygonalMesh,
                cfg: CorrectionConfig) -> TauReport:
+    """`tau_from_gaps` on an exactness-7 rule; warns above TAU_THRESHOLD."""
     idx = mesh.boundary_edges
     ends = mesh.vertices[mesh.edges[idx]]
     pts, _ = segment_rules(ends[:, 0], ends[:, 1], 7)
     _, gaps = boundary_gaps(levelset, mesh, idx, pts, cfg)
-    htil = mesh.cell_diameters[mesh.edge_cells[idx, 0]]
-    taus = np.max(gaps, axis=1) / htil
-    worst = int(np.argmax(taus)) if len(taus) else 0
-    tau_hat = float(taus[worst]) if len(taus) else 0.0
-    rep = TauReport(idx.copy(), tau_hat, int(idx[worst]) if len(idx) else -1, TAU_THRESHOLD)
+    rep = tau_from_gaps(idx, gaps, mesh.cell_diameters[mesh.edge_cells[idx, 0]])
     if rep.exceeded:
         warnings.warn(
-            f"boundary-gap ratio tau_hat = {tau_hat:.3f} exceeds {TAU_THRESHOLD} "
+            f"boundary-gap ratio tau_hat = {rep.tau_hat:.3f} exceeds {TAU_THRESHOLD} "
             f"(worst edge {rep.worst_edge}); the corrected problem may be unstable",
             stacklevel=2,
         )

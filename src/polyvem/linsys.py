@@ -114,6 +114,7 @@ def solve(system: LinearSystem, rhs: np.ndarray | None = None) -> np.ndarray:
     near-machine backward error on the ill-conditioned saddle systems
     (multiplier blocks scale with alpha while the stiffness is O(1))."""
     b = system.rhs if rhs is None else np.asarray(rhs, dtype=float)
+    a_inf = _inf_norm(system.matrix)  # before the factor: its temporaries miss the LU peak
     lu = system.factor()
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
@@ -123,7 +124,6 @@ def solve(system: LinearSystem, rhs: np.ndarray | None = None) -> np.ndarray:
         if not np.any(r):
             break
         x = x + lu.solve(r)
-    a_inf = spla.norm(system.matrix, np.inf) if system.n else 0.0
     denom = a_inf * np.max(np.abs(x), initial=0.0) + np.max(np.abs(b), initial=0.0)
     resid = np.max(np.abs(system.matrix @ x - b), initial=0.0)
     if denom > 0 and resid / denom > RESIDUAL_BOUND:
@@ -131,6 +131,13 @@ def solve(system: LinearSystem, rhs: np.ndarray | None = None) -> np.ndarray:
             f"solve residual {resid / denom:.3e} exceeds {RESIDUAL_BOUND:.0e}"
         )
     return x
+
+
+def _inf_norm(matrix) -> float:
+    """max_i sum_j |a_ij|, one `bincount` over the row indices of the canonical CSC form."""
+    A = matrix.tocsc()
+    A.sum_duplicates()  # as splu does
+    return float(np.max(np.bincount(A.indices, np.abs(A.data), A.shape[0]), initial=0.0))
 
 
 def _hager_inv_norm(lu, n: int) -> float:

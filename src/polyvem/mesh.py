@@ -15,6 +15,7 @@ import numpy as np
 
 from .quadrature import (
     QuadratureRule,
+    _cross,
     box_rules,
     fan_check,
     polygon_rule,
@@ -257,14 +258,15 @@ class MeshQualityReport:
         }
 
 
-def _inscribed_radii(pts: np.ndarray, centroids: np.ndarray, samples: int = 12) -> np.ndarray:
+def _inradius_ratios(cells: list, mesh: PolygonalMesh, samples: int = 12) -> np.ndarray:
     """Largest distance from an interior sample point to the cell boundary,
-    for cells (B, nv, 2) of one vertex count.
+    over the diameter, for cells of one vertex count.
 
     Samples the centroid plus a grid over the bounding box filtered to the
     polygon interior; a cheap lower estimate of the inradius, good enough
     for the mesh-regularity diagnostic.
     """
+    pts, centroids = mesh.vertices[[mesh.cells[c] for c in cells]], mesh.cell_centroids[cells]
     lo = pts.min(axis=1)[..., None]
     hi = pts.max(axis=1)[..., None]
     # interior nodes of np.linspace(lo, hi, samples + 2), as linspace computes them
@@ -280,7 +282,8 @@ def _inscribed_radii(pts: np.ndarray, centroids: np.ndarray, samples: int = 12) 
     diff = cand[:, None, :, :] - proj
     dmin = np.min(np.hypot(diff[..., 0], diff[..., 1]), axis=1)
     inside = _points_in_polygon(cand, pts)
-    return np.where(np.any(inside, axis=1), np.max(np.where(inside, dmin, -np.inf), axis=1), 0.0)
+    rho = np.where(np.any(inside, axis=1), np.max(np.where(inside, dmin, -np.inf), axis=1), 0.0)
+    return rho / mesh.cell_diameters[cells]
 
 
 def _points_in_polygon(cand: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -307,30 +310,47 @@ def _probes_inside(edges: list, probes: np.ndarray, owners: np.ndarray, cells: l
                               vertices[[cells[c] for c in owners[edges]]])[:, 0]
 
 
-def _cell_quality(cells: list, mesh: PolygonalMesh) -> np.ndarray:
-    """Shortest vertex distance and inradius estimate over diameter, per cell."""
+def _shortest_sides(cells: list, mesh: PolygonalMesh) -> np.ndarray:
+    """Shortest distance between two vertices of each cell."""
     pts = mesh.vertices[[mesh.cells[c] for c in cells]]
     d2 = np.sum((pts[:, :, None, :] - pts[:, None, :, :]) ** 2, axis=-1)
-    diag = np.arange(pts.shape[1])
-    d2[:, diag, diag] = np.inf
-    rho = _inscribed_radii(pts, mesh.cell_centroids[cells])
-    return np.column_stack([np.sqrt(np.min(d2, axis=(1, 2))), rho / mesh.cell_diameters[cells]])
+    return np.sqrt(np.min(d2 + np.diag(np.full(pts.shape[1], np.inf)), axis=(1, 2)))
+
+
+def _ratio_bounds(mesh: PolygonalMesh) -> tuple:
+    """Bounds lower <= `_inradius_ratios` <= upper of every cell, from one pass
+    over the half-edges: the centroid's distance to the boundary (0 when it
+    lies outside), and sqrt(A / pi), or 2A / P when the cell is convex."""
+    sizes = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
+    starts = np.cumsum(sizes) - sizes
+    a = mesh.vertices[np.concatenate(mesh.cells)]
+    nxt = np.arange(1, len(a) + 1)
+    nxt[starts + sizes - 1] = starts
+    e, w = a[nxt] - a, np.repeat(mesh.cell_centroids, sizes, axis=0) - a
+    t = np.clip((w[:, 0] * e[:, 0] + w[:, 1] * e[:, 1]) / (e[:, 0] ** 2 + e[:, 1] ** 2), 0.0, 1.0)
+    dist = np.minimum.reduceat(np.hypot(w[:, 0] - t * e[:, 0], w[:, 1] - t * e[:, 1]), starts)
+    # even-odd count of the edges crossing the rightward ray from the centroid:
+    # x < x_cross without the division is (w x e) e_y < 0
+    crossing = ((w[:, 1] < 0.0) != (w[:, 1] < e[:, 1])) & (_cross(w, e) * e[:, 1] < 0.0)
+    inside = np.add.reduceat(crossing, starts) % 2 == 1
+    convex = np.logical_and.reduceat(_cross(e, e[nxt]) >= 0.0, starts)
+    area, perimeter = mesh.cell_areas, np.add.reduceat(np.hypot(e[:, 0], e[:, 1]), starts)
+    upper = np.where(convex, 2.0 * area / perimeter, np.sqrt(area / np.pi))
+    return np.where(inside, dist, 0.0) / mesh.cell_diameters, upper / mesh.cell_diameters
 
 
 def quality_report(mesh: PolygonalMesh) -> MeshQualityReport:
-    per_cell = map_batches([len(loop) for loop in mesh.cells], range(mesh.n_cells),
-                           _cell_quality, mesh)
-    h_min, gamma0 = np.min(per_cell, axis=0)
+    """Mesh sizes and gamma0, sampled only on the cells whose bounds let them
+    attain it; the 1e-9 margin covers the rounding of the bounds."""
+    sizes = [len(loop) for loop in mesh.cells]
+    h_min = np.min(map_batches(sizes, range(mesh.n_cells), _shortest_sides, mesh))
+    lower, upper = _ratio_bounds(mesh)
+    keep = np.flatnonzero(lower <= np.min(upper) * (1.0 + 1e-9)).tolist()
+    gamma0 = np.min(map_batches([sizes[c] for c in keep], keep, _inradius_ratios, mesh))
     return MeshQualityReport(
-        n_cells=mesh.n_cells,
-        n_edges=mesh.n_edges,
-        n_vertices=mesh.n_vertices,
-        h=float(np.max(mesh.cell_diameters)),
-        h_mean=float(np.mean(mesh.cell_diameters)),
-        h_min=float(h_min),
-        gamma0_estimate=float(gamma0),
-        max_edges_per_cell=max(len(loop) for loop in mesh.cells),
-    )
+        n_cells=mesh.n_cells, n_edges=mesh.n_edges, n_vertices=mesh.n_vertices,
+        h=float(np.max(mesh.cell_diameters)), h_mean=float(np.mean(mesh.cell_diameters)),
+        h_min=float(h_min), gamma0_estimate=float(gamma0), max_edges_per_cell=max(sizes))
 
 
 def mesh_to_json(mesh: PolygonalMesh, path=None) -> str:

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from .generators import (
     build_structured_mesh,
     build_voronoi_mesh,
 )
-from .levelset import CorrectionConfig, kstar_default, named_levelset, tau_report
+from .levelset import CorrectionConfig, kstar_default, named_levelset, tau_from_gaps
 from .linsys import condest_1norm, export_matrix_market, solve
 from .mesh import quality_report
 from .weakbc import (
@@ -343,17 +342,13 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
             result.n_dofs = dofmap.n_dofs
             elements = build_all_elements(mesh, spec.k, stab=spec.stab)
             mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
-            # one boundary pass: the edge table and the gaps serve every consumer
+            # one boundary pass: the edge table and its gaps serve every consumer
             table = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
             if spec.correction and ls is not None:
-                regime = "h_linear" if spec.mesh == "squares" else "h_squared"
-                ccfg = spec.correction_config(regime)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    tau = tau_report(ls, mesh, ccfg)
-                result.tau_hat = tau.tau_hat
-                result.tau_worst_edge = tau.worst_edge
+                ccfg = spec.correction_config("h_linear" if spec.mesh == "squares" else "h_squared")
                 table = correction_data(mesh, elements, mult, ls, cfg, ccfg, table=table)
+                tau = tau_from_gaps(table.edge, table.gaps, table.htilde)
+                result.tau_hat, result.tau_worst_edge = tau.tau_hat, tau.worst_edge
 
             if cfg.method == "barbosa_hughes":
                 system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g,

@@ -146,6 +146,7 @@ class EdgeTable:
     mass: np.ndarray          # (n, k'+1, k'+1) multiplier mass matrices
     batches: tuple            # one EdgeBatch per adjacent-cell DOF count
     correction: tuple | None = None  # per batch the (nb, nq, n_cell) Taylor field; None when flat
+    gaps: np.ndarray | None = None   # (n, nq) boundary gaps at the points; None when flat
 
     def data(self, g) -> np.ndarray:
         """The boundary datum g at the data points, (n, nq)."""

@@ -271,20 +271,24 @@ def _boundary_area(mesh) -> float:
 
 
 def _invariant_draws(n_per_family: int, seed: int) -> list:
-    """Random meshes with an order each: Voronoi (3-300 seeds, Lloyd 0-3) and
-    quarter-disk squares (base 3-16, refine steps 0-3); every family meets
-    each k = 1..4 once per four draws."""
+    """Random meshes with an order each: Voronoi (3-300 seeds, Lloyd 0-3),
+    quarter-disk squares (base 3-16, refine steps 0-3) and inscribed disks
+    (6-64 boundary vertices, 1-6 rings); every family meets each k = 1..4
+    once per four draws."""
     rng = np.random.default_rng(seed)
     draws = []
-    for family in ("voronoi", "squares"):
+    for family in ("voronoi", "squares", "disk"):
         ks = np.concatenate([rng.permutation(4) + 1 for _ in range(-(-n_per_family // 4))])
         for k in ks[:n_per_family]:
             if family == "voronoi":
                 args = (int(rng.integers(3, 301)), int(rng.integers(0, 4)), int(rng.integers(0, 10**6)))
                 mesh = build_voronoi_mesh(None, args[0], lloyd_iters=args[1], rng_seed=args[2])
-            else:
+            elif family == "squares":
                 args = (int(rng.integers(3, 17)), int(rng.integers(0, 4)))
                 mesh = build_squares_approx_mesh(named_levelset("quarter_disk"), *args)
+            else:
+                args = (int(rng.integers(6, 65)), int(rng.integers(1, 7)))
+                mesh = build_disk_approx_mesh(circle(), *args)
             draws.append((f"{family}{args} k={k}", mesh, int(k)))
     return draws
 
@@ -292,8 +296,8 @@ def _invariant_draws(n_per_family: int, seed: int) -> list:
 def test_criterion_invariant_suite():
     """Projector, stiffness, quadrature, gap and solver invariants."""
     # on random meshes and orders: the projector fixes polynomials, the
-    # stiffness is symmetric PSD with the constants as its only kernel, and
-    # the cells partition the domain
+    # stiffness is symmetric PSD with the constants as its only kernel, the
+    # cells partition the domain and V - E + F = 1
     hand_picked = build_voronoi_mesh(None, 6, rng_seed=3)
     draws = [(f"voronoi(6, 0, 3) k={k}", hand_picked, k) for k in (1, 2, 3, 4)]
     for what, mesh, k in draws + _invariant_draws(8, seed=2024):
@@ -318,6 +322,7 @@ def test_criterion_invariant_suite():
             assert np.allclose(b.weights.sum(axis=1), b.area, rtol=1e-12, atol=0), what
         area = sum(b.area.sum() for b in table.batches)
         assert abs(area - _boundary_area(mesh)) <= 1e-12 * area, what
+        assert mesh.n_vertices - mesh.n_edges + mesh.n_cells == 1, what  # Euler, one face
     # quadrature exactness on a polygonal cell
     from polyvem.mesh import cell_quadrature
     rule = cell_quadrature(hand_picked, 0, 6)

@@ -310,11 +310,11 @@ def test_star_edge_normal_miss_names_edge():
 # -- one boundary pass per level -------------------------------------------------
 
 @pytest.mark.parametrize("method,correction,sigma,passes", [
-    ("nitsche", True, "normal", 2),
-    ("bh", True, "normal", 2),
+    ("nitsche", True, "normal", 1),
+    ("bh", True, "normal", 1),
     ("nitsche", False, "normal", 0),
-    ("bh", True, "distance-gradient", 2),
-], ids=["nitsche-True-2", "bh-True-2", "nitsche-False-0", "bh-True-distance-gradient-2"])
+    ("bh", True, "distance-gradient", 1),
+], ids=["nitsche-True-1", "bh-True-1", "nitsche-False-0", "bh-True-distance-gradient-1"])
 def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correction, sigma,
                                                    passes):
     counts = {"root_passes": 0, "workspaces": 0, "edge_rules": 0, "sigma_grads": 0,
@@ -345,10 +345,54 @@ def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correcti
     rep = run_study(spec, 1)
     assert rep.levels[0].error is None
     assert (rep.levels[0].tau_worst_edge is not None) == correction
-    # the tau audit and the correction data are the only root searches, each
-    # with one gradient call for all its directions; one stacked quadrature
-    # call for the level's boundary edges serves the assembly, the recovery
-    # and the boundary norm; one DOF map serves the table and the errors
+    # the correction data is the only root search, with one gradient call for
+    # all its directions, and the tau audit reads its gaps; one stacked
+    # quadrature call for the level's boundary edges serves the assembly, the
+    # recovery and the boundary norm; one DOF map serves the table and the errors
     assert counts == {"root_passes": passes, "workspaces": 1, "edge_rules": 1,
                       "sigma_grads": passes if sigma == "distance-gradient" else 0,
                       "dofmaps": 1}
+
+
+@pytest.mark.parametrize("mesh,k,extra", [
+    ("squares", 2, {}), ("disk", 2, {}), ("squares", 1, {}), ("disk", 3, {}),
+    ("squares", 4, {"sigma": "normal", "kstar": 3}), ("disk", 4, {}),
+], ids=["squares-2", "disk-2", "squares-1", "disk-3", "squares-4", "disk-4"])
+def test_run_study_tau_comes_from_the_correction_gaps(monkeypatch, mesh, k, extra):
+    tables = []
+
+    def kept(*args, **kwargs):
+        tables.append(correction_data(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(study_module, "correction_data", kept)
+    spec = ProblemSpec(problem="quarter-disk" if mesh == "squares" else "disk", k=k, mesh=mesh,
+                       correction=True, **extra)
+    rep = run_study(spec, 2)
+    assert len(tables) == 2
+    for lv, table in zip(rep.levels, tables):
+        assert lv.error is None
+        # the table's own gaps, at its 2k+2 rule
+        assert table.gaps.shape == table.weights.shape
+        taus = [max(row) / h for row, h in zip(table.gaps.tolist(), table.htilde.tolist())]
+        worst = taus.index(max(taus))
+        assert lv.tau_hat == taus[worst] and lv.tau_worst_edge == table.edge[worst]
+        if k == 2:  # the same 4-point Gauss rule as the exactness-7 audit
+            m, ls = study_module._build_level_mesh(spec, study_module.PROBLEMS[spec.problem],
+                                                   lv.level)
+            audit = tau_report(ls, m, spec.correction_config(
+                "h_linear" if mesh == "squares" else "h_squared"))
+            assert (lv.tau_hat, lv.tau_worst_edge) == (audit.tau_hat, audit.worst_edge)
+
+
+def test_run_study_records_the_edge_of_a_failing_gap_search(monkeypatch):
+    monkeypatch.setattr(levelset_module, "DELTA_MAX_FACTOR", 1e-6)
+    spec = ProblemSpec(problem="disk", k=2, mesh="disk", correction=True, sigma="normal")
+    lv = run_study(spec, 1).levels[0]
+    match = re.fullmatch(r"ValueError: no boundary crossing within .* \(edge (\d+)\)", lv.error)
+    assert match is not None, lv.error
+    mesh, _ = study_module._build_level_mesh(spec, study_module.PROBLEMS["disk"], 0)
+    assert int(match.group(1)) in set(mesh.boundary_edges.tolist())
+    # what the level computed before the search stays recorded
+    assert lv.quality["N_P"] == mesh.n_cells and lv.n_dofs > 0
+    assert lv.tau_hat is None and lv.tau_worst_edge is None and lv.e1 is None

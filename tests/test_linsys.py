@@ -3,6 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import polyvem.linsys as linsys_module
 import polyvem.weakbc as weakbc_module
@@ -305,6 +306,54 @@ def test_residual_enforced():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
     with pytest.raises(SingularMatrixError):
         solve(dense_system(a, [1.0, 2.0]))
+
+
+def _row_sum_norm(A) -> float:
+    """max_i sum_j |a_ij|, each row summed left to right over its columns."""
+    R = abs(A).tocsr()
+    R.sort_indices()
+    sums = [0.0] * A.shape[0]
+    for i in range(A.shape[0]):
+        for v in R.data[R.indptr[i]:R.indptr[i + 1]].tolist():
+            sums[i] += v
+    return max(sums)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inf_norm_is_the_largest_row_sum(seed):
+    rng = np.random.default_rng(seed)
+    empty_rows = empty_cols = 0
+    for _ in range(25):
+        n = int(rng.integers(1, 60))
+        A = sp.random(n, n, density=rng.uniform(0.0, 0.2), format="csc", random_state=rng)
+        A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-6, 7, A.nnz)
+        empty_rows += np.any(np.bincount(A.indices, minlength=n) == 0)
+        empty_cols += np.any(np.diff(A.indptr) == 0)
+        got = linsys_module._inf_norm(A)
+        assert got == _row_sum_norm(A)
+        # scipy sums each row in another order: equal up to rounding
+        assert got == pytest.approx(spla.norm(A, np.inf), rel=1e-13, abs=0.0)
+    assert empty_rows and empty_cols
+
+
+def test_inf_norm_sums_duplicates_first():
+    # column 0 stores row 1 twice, 2 and -2: the canonical entry is 0
+    A = sp.csc_matrix((np.array([2.0, -2.0, 1.0, 3.0]), np.array([1, 1, 0, 1]),
+                       np.array([0, 2, 3, 4])), shape=(2, 3))
+    assert not A.has_canonical_format
+    want = spla.norm(sp.csc_matrix(A.toarray()), np.inf)
+    assert linsys_module._inf_norm(A) == want == 3.0
+
+
+def test_failing_residual_check_still_raises(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 40)) + np.diag(np.full(40, 1e-6))
+    sys_ = dense_system(a, rng.standard_normal(40))
+    x = solve(sys_)  # meets the bound
+    assert np.max(np.abs(sys_.matrix @ x - sys_.rhs)) > 0.0
+    monkeypatch.setattr(linsys_module, "RESIDUAL_BOUND", 0.0)
+    with pytest.raises(SingularMatrixError, match=r"^solve residual .* exceeds 0e\+00$"):
+        solve(sys_)
 
 
 def test_export_matrix_market(tmp_path):
