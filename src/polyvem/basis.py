@@ -1,18 +1,17 @@
 """Scaled monomial bases on cells.
 
 Cell bases are spanned by ((x - x_K)/h_K)^a * ((y - y_K)/h_K)^b in graded
-lexicographic order of the exponents, and can be L2-orthonormalized on their
-cell, which replaces the change-of-basis matrix from the raw monomials.
+lexicographic order of the exponents; a change-of-basis matrix from the raw
+monomials (the element's L2-orthonormalization, for instance) gives other
+bases of the same space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-
-from .quadrature import QuadratureRule
 
 __all__ = [
     "CellPolyBasis",
@@ -22,8 +21,6 @@ __all__ = [
     "scaled_powers",
     "monomial_values",
     "monomial_gradients",
-    "gram_matrix",
-    "orthonormalize",
     "directional_derivative_matrix",
 ]
 
@@ -113,7 +110,6 @@ class CellPolyBasis:
     center: np.ndarray
     diameter: float
     coef: np.ndarray = field(default=None)  # type: ignore[assignment]
-    cell_index: int | None = None
 
     def __post_init__(self):
         if self.k < 0:
@@ -140,33 +136,6 @@ class CellPolyBasis:
         powers = scaled_powers(np.atleast_2d(points), self.center, self.diameter, self.k)
         gx, gy = monomial_gradients(*powers, self.k, self.diameter)
         return gx @ self.coef, gy @ self.coef
-
-
-def gram_matrix(basis, quad: QuadratureRule) -> np.ndarray:
-    """L2 Gram matrix of the basis, symmetric positive definite."""
-    vals = basis.eval(quad.points)
-    g = vals.T @ (quad.weights[:, None] * vals)
-    return 0.5 * (g + g.T)
-
-
-def orthonormalize(basis, quad: QuadratureRule):
-    """Return a basis whose Gram matrix on the entity is the identity.
-
-    Applies the inverse transposed Cholesky factor of the Gram matrix to the
-    coefficients; idempotent up to roundoff.
-    """
-    g = gram_matrix(basis, quad)
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        where = f"cell {basis.cell_index}" if getattr(basis, "cell_index", None) is not None else "entity"
-        raise np.linalg.LinAlgError(
-            f"Gram matrix numerically singular on {where} "
-            f"(condition estimate {np.linalg.cond(g):.3e})"
-        ) from exc
-    # coef' = coef * L^{-T}: triangular, keeps function 0 constant
-    new_coef = np.linalg.solve(chol, basis.coef.T).T
-    return replace(basis, coef=new_coef)
 
 
 def directional_derivative_matrix(basis: CellPolyBasis, sigma, j: int = 1) -> np.ndarray:

@@ -28,11 +28,10 @@ from .basis import (
     monomial_exponents,
     monomial_gradients,
     monomial_values,
-    orthonormalize,
     scaled_powers,
 )
 from .mesh import PolygonalMesh, cell_quadratures
-from .quadrature import batch_runs, gauss_lobatto
+from .quadrature import gauss_lobatto
 
 __all__ = [
     "CellBatch",
@@ -196,19 +195,32 @@ def _build_batches(mesh: PolygonalMesh, k: int, stab: str):
         raise ValueError("order k must be >= 1")
     if stab not in STABILIZATIONS:
         raise ValueError(f"unknown stabilization {stab!r}")
-    quads = cell_quadratures(mesh, range(mesh.n_cells), 2 * k + 2)
-    keys = [(len(loop), len(q.weights)) for loop, q in zip(mesh.cells, quads)]
-    return (_build_batch(run, [quads[c] for c in run], mesh, k, stab) for run in batch_runs(keys))
+    return (_build_batch(cells, points, weights, mesh, k, stab)
+            for cells, points, weights in cell_quadratures(mesh, 2 * k + 2))
 
 
-def _build_batch(cells: list, quads: list, mesh: PolygonalMesh, k: int, stab: str):
-    """The batch of cells of one vertex count and quadrature size, and its
-    test-only arrays."""
+def _by_cell(func, cells: np.ndarray, what: str, *stacks):
+    """func(*stacks); when that raises LinAlgError, the error of the first
+    cell whose one-cell call raises, named by `what` and the cell."""
+    try:
+        return func(*stacks)
+    except np.linalg.LinAlgError:
+        for j, c in enumerate(cells):
+            try:
+                func(*(s[j] for s in stacks))
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(f"{what} on cell {c}") from exc
+        raise
+
+
+def _build_batch(cells: np.ndarray, points: np.ndarray, weights: np.ndarray,
+                 mesh: PolygonalMesh, k: int, stab: str):
+    """The batch of cells of one vertex count with quadrature points (nb, nq,
+    2) and weights (nb, nq), and its test-only arrays."""
     nb = len(cells)
     verts = mesh.vertices[[mesh.cells[c] for c in cells]]
     nv = verts.shape[1]
     xK, hK, area = mesh.cell_centroids[cells], mesh.cell_diameters[cells], mesh.cell_areas[cells]
-    points, weights = np.stack([q.points for q in quads]), np.stack([q.weights for q in quads])
     wq = weights[..., None]
     npoly = cell_basis_dim(k)
     eye = np.broadcast_to(np.eye(npoly), (nb, npoly, npoly))
@@ -218,12 +230,8 @@ def _build_batch(cells: list, quads: list, mesh: PolygonalMesh, k: int, stab: st
     coef = eye
     if k >= 3:
         vals = raw_q @ eye
-        try:
-            chol = np.linalg.cholesky(_sym(_T(vals) @ (wq * vals)))
-        except np.linalg.LinAlgError:
-            for j, c in enumerate(cells):  # the one-cell call names the cell
-                orthonormalize(CellPolyBasis(k, xK[j], float(hK[j]), cell_index=c), quads[j])
-            raise
+        chol = _by_cell(np.linalg.cholesky, cells, "Gram matrix numerically singular",
+                        _sym(_T(vals) @ (wq * vals)))
         coef = _T(np.linalg.solve(chol, eye))
     vals_q = raw_q @ coef
     gx, gy = monomial_gradients(px, py, k, hK)
@@ -283,15 +291,7 @@ def _build_batch(cells: list, quads: list, mesh: PolygonalMesh, k: int, stab: st
     G = stiff_gram.copy()
     bvals = (monomial_values(gpx, gpy, k) @ coef[:, None]) * gl_w[..., None]
     G[:, 0, :] = np.sum(bvals.reshape(nb, -1, npoly), axis=1) / perimeter[:, None]
-    try:
-        pinabla = np.linalg.solve(G, B)
-    except np.linalg.LinAlgError:
-        for j, c in enumerate(cells):  # name the first singular cell
-            try:
-                np.linalg.solve(G[j], B[j])
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(f"projector system singular on cell {c}") from exc
-        raise
+    pinabla = _by_cell(np.linalg.solve, cells, "projector system singular", G, B)
 
     consistency = _sym(_T(pinabla) @ stiff_gram @ pinabla)
     resid = np.eye(n_dofs) - D @ pinabla
@@ -302,7 +302,7 @@ def _build_batch(cells: list, quads: list, mesh: PolygonalMesh, k: int, stab: st
         scale = np.maximum(np.diagonal(consistency, axis1=1, axis2=2), floor[:, None])
     stability = _sym(_T(resid) @ (scale[..., None] * resid))
     batch = CellBatch(
-        cells=np.array(cells), points=points, weights=weights, point_coords=point_coords,
+        cells=cells, points=points, weights=weights, point_coords=point_coords,
         center=xK, diameter=hK, area=area, coef=np.ascontiguousarray(coef), pinabla=pinabla,
         stiffness=consistency + stability, boundary_mean=bmean,
         moment_coef=None if k < 2 else np.ascontiguousarray(fam_coef),

@@ -176,43 +176,29 @@ def condest_1norm(system: LinearSystem) -> float:
 
 
 def schur_condense_bh(system: LinearSystem) -> LinearSystem:
-    """Eliminate the multiplier block edge by edge.
+    """Eliminate the multiplier block.
 
     The multiplier-multiplier block is block diagonal per boundary edge, so
-    the condensation is exact and local; the result is a system over the
-    primal DOFs only.
+    its inverse is the block diagonal of the edge blocks' inverses and the
+    condensation is exact; the result is a system over the primal DOFs only.
     """
     part = system.partition
     if part is None:
         raise ValueError("system has no saddle partition")
     nu = part.n_primal
     A = system.matrix.tocsc()
-    A_uu = A[:nu, :nu].tocsc()
-    b_u = system.rhs[:nu].copy()
-    extra = TripletBuilder(nu)
+    D = A[nu:, nu:]
+    inverses = []
     for (off, size), eid in zip(part.blocks, part.edge_ids):
-        idx = np.arange(nu + off, nu + off + size)
-        D = A[idx][:, idx].toarray()
-        Bf = A[idx][:, :nu].tocsr()
-        cols = np.unique(Bf.indices)
-        Cf = A[:nu][:, idx].tocsc()
-        rows = np.unique(Cf.indices)
-        if len(cols) == 0 and len(rows) == 0:
-            continue
-        Bd = Bf[:, cols].toarray()
-        Cd = Cf[rows].toarray()
         try:
-            X = np.linalg.solve(D, Bd)
-            y = np.linalg.solve(D, system.rhs[idx])
+            inverses.append(np.linalg.inv(D[off:off + size, off:off + size].toarray()))
         except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"multiplier block of edge {eid} is singular"
-            ) from exc
-        extra.add_block(rows, cols, -(Cd @ X))
-        b_u[rows] -= Cd @ y
-    condensed = (A_uu + extra.compress()).tocsc()
+            raise SingularMatrixError(f"multiplier block of edge {eid} is singular") from exc
+    Dinv, C = sp.block_diag(inverses, format="csc"), A[:nu, nu:]
+    condensed = (A[:nu, :nu] - C @ (Dinv @ A[nu:, :nu])).tocsc()
     condensed.sort_indices()
-    return LinearSystem(matrix=condensed, rhs=b_u, symmetric=False, partition=None)
+    rhs = system.rhs[:nu] - C @ (Dinv @ system.rhs[nu:])
+    return LinearSystem(matrix=condensed, rhs=rhs, symmetric=False, partition=None)
 
 
 def export_matrix_market(system: LinearSystem, path) -> None:

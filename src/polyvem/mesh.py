@@ -16,6 +16,7 @@ import numpy as np
 from .quadrature import (
     QuadratureRule,
     _cross,
+    batch_runs,
     box_rules,
     fan_check,
     polygon_rule,
@@ -206,32 +207,36 @@ def cell_quadrature(mesh: PolygonalMesh, cell: int, exactness: int) -> Quadratur
         raise ValueError(f"cell {cell}: {exc}") from exc
 
 
-def cell_quadratures(mesh: PolygonalMesh, cells, exactness: int) -> list:
-    """`cell_quadrature` of each of `cells`, evaluated in batches of one
-    shape: box cells by box count, other cells as centroid fans by vertex
-    count.  A cell the full fan does not cover gets its own rule."""
+def cell_quadratures(mesh: PolygonalMesh, exactness: int) -> list:
+    """The rules of every cell, exact to `exactness`, as stacks (cells (nb,),
+    points (nb, nq, 2), weights (nb, nq)) of at most 256 cells of one shape:
+    box cells by box count, other cells as centroid fans by vertex count.  A
+    cell the full fan does not cover keeps its `cell_quadrature` rule, as a
+    stack of its own."""
     if exactness < 0:
         raise ValueError("exactness must be nonnegative")
-    cells = list(cells)
-    keys = [(len(mesh.cell_boxes.get(c, ())), len(mesh.cells[c])) for c in cells]
-    return map_batches(keys, cells, _cell_rules, mesh, exactness)
+    keys = [(len(mesh.cell_boxes.get(c, ())), len(loop)) for c, loop in enumerate(mesh.cells)]
+    return [stack for run in batch_runs(keys) for stack in _cell_rules(np.array(run), mesh, exactness)]
 
 
-def _cell_rules(cells: list, mesh: PolygonalMesh, exactness: int) -> list:
+def _cell_rules(cells: np.ndarray, mesh: PolygonalMesh, exactness: int) -> list:
     if len(mesh.cell_boxes.get(cells[0], ())):
         boxes = np.array([mesh.cell_boxes[c] for c in cells], dtype=float)
-        pts, wts = box_rules(boxes, exactness)
-        full = np.ones(len(cells), dtype=bool)
-    else:
-        verts = mesh.vertices[[mesh.cells[c] for c in cells]]
-        centroids = mesh.cell_centroids[cells]
-        t2, full = fan_check(verts, centroids, mesh.cell_areas[cells])
-        full &= np.all(t2 > 0.0, axis=1)  # the one-cell rule drops flat triangles
-        pts, wts = triangle_rules(centroids[:, None, :], verts, np.roll(verts, -1, axis=1),
+        return [(cells, *box_rules(boxes, exactness))]
+    verts = mesh.vertices[[mesh.cells[c] for c in cells]]
+    centroids = mesh.cell_centroids[cells]
+    t2, full = fan_check(verts, centroids, mesh.cell_areas[cells])
+    full &= np.all(t2 > 0.0, axis=1)  # the one-cell rule drops flat triangles
+    stacks = []
+    if np.any(full):
+        verts, fan = verts[full], cells[full]
+        pts, wts = triangle_rules(centroids[full, None, :], verts, np.roll(verts, -1, axis=1),
                                   exactness)
-        pts, wts = pts.reshape(len(cells), -1, 2), wts.reshape(len(cells), -1)
-    return [QuadratureRule(p, w) if ok else cell_quadrature(mesh, c, exactness)
-            for c, p, w, ok in zip(cells, pts, wts, full)]
+        stacks.append((fan, pts.reshape(len(fan), -1, 2), wts.reshape(len(fan), -1)))
+    for c in cells[~full]:
+        rule = cell_quadrature(mesh, c, exactness)
+        stacks.append((np.array([c]), rule.points[None], rule.weights[None]))
+    return stacks
 
 
 @dataclass(frozen=True)

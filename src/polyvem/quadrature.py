@@ -17,9 +17,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_legendre",
     "gauss_lobatto",
-    "segment_rule",
     "segment_rules",
-    "triangle_rule",
     "triangle_rules",
     "box_rules",
     "fan_check",
@@ -85,12 +83,6 @@ def _points_for_exactness(exactness: int) -> int:
     return max(1, (int(exactness) + 2) // 2)
 
 
-def segment_rule(a, b, exactness: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the segment from a to b (a batch of one of
-    `segment_rules`)."""
-    return QuadratureRule(*segment_rules(a, b, exactness))
-
-
 def segment_rules(a, b, exactness: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rules on segments from a to b, each (..., 2): points
     (..., n, 2) and weights (..., n)."""
@@ -106,15 +98,10 @@ def segment_rules(a, b, exactness: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w * (0.5 * length)[..., None]
 
 
-def triangle_rule(v0, v1, v2, exactness: int) -> QuadratureRule:
-    """Positive-weight tensor Gauss rule on a triangle, exact to `exactness`."""
-    pts, wts = triangle_rules(v0, v1, v2, exactness)
-    return QuadratureRule(pts, wts)
-
-
 def triangle_rules(v0, v1, v2, exactness: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rules on a batch of triangles with vertices of shape (..., 2): points
-    (..., n, 2) and weights (..., n), each triangle as `triangle_rule` gives it.
+    """Positive-weight tensor Gauss rules, exact to `exactness`, on a batch of
+    triangles with vertices of shape (..., 2): points (..., n, 2) and weights
+    (..., n).
 
     Uses the Duffy map (u, v) -> v0 + u*(v1-v0) + v*(1-u)*(v2-v0); the extra
     Jacobian factor (1-u) raises the u-degree by one.

@@ -319,7 +319,9 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
 
     A failing level is recorded, with the exception type and message and the
     results computed before the failure, and the study continues with the
-    remaining levels (each level is independent).
+    remaining levels (each level is independent).  A corrected level whose
+    tau_hat exceeds `levelset.TAU_THRESHOLD` is listed, with tau_hat and its
+    worst edge, under `notes["tau_exceeded"]`.
     """
     problem = PROBLEMS[spec.problem]
     rng = np.random.default_rng(123)
@@ -349,6 +351,9 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
                 table = correction_data(mesh, elements, mult, ls, cfg, ccfg, table=table)
                 tau = tau_from_gaps(table.edge, table.gaps, table.htilde)
                 result.tau_hat, result.tau_worst_edge = tau.tau_hat, tau.worst_edge
+                if tau.exceeded:  # the corrected problem may be unstable on this level
+                    report.notes.setdefault("tau_exceeded", []).append(
+                        dict(level=level, tau_hat=tau.tau_hat, worst_edge=tau.worst_edge))
 
             if cfg.method == "barbosa_hughes":
                 system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g,

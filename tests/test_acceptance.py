@@ -293,14 +293,45 @@ def _invariant_draws(n_per_family: int, seed: int) -> list:
     return draws
 
 
+def _patch_and_condensation(what, mesh, table, rng):
+    """A random degree-k solution is reproduced to 1e-9 by Nitsche and by the
+    multiplier method with k' = k and k' = k - 1 (k >= 2); condensing the
+    k' = k multiplier system gives the Nitsche system (gamma = 1/alpha) to
+    1e-10 relative.  Returns the largest error and relative difference."""
+    k = table.k
+    u, grad, f = random_polynomial(k, rng)
+    dm = GlobalDofMap(mesh, k)
+    nitsche = assemble_nitsche(mesh, table, WeakBcConfig(k=k, gamma=1e3), f, u)
+    systems, d_rel = [("nitsche", nitsche)], 0.0
+    for kp in range(k, max(k - 2, 0), -1):
+        cfg = WeakBcConfig(method="barbosa_hughes", k=k, kprime=kp, alpha=1e-3)
+        bh = assemble_bh(mesh, table, MultiplierSpace.create(mesh, kp), cfg, f, u)
+        systems.append((f"bh k'={kp}", bh))
+        if kp == k:
+            cond = schur_condense_bh(bh)
+            d_mat = np.max(np.abs((cond.matrix - nitsche.matrix).data), initial=0.0)
+            d_rhs = np.max(np.abs(cond.rhs - nitsche.rhs))
+            d_rel = max(d_mat / np.max(np.abs(nitsche.matrix.data)),
+                        d_rhs / np.max(np.abs(nitsche.rhs)))
+            assert d_rel <= 1e-10, (what, d_mat, d_rhs)
+    worst = 0.0
+    for name, system in systems:
+        e1, e0 = compute_errors(mesh, table, solve(system)[:dm.n_dofs], u, grad, dm)
+        assert e1 <= 1e-9 and e0 <= 1e-9, (what, name, e1, e0)
+        worst = max(worst, e1, e0)
+    return worst, d_rel
+
+
 def test_criterion_invariant_suite():
     """Projector, stiffness, quadrature, gap and solver invariants."""
     # on random meshes and orders: the projector fixes polynomials, the
     # stiffness is symmetric PSD with the constants as its only kernel, the
-    # cells partition the domain and V - E + F = 1
+    # cells partition the domain and V - E + F = 1; on the random draws also
+    # the patch test and the condensation identity
     hand_picked = build_voronoi_mesh(None, 6, rng_seed=3)
     draws = [(f"voronoi(6, 0, 3) k={k}", hand_picked, k) for k in (1, 2, 3, 4)]
-    for what, mesh, k in draws + _invariant_draws(8, seed=2024):
+    worst_patch = worst_cond = 0.0
+    for i, (what, mesh, k) in enumerate(draws + _invariant_draws(8, seed=2024)):
         fixed = mesh is hand_picked
         built = list(_build_batches(mesh, k, "d_recipe"))
         table = CellTable(k, tuple(batch for batch, _ in built))
@@ -323,6 +354,9 @@ def test_criterion_invariant_suite():
         area = sum(b.area.sum() for b in table.batches)
         assert abs(area - _boundary_area(mesh)) <= 1e-12 * area, what
         assert mesh.n_vertices - mesh.n_edges + mesh.n_cells == 1, what  # Euler, one face
+        if not fixed:
+            e, d = _patch_and_condensation(what, mesh, table, np.random.default_rng(i))
+            worst_patch, worst_cond = max(worst_patch, e), max(worst_cond, d)
     # quadrature exactness on a polygonal cell
     from polyvem.mesh import cell_quadrature
     rule = cell_quadrature(hand_picked, 0, 6)
@@ -345,7 +379,8 @@ def test_criterion_invariant_suite():
         exact = np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1)
         est = condest_1norm(sys_)
         assert exact / 3.0 <= est <= exact * 1.0000001
-    report("invariant suite", True, "projector, stiffness, quadrature, gap, condest")
+    report("invariant suite", True, "projector, stiffness, quadrature, gap, condest; random "
+           f"draws: patch error {worst_patch:.1e}, condensation {worst_cond:.1e} relative")
 
 
 def test_criterion_conditioning_non_degradation():

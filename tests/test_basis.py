@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from polyvem import build_structured_mesh
+from polyvem import build_squares_approx_mesh, build_structured_mesh, build_voronoi_mesh
 from polyvem.basis import (
     CellPolyBasis,
     cell_basis_dim,
     directional_derivative_matrix,
-    gram_matrix,
     monomial_exponents,
-    orthonormalize,
+    monomial_values,
+    scaled_powers,
 )
 from polyvem.element import GlobalDofMap, build_all_elements
+from polyvem.levelset import named_levelset
 from polyvem.quadrature import polygon_rule
 from polyvem.weakbc import MultiplierSpace, edge_workspaces
 
@@ -18,11 +19,18 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def square_basis(k, mode="raw"):
+    """The raw basis of the unit square, or the element's orthonormalized one
+    (k >= 3), and a rule on the square."""
     b = CellPolyBasis(k, (0.5, 0.5), np.sqrt(2.0))
-    quad = polygon_rule(SQUARE, 2 * k + 2)
     if mode == "ortho":
-        b = orthonormalize(b, quad)
-    return b, quad
+        batch = build_all_elements(build_structured_mesh((0, 0, 1, 1), 1, 1), k).batches[0]
+        b = CellPolyBasis(k, batch.center[0], float(batch.diameter[0]), coef=batch.coef[0])
+    return b, polygon_rule(SQUARE, 2 * k + 2)
+
+
+def gram_matrix(basis, quad):
+    vals = basis.eval(quad.points)
+    return vals.T @ (quad.weights[:, None] * vals)
 
 
 def test_dimensions():
@@ -67,25 +75,18 @@ def test_gram_k0():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_orthonormalize_gram_identity(k):
-    b, quad = square_basis(k, mode="ortho")
-    g = gram_matrix(b, quad)
-    assert np.max(np.abs(g - np.eye(b.dim))) <= 1e-10
-
-
-def test_orthonormalize_idempotent():
-    b, quad = square_basis(3, mode="ortho")
-    b2 = orthonormalize(b, quad)
-    assert np.max(np.abs(b2.coef - b.coef)) <= 1e-10
-
-
-def test_orthonormalize_singular_reports_cell():
-    # coefficient matrix with a repeated column: rank-deficient Gram
-    coef = np.eye(3)
-    coef[:, 2] = coef[:, 1]
-    b = CellPolyBasis(1, (0.5, 0.5), np.sqrt(2.0), coef=coef, cell_index=17)
-    quad = polygon_rule(SQUARE, 4)
-    with pytest.raises(np.linalg.LinAlgError, match="cell 17"):
-        orthonormalize(b, quad)
+    # the element table's cell bases: orthonormal on each batch's own rule
+    # for k >= 3, the raw monomials below
+    meshes = [build_voronoi_mesh(None, 24, lloyd_iters=1, rng_seed=3),
+              build_squares_approx_mesh(named_levelset("quarter_disk"), 4, 1)]
+    for mesh in meshes:
+        for b in build_all_elements(mesh, k).batches:
+            if k < 3:
+                assert np.array_equal(b.coef, np.broadcast_to(np.eye(cell_basis_dim(k)), b.coef.shape))
+                continue
+            vals = monomial_values(*scaled_powers(b.points, b.center, b.diameter, k), k) @ b.coef
+            gram = np.swapaxes(vals, 1, 2) @ (b.weights[..., None] * vals)
+            assert np.max(np.abs(gram - np.eye(cell_basis_dim(k)))) <= 1e-10
 
 
 def test_directional_derivative_identity_and_values():

@@ -17,10 +17,11 @@ from polyvem.element import (
 )
 from polyvem.generators import build_squares_approx_mesh, build_voronoi_mesh
 from polyvem.levelset import named_levelset
-from polyvem.mesh import build_mesh
+from polyvem.mesh import build_mesh, cell_quadrature, cell_quadratures
 from polyvem.quadrature import fan_check
 from polyvem.study import PROBLEMS
 from conftest import per_cell
+from test_mesh import _flat_and_nonstar_mesh
 
 PROBLEM = PROBLEMS["test1-2d"]
 
@@ -41,6 +42,15 @@ CASES = (
     + [("squares", k, "d_recipe") for k in (1, 2, 3, 4)]
     + [("l-shape", k, "d_recipe") for k in (1, 2, 3, 4)]
 )
+
+
+def _fan_miss_mesh():
+    # cell 142 of build_voronoi_mesh(None, 4096, lloyd_iters=2, rng_seed=0):
+    # convex, but its fan area misses the shoelace area by 1.03e-12 relative
+    v = np.array([(0.8563731390736812, 0.6992050310402873), (0.8621289432880821, 0.6939023404560325),
+                  (0.8705032553473724, 0.7049390579804364), (0.8702329304737239, 0.7054706935670513),
+                  (0.8612083492050111, 0.7090974705753911)])
+    return build_mesh(v, [[0, 1, 2, 3, 4]])
 
 
 def _one_cell_mesh(mesh, cell):
@@ -104,3 +114,35 @@ def test_batched_cell_matches_one_cell_mesh(name, k, stab):
                                       (r[cell] for r in results),
                                       (r[0] for r in _results(one_mesh, k, stab, one_u))):
             assert np.array_equal(row, one_row), (cell, what)
+
+
+def test_fan_miss_cell_keeps_its_one_cell_rule():
+    mesh = _fan_miss_mesh()
+    _, fan_ok = fan_check(mesh.cell_vertices(0), mesh.cell_centroids[0], mesh.cell_areas[0])
+    assert not fan_ok
+    rule = cell_quadrature(mesh, 0, 10)
+    ((cells, points, weights),) = cell_quadratures(mesh, 10)
+    assert np.array_equal(cells, [0]) and rule.weights.shape == (108,)  # three ear triangles
+    assert np.array_equal(points, rule.points[None]) and np.array_equal(weights, rule.weights[None])
+
+
+@pytest.mark.parametrize("exactness", [0, 4, 10])
+def test_cell_quadratures_stack_the_one_cell_rules(exactness):
+    meshes = [m() for m in MESHES.values()] + [_flat_and_nonstar_mesh(), _fan_miss_mesh(),
+                                               build_voronoi_mesh(None, 600, rng_seed=1)]
+    for mesh in meshes:
+        seen = []
+        for cells, points, weights in cell_quadratures(mesh, exactness):
+            assert 1 <= len(cells) <= 256 and len({len(mesh.cells[c]) for c in cells}) == 1
+            assert points.shape == weights.shape + (2,) and weights.shape[0] == len(cells)
+            for c, p, w in zip(cells, points, weights):
+                rule = cell_quadrature(mesh, c, exactness)
+                assert np.array_equal(p, rule.points) and np.array_equal(w, rule.weights), c
+                _, fan_ok = fan_check(mesh.cell_vertices(c), mesh.cell_centroids[c],
+                                      mesh.cell_areas[c])
+                if not (fan_ok or c in mesh.cell_boxes):  # outside the fan: a stack of its own
+                    assert len(cells) == 1
+            seen.extend(cells.tolist())
+        assert sorted(seen) == list(range(mesh.n_cells))
+    with pytest.raises(ValueError, match="nonnegative"):
+        cell_quadratures(meshes[0], -1)

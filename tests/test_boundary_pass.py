@@ -29,7 +29,7 @@ from polyvem.levelset import (
     tau_report,
 )
 from polyvem.mesh import build_mesh
-from polyvem.quadrature import segment_rule
+from polyvem.quadrature import segment_rules
 from polyvem.study import ProblemSpec, run_study
 from polyvem.weakbc import MultiplierSpace, WeakBcConfig
 
@@ -198,7 +198,7 @@ def _per_edge_error(ls, mesh, cfg, exactness):
         delta(ls, p, choose_sigma(ls, mesh, [e], cfg)[0], h, context=f" (edge {e})")
 
     items = [(e, p) for e in mesh.boundary_edges
-             for p in segment_rule(*mesh.vertices[mesh.edges[e]], exactness).points]
+             for p in segment_rules(*mesh.vertices[mesh.edges[e]], exactness)[0]]
     return _first_error(one, items)
 
 
@@ -267,7 +267,7 @@ def _star_gaps(base, steps, sigma):
     ls = _star()
     mesh = build_squares_approx_mesh(ls, base, steps)
     edges = mesh.boundary_edges
-    pts = [segment_rule(*mesh.vertices[mesh.edges[e]], 7).points for e in edges]
+    pts = [segment_rules(*mesh.vertices[mesh.edges[e]], 7)[0] for e in edges]
     cfg = CorrectionConfig(sigma_strategy=sigma)
     return ls, mesh, edges, pts, cfg, boundary_gaps(ls, mesh, edges, pts, cfg)
 

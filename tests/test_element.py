@@ -9,6 +9,7 @@ from polyvem import (
 from polyvem.basis import CellPolyBasis
 from polyvem.element import (
     GlobalDofMap,
+    _by_cell,
     build_all_elements,
     interpolate_all,
     load_vectors,
@@ -296,3 +297,15 @@ def test_build_element_rejects_bad_args(unit_square_1):
         build_all_elements(unit_square_1, 0)
     with pytest.raises(ValueError):
         build_all_elements(unit_square_1, 2, stab="other")
+
+
+def test_by_cell_names_the_first_failing_cell():
+    cells = np.array([3, 7, 9])
+    stack = np.stack([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))])
+    with pytest.raises(np.linalg.LinAlgError, match=r"^Gram matrix numerically singular on cell 7$"):
+        _by_cell(np.linalg.cholesky, cells, "Gram matrix numerically singular", stack)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^projector system singular on cell 7$"):
+        _by_cell(np.linalg.solve, cells, "projector system singular", stack, np.ones((3, 2, 1)))
+    # a stack that factors comes back as the stacked call gives it
+    spd = np.stack([np.eye(2), [[4.0, 1.0], [1.0, 3.0]], 2.0 * np.eye(2)])
+    assert np.array_equal(_by_cell(np.linalg.cholesky, cells, "", spd), np.linalg.cholesky(spd))

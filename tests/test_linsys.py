@@ -59,6 +59,9 @@ def test_solve_singular_raises():
     a[0, 0] = 1.0
     with pytest.raises(SingularMatrixError):
         solve(dense_system(a, [1.0, 1.0]))
+    # 1 + 1e-18 rounds to 1: the matrix is exactly singular and the factor fails
+    with pytest.raises(SingularMatrixError, match="sparse LU failed"):
+        solve(dense_system(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-18]]), [1.0, 2.0]))
 
 
 def test_condest_identity():
@@ -208,8 +211,7 @@ def _load(p):
 
 
 def assembled_builders(monkeypatch, name, k, method, corrected):
-    """Every builder one assembly compresses; a multiplier system is also
-    condensed, which compresses one more."""
+    """Every builder one assembly compresses."""
     mesh, ls, els = _level(name, k)
     builders = []
 
@@ -219,7 +221,6 @@ def assembled_builders(monkeypatch, name, k, method, corrected):
             return super().compress()
 
     monkeypatch.setattr(weakbc_module, "TripletBuilder", Recording)
-    monkeypatch.setattr(linsys_module, "TripletBuilder", Recording)
     cfg = WeakBcConfig(method=method, k=k, kprime=k, alpha=1e-3, gamma=1e3)
     mult = MultiplierSpace.create(mesh, k)
     table = edge_workspaces(mesh, els, GlobalDofMap(mesh, k), mult, cfg.resolved_edge_exactness)
@@ -228,7 +229,7 @@ def assembled_builders(monkeypatch, name, k, method, corrected):
                                 sigma_strategy="distance_gradient")
         table = correction_data(mesh, els, mult, ls, cfg, ccfg, table=table)
     if method == "barbosa_hughes":
-        schur_condense_bh(assemble_bh(mesh, els, mult, cfg, _load, _load, table=table))
+        assemble_bh(mesh, els, mult, cfg, _load, _load, table=table)
     else:
         assemble_nitsche(mesh, els, cfg, _load, _load, table=table)
     return tuple(builders)
@@ -241,7 +242,7 @@ def assembled_builders(monkeypatch, name, k, method, corrected):
 def test_compress_matches_lexsort_reference_on_real_levels(monkeypatch, name, k, method,
                                                            corrected):
     builders = assembled_builders(monkeypatch, name, k, method, corrected)
-    assert len(builders) == (2 if method == "barbosa_hughes" else 1)
+    assert len(builders) == 1
     for builder in builders:
         key, vals = builder_triplets(builder)
         assert len(np.unique(key)) < len(key)  # colliding triplets
@@ -298,14 +299,6 @@ def test_schur_condense_singular_block():
     a[0, 2] = 1.0
     with pytest.raises(SingularMatrixError, match="edge 7"):
         schur_condense_bh(dense_system(a, np.zeros(3), partition=part))
-
-
-def test_residual_enforced():
-    # near-singular system whose solve cannot meet the residual bound
-    eps = 1e-18
-    a = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
-    with pytest.raises(SingularMatrixError):
-        solve(dense_system(a, [1.0, 2.0]))
 
 
 def _row_sum_norm(A) -> float:

@@ -11,7 +11,7 @@ from polyvem import (
     quality_report,
 )
 from polyvem.mesh import build_mesh
-from polyvem.quadrature import gauss_lobatto, segment_rule
+from polyvem.quadrature import gauss_lobatto, segment_rules
 
 
 def boundary_loops(mesh):
@@ -137,8 +137,8 @@ def test_cell_quadrature_exactness():
 def test_edge_quadrature_and_lobatto():
     m = build_structured_mesh((0, 0, 1, 1), 1, 1)
     e = m.boundary_edges[0]
-    rule = segment_rule(*m.vertices[m.edges[e]], 3)
-    assert abs(rule.measure - 1.0) <= 1e-14
+    _, weights = segment_rules(*m.vertices[m.edges[e]], 3)
+    assert abs(np.sum(weights) - 1.0) <= 1e-14
     x, _ = gauss_lobatto(3)
     assert x.shape == (3,)
 

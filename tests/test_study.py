@@ -6,6 +6,7 @@ import pytest
 
 from polyvem.element import GlobalDofMap, build_all_elements
 from polyvem.generators import build_voronoi_mesh
+from polyvem.levelset import TAU_THRESHOLD
 from polyvem.study import (
     PROBLEMS,
     ProblemSpec,
@@ -283,3 +284,22 @@ def test_matrix_export(tmp_path):
                        mesh="structured", export_matrix=str(prefix))
     run_study(spec, 1)
     assert (tmp_path / "mat.level0.mtx").exists()
+
+
+def test_run_study_flags_tau_above_the_threshold():
+    # squares k = 4 with normal sigma and k* = 3 reads tau_hat 0.537 on level 0
+    spec = ProblemSpec(problem="quarter-disk", k=4, mesh="squares", correction=True,
+                       sigma="normal", kstar=3)
+    rep = run_study(spec, 1)
+    (lv,) = rep.levels
+    assert lv.error is None and lv.tau_hat > TAU_THRESHOLD
+    assert rep.notes["tau_exceeded"] == [
+        dict(level=0, tau_hat=lv.tau_hat, worst_edge=lv.tau_worst_edge)]
+    assert json.loads(report_to_json(rep))["notes"]["tau_exceeded"][0]["level"] == 0
+    # the benchmark's corrected squares ladder stays below it on every level
+    bench = ProblemSpec(problem="quarter-disk", k=2, method="nitsche", gamma=1000.0,
+                        mesh="squares", correction=True, kstar="auto",
+                        sigma="distance-gradient")
+    rep = run_study(bench, 4)
+    assert all(lv.error is None and lv.tau_hat <= TAU_THRESHOLD for lv in rep.levels)
+    assert "tau_exceeded" not in rep.notes
