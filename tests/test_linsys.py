@@ -59,9 +59,6 @@ def test_solve_singular_raises():
     a[0, 0] = 1.0
     with pytest.raises(SingularMatrixError):
         solve(dense_system(a, [1.0, 1.0]))
-    # 1 + 1e-18 rounds to 1: the matrix is exactly singular and the factor fails
-    with pytest.raises(SingularMatrixError, match="sparse LU failed"):
-        solve(dense_system(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-18]]), [1.0, 2.0]))
 
 
 def test_condest_identity():
@@ -299,6 +296,15 @@ def test_schur_condense_singular_block():
     a[0, 2] = 1.0
     with pytest.raises(SingularMatrixError, match="edge 7"):
         schur_condense_bh(dense_system(a, np.zeros(3), partition=part))
+
+
+def test_residual_enforced():
+    # 1 + 1e-18 rounds to 1: the matrix is exactly singular, so the factor
+    # fails before the residual bound is reached (that bound is covered by
+    # test_failing_residual_check_still_raises)
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-18]])
+    with pytest.raises(SingularMatrixError, match="sparse LU failed"):
+        solve(dense_system(a, [1.0, 2.0]))
 
 
 def _row_sum_norm(A) -> float:
