@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .basis import directional_derivative_matrix
-from .element import CellTable, GlobalDofMap
+from .element import CellTable
 from .levelset import CorrectionConfig, LevelSetDomain, boundary_gaps
 from .linsys import LinearSystem
 from .mesh import PolygonalMesh
@@ -29,9 +29,9 @@ from .weakbc import (
     EdgeTable,
     MultiplierSpace,
     WeakBcConfig,
+    _level_table,
     assemble_bh,
     assemble_nitsche,
-    edge_workspaces,
     recover_multiplier,
 )
 
@@ -50,7 +50,7 @@ def correction_data(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSp
 
     It is the flat table (`table`, built here when None) with the `gaps`
     delta at its points, `data_points` moved to the foot points
-    x + delta(x) sigma and the Taylor `correction` of each batch (None when
+    x + delta(x) sigma and each batch's Taylor `correction` (None when
     kstar = 0); every other array is shared with the flat table.  delta is
     found at every quadrature node of every boundary edge in one batched root
     search, and the result is meant to be shared by the assembly, the
@@ -58,26 +58,22 @@ def correction_data(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSp
     """
     if cfg_corr.kstar > cfg_bc.k:
         raise ValueError("kstar must not exceed the space order k")
-    if table is None:
-        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg_bc.k), mult,
-                                cfg_bc.resolved_edge_exactness)
+    table = _level_table(mesh, elements, cfg_bc, mult, table)
     sigmas, gaps = boundary_gaps(levelset, mesh, table.edge, table.points, cfg_corr)
-    correction = None
+    batches = table.batches
     if cfg_corr.kstar >= 1:
-        correction = tuple(_taylor_field(elements, table, b, sigmas[b.rows], gaps[b.rows],
-                                         cfg_corr.kstar) for b in table.batches)
+        batches = tuple(replace(b, correction=_taylor_field(
+            b, table.points[b.rows], sigmas[b.rows], gaps[b.rows], cfg_corr.kstar)) for b in batches)
     return replace(table, data_points=table.points + gaps[..., None] * sigmas[:, None, :],
-                   correction=correction, gaps=gaps)
+                   batches=batches, gaps=gaps)
 
 
-def _taylor_field(elements: CellTable, table: EdgeTable, batch: EdgeBatch, sigma: np.ndarray,
-                  ds: np.ndarray, kstar: int) -> np.ndarray:
-    """sum_j ds^j / j! * d_sigma^j Pi-nabla at the quadrature points of a batch."""
-    cells = table.cell[batch.rows]
-    basis = elements.basis(cells)
-    m1 = directional_derivative_matrix(basis, sigma, 1)
-    evals = basis.eval(table.points[batch.rows])
-    cur = elements.gather("pinabla", cells)
+def _taylor_field(batch: EdgeBatch, points: np.ndarray, sigma: np.ndarray, ds: np.ndarray,
+                  kstar: int) -> np.ndarray:
+    """sum_j ds^j / j! * d_sigma^j Pi-nabla at the points of a batch."""
+    m1 = directional_derivative_matrix(batch.basis, sigma, 1)
+    evals = batch.basis.eval(points)
+    cur = batch.pinabla
     values = np.zeros(batch.normal_deriv.shape)
     for j in range(1, kstar + 1):
         cur = m1 @ cur

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import (
-    CellPolyBasis,
     cell_basis_dim,
     monomial_exponents,
     monomial_gradients,
@@ -85,21 +84,6 @@ class CellTable:
             batch_of[b.cells], row_of[b.cells] = i, np.arange(len(b.cells))
         object.__setattr__(self, "batch_of", batch_of)
         object.__setattr__(self, "row_of", row_of)
-
-    def gather(self, name: str, cells: np.ndarray) -> np.ndarray:
-        """Field `name` of cells of one vertex count, stacked in their order."""
-        where, rows = self.batch_of[cells], self.row_of[cells]
-        fields = [getattr(b, name) for b in self.batches]
-        out = np.empty((len(cells),) + fields[where[0]].shape[1:])
-        for i in np.unique(where):
-            sel = where == i
-            out[sel] = fields[i][rows[sel]]
-        return out
-
-    def basis(self, cells: np.ndarray) -> CellPolyBasis:
-        """The P_k bases of cells of one vertex count as one stacked basis."""
-        return CellPolyBasis(self.k, self.gather("center", cells), self.gather("diameter", cells),
-                             coef=self.gather("coef", cells))
 
 
 def lagrange_eval_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:

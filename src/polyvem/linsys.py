@@ -35,12 +35,12 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class SaddlePartition:
-    """Block layout of a saddle system: the u block first, then per-edge
-    multiplier blocks given as (offset, size) relative to the lambda block."""
+    """Block layout of a saddle system: the u block first, then one
+    multiplier block of size `block` per boundary edge, in `edge_ids` order."""
 
     n_primal: int
-    blocks: list
-    edge_ids: list
+    block: int
+    edge_ids: np.ndarray
 
 
 class TripletBuilder:
@@ -178,23 +178,34 @@ def condest_1norm(system: LinearSystem) -> float:
 def schur_condense_bh(system: LinearSystem) -> LinearSystem:
     """Eliminate the multiplier block.
 
-    The multiplier-multiplier block is block diagonal per boundary edge, so
-    its inverse is the block diagonal of the edge blocks' inverses and the
-    condensation is exact; the result is a system over the primal DOFs only.
+    The multiplier-multiplier block must be block diagonal per boundary
+    edge; its inverse is then the block diagonal of the edge blocks'
+    inverses and the condensation is exact; the result is a system over the
+    primal DOFs only.
     """
     part = system.partition
     if part is None:
         raise ValueError("system has no saddle partition")
-    nu = part.n_primal
+    nu, m = part.n_primal, part.block
     A = system.matrix.tocsc()
-    D = A[nu:, nu:]
-    inverses = []
-    for (off, size), eid in zip(part.blocks, part.edge_ids):
-        try:
-            inverses.append(np.linalg.inv(D[off:off + size, off:off + size].toarray()))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"multiplier block of edge {eid} is singular") from exc
-    Dinv, C = sp.block_diag(inverses, format="csc"), A[:nu, nu:]
+    D = A[nu:, nu:].tocoo()
+    edge_row, edge_col = D.row // m, D.col // m
+    off = np.flatnonzero(edge_row != edge_col)
+    if len(off):
+        raise ValueError(f"multiplier row of edge {part.edge_ids[edge_row[off[0]]]} couples "
+                         f"edge {part.edge_ids[edge_col[off[0]]]}")
+    blocks = np.zeros((len(part.edge_ids), m, m))
+    np.add.at(blocks, (edge_row, D.row % m, D.col % m), D.data)  # onto +0.0, as `toarray`
+    try:
+        inverses = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        for eid, block in zip(part.edge_ids, blocks):
+            try:
+                np.linalg.inv(block)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrixError(f"multiplier block of edge {eid} is singular") from exc
+        raise
+    Dinv, C = sp.block_diag(list(inverses), format="csc"), A[:nu, nu:]
     condensed = (A[:nu, :nu] - C @ (Dinv @ A[nu:, :nu])).tocsc()
     condensed.sort_indices()
     rhs = system.rhs[:nu] - C @ (Dinv @ system.rhs[nu:])

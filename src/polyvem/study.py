@@ -188,6 +188,8 @@ class ProblemSpec:
                 raise ValueError(f"unknown kstar {self.kstar!r}; known: 'auto' or an int "
                                  f"in [0, {self.k}]")
             object.__setattr__(self, "kstar", int(self.kstar))
+        if self.correction and self.mesh in ("structured", "voronoi"):
+            raise ValueError(f"correction needs a curved mesh family, got mesh {self.mesh!r}")
 
     def bc_config(self) -> WeakBcConfig:
         method = _SPELLINGS["method"][self.method]
@@ -346,7 +348,7 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
             mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
             # one boundary pass: the edge table and its gaps serve every consumer
             table = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
-            if spec.correction and ls is not None:
+            if spec.correction:
                 ccfg = spec.correction_config("h_linear" if spec.mesh == "squares" else "h_squared")
                 table = correction_data(mesh, elements, mult, ls, cfg, ccfg, table=table)
                 tau = tau_from_gaps(table.edge, table.gaps, table.htilde)

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import CellTable, GlobalDofMap, _mv, _sym, _T, lagrange_eval_matrix, load_vectors
+from .basis import CellPolyBasis
+from .element import (CellTable, GlobalDofMap, _edge_point_dofs, _mv, _sym, _T,
+                      lagrange_eval_matrix, load_vectors)
 from .linsys import LinearSystem, SaddlePartition, TripletBuilder
 from .mesh import PolygonalMesh
 from .quadrature import gauss_lobatto, segment_rules
@@ -119,11 +121,14 @@ class MultiplierSpace:
 
 @dataclass(frozen=True)
 class EdgeBatch:
-    """The boundary edges whose adjacent cells have one DOF count."""
+    """The boundary edges whose adjacent cells lie in one `CellBatch`."""
 
     rows: np.ndarray          # (nb,) positions in the table's edge order
     cell_dofs: np.ndarray     # (nb, n_cell) global DOFs of the adjacent cells
+    basis: CellPolyBasis      # their stacked P_k bases
+    pinabla: np.ndarray       # (nb, dim P_k, n_cell) their Pi-nabla
     normal_deriv: np.ndarray  # (nb, nq, n_cell) of d_nu Pi-nabla
+    correction: np.ndarray | None = None  # (nb, nq, n_cell) Taylor field; None when flat
 
 
 @dataclass(frozen=True)
@@ -144,22 +149,17 @@ class EdgeTable:
     trace: np.ndarray         # (n, nq, k+1) values of v restricted to the edge
     psi: np.ndarray           # (n, nq, k'+1) multiplier basis values
     mass: np.ndarray          # (n, k'+1, k'+1) multiplier mass matrices
-    batches: tuple            # one EdgeBatch per adjacent-cell DOF count
-    correction: tuple | None = None  # per batch the (nb, nq, n_cell) Taylor field; None when flat
+    batches: tuple            # one EdgeBatch per CellBatch holding an adjacent cell
     gaps: np.ndarray | None = None   # (n, nq) boundary gaps at the points; None when flat
 
     def data(self, g) -> np.ndarray:
         """The boundary datum g at the data points, (n, nq)."""
         return np.asarray(g(self.data_points.reshape(-1, 2)), dtype=float).reshape(self.weights.shape)
 
-    def with_corrections(self) -> zip:
-        """Each batch with its Taylor field (None when flat)."""
-        return zip(self.batches, self.correction or (None,) * len(self.batches))
-
 
 def edge_workspaces(mesh: PolygonalMesh, elements: CellTable, dofmap: GlobalDofMap,
                     mult: MultiplierSpace, exactness: int) -> EdgeTable:
-    """The level's boundary edge table, built in array passes."""
+    """The level's boundary edge table, built in array passes and one pass per cell batch."""
     k, m = dofmap.k, mult.kprime + 1
     edge = mesh.boundary_edges
     cell = mesh.edge_cells[edge, 0]
@@ -175,32 +175,33 @@ def edge_workspaces(mesh: PolygonalMesh, elements: CellTable, dofmap: GlobalDofM
     mass = _T(psi) @ (weights[..., None] * psi)
 
     # each boundary edge is the only half-edge of its cell's loop to run
-    # along it: from the vertex at local position `local` to the one at `nxt`
+    # along it, the one at loop position `local`
     nv = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
-    tails = np.concatenate(mesh.cells)
     half = np.empty(mesh.n_edges, dtype=np.int64)
-    half[np.concatenate(mesh.cell_edge_ids)] = np.arange(len(tails))
-    half = half[edge]
-    local = half - (np.cumsum(nv) - nv)[cell]
-    nxt = np.where(local + 1 == nv[cell], 0, local + 1)
-    va, vb = mesh.vertices[tails[half]], mesh.vertices[tails[half - local + nxt]]
+    half[np.concatenate(mesh.cell_edge_ids)] = np.arange(nv.sum())
+    local = half[edge] - (np.cumsum(nv) - nv)[cell]
+
+    # per cell batch: the edge's local DOFs pick its global DOFs and its
+    # loop-order ends from the cells' rows
+    where = elements.batch_of[cell]
+    edge_dofs = np.empty((len(edge), k + 1), dtype=np.int64)
+    va, vb = np.empty((len(edge), 2)), np.empty((len(edge), 2))
+    batches = []
+    for i in np.unique(where):
+        rows = np.flatnonzero(where == i)
+        b, r = elements.batches[i], elements.row_of[cell[rows]]
+        point_dofs = _edge_point_dofs(b.point_coords.shape[1] // k, k)[local[rows]]
+        cell_dofs = dofmap.batch_dofs(cell[rows])
+        edge_dofs[rows] = np.take_along_axis(cell_dofs, point_dofs, axis=1)
+        va[rows], vb[rows] = b.point_coords[r, point_dofs[:, 0]], b.point_coords[r, point_dofs[:, -1]]
+        basis = CellPolyBasis(k, b.center[r], b.diameter[r], coef=b.coef[r])
+        gx, gy = basis.eval_gradient(points[rows])
+        nrm = mesh.edge_normals[edge[rows]][:, None, None, :]
+        pinabla = b.pinabla[r]
+        batches.append(EdgeBatch(rows, cell_dofs, basis, pinabla,
+                                 (nrm[..., 0] * gx + nrm[..., 1] * gy) @ pinabla))
     length2 = np.array([float(h) ** 2 for h in mesh.edge_lengths[edge]])  # C pow, not h * h
     t = 2.0 * _mv(points - (0.5 * (va + vb))[:, None, :], vb - va) / length2[:, None]
-
-    # local DOFs of the edge: vertex, interior nodes, next vertex
-    inner = nv[cell, None] + local[:, None] * (k - 1) + np.arange(k - 1)
-    local_dofs = np.concatenate([local[:, None], inner, nxt[:, None]], axis=1)
-    edge_dofs = dofmap.dofs[dofmap.offsets[cell, None] + local_dofs]
-
-    n_cell = np.diff(dofmap.offsets)[cell]
-    batches = []
-    for size in np.unique(n_cell):
-        rows = np.flatnonzero(n_cell == size)
-        cells = cell[rows]
-        gx, gy = elements.basis(cells).eval_gradient(points[rows])
-        nrm = mesh.edge_normals[edge[rows]][:, None, None, :]
-        normal_deriv = (nrm[..., 0] * gx + nrm[..., 1] * gy) @ elements.gather("pinabla", cells)
-        batches.append(EdgeBatch(rows, dofmap.batch_dofs(cells), normal_deriv))
     return EdgeTable(
         dofmap=dofmap, edge=edge, cell=cell, htilde=mesh.cell_diameters[cell],
         points=points, weights=weights, data_points=points, edge_dofs=edge_dofs,
@@ -208,9 +209,18 @@ def edge_workspaces(mesh: PolygonalMesh, elements: CellTable, dofmap: GlobalDofM
     )
 
 
-def _check_elements(elements: CellTable, cfg: WeakBcConfig):
+def _level_table(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig,
+                mult: MultiplierSpace | None, table: EdgeTable | None) -> EdgeTable:
+    """`table`, or when None the flat table of `mult` (of k' when None),
+    checked against cfg: the elements' order and the multipliers' degree."""
     if elements.k != cfg.k:
-        raise ValueError(f"elements have order {elements.k}, config expects {cfg.k}")
+        raise ValueError(f"elements have order {elements.k}, config expects k = {cfg.k}")
+    table = table or edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k),
+                                     mult or MultiplierSpace.create(mesh, cfg.resolved_kprime),
+                                     cfg.resolved_edge_exactness)
+    if (kprime := table.psi.shape[-1] - 1) != cfg.resolved_kprime:
+        raise ValueError(f"multipliers have degree {kprime}, config expects k' = {cfg.resolved_kprime}")
+    return table
 
 
 def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, elements: CellTable,
@@ -233,23 +243,20 @@ def assemble_bh(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSpace,
 
     Unknowns are (u, lambda); the multiplier couples through the boundary
     mass and the residual penalty -alpha * htilde * (lambda + dn u, mu + dn v).
-    g is sampled at the table's `data_points`; its Taylor `correction` enters
-    the multiplier-row coupling only, which makes the system non-symmetric.
-    The table (built here when None) also gives the DOF map.
+    g is sampled at the table's `data_points`; a batch's Taylor `correction`
+    enters the multiplier-row coupling only, which makes the system
+    non-symmetric.  The table (built here when None) also gives the DOF map.
     """
-    _check_elements(elements, cfg)
-    if table is None:
-        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k), mult,
-                                cfg.resolved_edge_exactness)
+    table = _level_table(mesh, elements, cfg, mult, table)
     dofmap = table.dofmap
     nu = dofmap.n_dofs
-    n = nu + mult.dim
+    m = table.psi.shape[-1]
+    n = nu + len(table.edge) * m
     builder = TripletBuilder(n)
     rhs = np.zeros(n)
     _scatter_volume(builder, rhs, elements, dofmap, f)
 
-    m = mult.kprime + 1
-    lam = nu + np.arange(mult.dim).reshape(-1, m)
+    lam = nu + np.arange(n - nu).reshape(-1, m)
     ah = -(cfg.alpha * table.htilde)[:, None, None]  # -alpha * htilde
     wq = table.weights[..., None]
     psi_t = _T(table.psi)
@@ -257,20 +264,19 @@ def assemble_bh(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSpace,
     builder.add_block(lam, table.edge_dofs, coupling)
     builder.add_block(table.edge_dofs, lam, _T(coupling))
     builder.add_block(lam, lam, ah * table.mass)
-    for b, corr in table.with_corrections():
+    for b in table.batches:
         nd, lam_b, w_b = b.normal_deriv, lam[b.rows], wq[b.rows]
         N = psi_t[b.rows] @ (w_b * nd)
         builder.add_block(b.cell_dofs, b.cell_dofs, ah[b.rows] * _sym(_T(nd) @ (w_b * nd)))
         builder.add_block(lam_b, b.cell_dofs, ah[b.rows] * N)
         builder.add_block(b.cell_dofs, lam_b, ah[b.rows] * _T(N))
-        if corr is not None:
-            builder.add_block(lam_b, b.cell_dofs, psi_t[b.rows] @ (w_b * corr))
+        if b.correction is not None:
+            builder.add_block(lam_b, b.cell_dofs, psi_t[b.rows] @ (w_b * b.correction))
     rhs[nu:] += _mv(psi_t, table.weights * table.data(g)).ravel()
 
-    partition = SaddlePartition(n_primal=nu, blocks=[(j * m, m) for j in range(len(lam))],
-                                edge_ids=table.edge.tolist())
     return LinearSystem(matrix=builder.compress(), rhs=rhs,
-                        symmetric=table.correction is None, partition=partition)
+                        symmetric=all(b.correction is None for b in table.batches),
+                        partition=SaddlePartition(nu, m, table.edge))
 
 
 def assemble_nitsche(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig, f, g,
@@ -280,15 +286,11 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig
 
     The boundary data, sampled at the table's `data_points`, enters through
     its edgewise L2 projection onto the multiplier space, evaluated with the
-    same quadrature as all other edge terms.  The table's Taylor
-    `correction` is tested against dn v - gamma/htilde * v.  The table (built
-    here when None) also gives the DOF map.
+    same quadrature as all other edge terms.  A batch's Taylor `correction`
+    is tested against dn v - gamma/htilde * v.  The table (built here when
+    None) also gives the DOF map.
     """
-    _check_elements(elements, cfg)
-    if table is None:
-        mult = mult or MultiplierSpace.create(mesh, cfg.resolved_kprime)
-        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k), mult,
-                                cfg.resolved_edge_exactness)
+    table = _level_table(mesh, elements, cfg, mult, table)
     dofmap = table.dofmap
     nu = dofmap.n_dofs
     builder = TripletBuilder(nu)
@@ -312,7 +314,7 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig
     pos = start[:, None] + np.arange(k1)
     at[pos], terms[pos] = table.edge_dofs, scale[..., 0] * _mv(trace_t, wq * gh)
 
-    for b, corr in table.with_corrections():
+    for b in table.batches:
         nd, ed, w_b = b.normal_deriv, table.edge_dofs[b.rows], wq[b.rows, :, None]
         cross = trace_t[b.rows] @ (w_b * nd)
         builder.add_block(ed, b.cell_dofs, -cross)
@@ -320,12 +322,14 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig
         pos = start[b.rows, None] + k1 + np.arange(b.cell_dofs.shape[1])
         at[pos] = b.cell_dofs
         terms[pos] = -_mv(_T(nd), wq[b.rows] * gh[b.rows])
-        if corr is not None:
-            builder.add_block(b.cell_dofs, b.cell_dofs, -(_T(nd) @ (w_b * corr)))
-            builder.add_block(ed, b.cell_dofs, scale[b.rows] * (trace_t[b.rows] @ (w_b * corr)))
+        if b.correction is not None:
+            builder.add_block(b.cell_dofs, b.cell_dofs, -(_T(nd) @ (w_b * b.correction)))
+            builder.add_block(ed, b.cell_dofs,
+                              scale[b.rows] * (trace_t[b.rows] @ (w_b * b.correction)))
     np.add.at(rhs, at, terms)
 
-    return LinearSystem(matrix=builder.compress(), rhs=rhs, symmetric=table.correction is None)
+    return LinearSystem(matrix=builder.compress(), rhs=rhs,
+                        symmetric=all(b.correction is None for b in table.batches))
 
 
 def recover_multiplier(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: CellTable,
@@ -334,17 +338,14 @@ def recover_multiplier(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: CellTa
     """Edge-by-edge multiplier recovery from a penalty-system solution:
     lambda = gamma/htilde * proj(u - g) - dn u (plus the projected Taylor
     correction on curved domains).  No global solve."""
-    if table is None:
-        mult = mult or MultiplierSpace.create(mesh, cfg.resolved_kprime)
-        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k), mult,
-                                cfg.resolved_edge_exactness)
+    table = _level_table(mesh, elements, cfg, mult, table)
     wq = table.weights
     resid = _mv(table.trace, u_dofs[table.edge_dofs]) - table.data(g)
     flux = np.empty_like(resid)  # dn u at the quadrature points
-    for b, corr in table.with_corrections():
+    for b in table.batches:
         uloc = u_dofs[b.cell_dofs]
-        if corr is not None:
-            resid[b.rows] = resid[b.rows] + _mv(corr, uloc)
+        if b.correction is not None:
+            resid[b.rows] = resid[b.rows] + _mv(b.correction, uloc)
         flux[b.rows] = _mv(b.normal_deriv, uloc)
     psi_t = _T(table.psi)
     rhsv = (cfg.gamma / table.htilde)[:, None] * _mv(psi_t, wq * resid)

@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 
-import polyvem.curved as curved_module
 import polyvem.levelset as levelset_module
 import polyvem.study as study_module
 import polyvem.weakbc as weakbc_module
@@ -337,7 +336,7 @@ def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correcti
     monkeypatch.setattr(weakbc_module, "segment_rules",
                         counted("edge_rules", weakbc_module.segment_rules))
     dofmap = counted("dofmaps", study_module.GlobalDofMap)
-    for module in (weakbc_module, curved_module, study_module):
+    for module in (weakbc_module, study_module):  # curved builds its table through weakbc
         monkeypatch.setattr(module, "edge_workspaces", edge_workspaces)
         monkeypatch.setattr(module, "GlobalDofMap", dofmap)
     spec = ProblemSpec(problem="disk", k=2, mesh="disk", method=method,

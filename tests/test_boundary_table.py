@@ -237,10 +237,11 @@ def test_table_and_consumers_match_per_edge_reference(name):
         assert _equal(getattr(table, field), want), field
     rows = np.concatenate([b.rows for b in table.batches])
     assert np.array_equal(np.sort(rows), np.arange(len(works)))
-    assert (table.correction is None) == all(w.correction is None for w in works)
-    for b, corr in table.with_corrections():
+    assert (all(b.correction is None for b in table.batches)
+            == all(w.correction is None for w in works))
+    for b in table.batches:
         for field, got in (("cell_dofs", b.cell_dofs), ("normal_deriv", b.normal_deriv),
-                           ("correction", corr)):
+                           ("correction", b.correction)):
             if got is not None:
                 want = np.stack([getattr(works[j], field) for j in b.rows])
                 assert _equal(got, want), field
@@ -257,11 +258,37 @@ def test_table_and_consumers_match_per_edge_reference(name):
         assert _equal(got.rhs, want.rhs)
     rng = np.random.default_rng(len(name))
     u = rng.standard_normal(dofmap.n_dofs)
-    assert _equal(recover_multiplier(u, mesh, els, nit, f, mult=mult, table=table),
+    # the recovery checks k' against its config: bh has k' and the same gamma
+    assert bh.gamma == nit.gamma
+    assert _equal(recover_multiplier(u, mesh, els, bh, f, mult=mult, table=table),
                   ref_recover(u, works, kp + 1, nit.gamma, f))
     lam = rng.standard_normal(mult.dim)
     assert (multiplier_error(mesh, els, mult, lam, grad, bh.resolved_edge_exactness, table)
             == ref_multiplier_error(mesh, works, lam, grad))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_voronoi_mesh(None, 1024, lloyd_iters=2, rng_seed=0),
+    lambda: build_squares_approx_mesh(quarter_disk(), 16, 2),
+    lambda: build_disk_approx_mesh(circle(), 48, 8),
+], ids=["voronoi", "squares", "disk"])
+def test_edge_batches_are_the_cell_batches_rows(make):
+    # the edge batches partition the table, each holds the edges of one
+    # CellBatch's cells, and its basis and Pi-nabla are those cells' rows
+    mesh, k = make(), 2
+    els = build_all_elements(mesh, k)
+    table = edge_workspaces(mesh, els, GlobalDofMap(mesh, k), MultiplierSpace.create(mesh, k),
+                            2 * k + 2)
+    rows = np.concatenate([b.rows for b in table.batches])
+    assert np.array_equal(np.sort(rows), np.arange(len(table.edge)))
+    owners = [np.unique(els.batch_of[table.cell[b.rows]]) for b in table.batches]
+    assert all(len(owner) == 1 for owner in owners)
+    assert len(np.unique(np.concatenate(owners))) == len(owners)
+    for b, (owner,) in zip(table.batches, owners):
+        cb, r = els.batches[owner], els.row_of[table.cell[b.rows]]
+        assert _equal(b.cell_dofs, table.dofmap.batch_dofs(cb.cells[r]))
+        assert _equal(b.pinabla, cb.pinabla[r]) and _equal(b.basis.coef, cb.coef[r])
+        assert _equal(b.basis.center, cb.center[r]) and _equal(b.basis.diameter, cb.diameter[r])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

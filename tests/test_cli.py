@@ -59,6 +59,12 @@ def test_cli_incompatible_mesh_exits_2(capsys):
     assert "curved" in capsys.readouterr().err
 
 
+def test_cli_correction_on_a_polygon_mesh_exits_2(capsys):
+    # the study once ran uncorrected while its report said correction: True
+    assert main(["--problem", "test1-2d", "--mesh", "voronoi", "--correction", "on"]) == 2
+    assert "correction needs a curved mesh family, got mesh 'voronoi'" in capsys.readouterr().err
+
+
 def test_cli_bad_kstar_exits_2():
     assert main(["--problem", "disk", "--kstar", "7", "--order", "2"]) == 2
 

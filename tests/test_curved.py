@@ -58,7 +58,7 @@ def test_correction_data_kstar0_empty():
     table = correction_data(mesh, els, mult, ls, cfg,
                             CorrectionConfig(kstar=0, sigma_strategy="edge_normal"))
     assert np.array_equal(table.edge, mesh.boundary_edges)
-    assert table.correction is None
+    assert all(b.correction is None for b in table.batches)
 
 
 def test_correction_block_oracle_single_edge():
@@ -74,8 +74,8 @@ def test_correction_block_oracle_single_edge():
     sigmas, gaps = boundary_gaps(ls, mesh, table.edge, table.points, ccfg)
     rng = np.random.default_rng(4)
     per_cell = cell_elements(mesh, k)
-    for batch, corr in zip(table.batches, table.correction):
-        for j, field in list(zip(batch.rows, corr))[:2]:
+    for batch in table.batches:
+        for j, field in list(zip(batch.rows, batch.correction))[:2]:
             el = per_cell[table.cell[j]]
             psi, wq = table.psi[j], table.weights[j]
             block = psi.T @ (wq[:, None] * field)  # multiplier-row coupling
@@ -210,9 +210,13 @@ def test_shared_workspaces_reused():
     flat = edge_workspaces(mesh, els, dm, mult, cfgb.resolved_edge_exactness)
     corrected = correction_data(mesh, els, mult, ls, cfgb, ccfg, table=flat)
     for name in ("dofmap", "edge", "cell", "htilde", "points", "weights", "edge_dofs",
-                 "trace", "psi", "mass", "batches"):
+                 "trace", "psi", "mass"):
         assert getattr(corrected, name) is getattr(flat, name), name
-    assert flat.correction is None and len(corrected.correction) == len(flat.batches)
+    assert len(corrected.batches) == len(flat.batches)
+    for fb, cb in zip(flat.batches, corrected.batches):
+        for name in ("rows", "cell_dofs", "basis", "pinabla", "normal_deriv"):
+            assert getattr(cb, name) is getattr(fb, name), name
+        assert fb.correction is None and cb.correction.shape == fb.normal_deriv.shape
     assert flat.data_points is flat.points and corrected.data_points is not flat.points
 
 

@@ -279,7 +279,7 @@ def test_schur_condense_simple_saddle():
         [0.0, 1.0, 0.0, -1.0],
     ])
     b = np.array([1.0, 2.0, 0.5, -0.5])
-    part = SaddlePartition(n_primal=2, blocks=[(0, 1), (1, 1)], edge_ids=[0, 1])
+    part = SaddlePartition(n_primal=2, block=1, edge_ids=np.array([0, 1]))
     sys_ = dense_system(a, b, partition=part)
     full = solve(sys_)
     cond = schur_condense_bh(sys_)
@@ -290,12 +290,26 @@ def test_schur_condense_simple_saddle():
 def test_schur_condense_singular_block():
     a = np.eye(3)
     a[2, 2] = 0.0
-    part = SaddlePartition(n_primal=2, blocks=[(0, 1)], edge_ids=[7])
+    part = SaddlePartition(n_primal=2, block=1, edge_ids=np.array([7]))
     # make the multiplier row couple so the block is actually used
     a[2, 0] = 1.0
     a[0, 2] = 1.0
     with pytest.raises(SingularMatrixError, match="edge 7"):
         schur_condense_bh(dense_system(a, np.zeros(3), partition=part))
+
+
+def test_schur_condense_rejects_coupled_edge_blocks():
+    # the entries 0.5 couple the 1x1 blocks of edges 3 and 5; they were once
+    # dropped and the system condensed to [[5, 1], [1, 5]] without error
+    a = np.array([
+        [4.0, 1.0, 1.0, 0.0],
+        [1.0, 4.0, 0.0, 1.0],
+        [1.0, 0.0, -1.0, 0.5],
+        [0.0, 1.0, 0.5, -1.0],
+    ])
+    part = SaddlePartition(n_primal=2, block=1, edge_ids=np.array([3, 5]))
+    with pytest.raises(ValueError, match="^multiplier row of edge 5 couples edge 3$"):
+        schur_condense_bh(dense_system(a, np.zeros(4), partition=part))
 
 
 def test_residual_enforced():

@@ -188,6 +188,7 @@ def test_problem_spec_rejects_bad_numeric_fields(field, value, low):
     (ProblemSpec, "alpha", 0.0), (ProblemSpec, "alpha", True),
     (WeakBcConfig, "k", True), (WeakBcConfig, "kprime", True), (WeakBcConfig, "alpha", np.nan),
     (WeakBcConfig, "alpha", -1e-3), (WeakBcConfig, "gamma", np.inf), (WeakBcConfig, "gamma", "1e3"),
+    (ProblemSpec, "correction", True),  # on a structured mesh: once skipped silently
 ])
 def test_bad_study_parameters_fail_up_front(make, field, value):
     # bools once passed as integers, gamma=-1 failed only when the study

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from polyvem import build_structured_mesh, build_voronoi_mesh
+from polyvem import build_disk_approx_mesh, build_structured_mesh, build_voronoi_mesh
+from polyvem.curved import correction_data
 from polyvem.element import GlobalDofMap, build_all_elements, load_vectors
+from polyvem.levelset import CorrectionConfig, circle
 from polyvem.linsys import TripletBuilder, schur_condense_bh, solve
 from polyvem.study import compute_errors, multiplier_error
 from polyvem.weakbc import (
@@ -223,6 +225,52 @@ def test_mismatched_order_rejected(unit_square_2x2):
     with pytest.raises(ValueError, match="order"):
         assemble_nitsche(unit_square_2x2, els, cfg,
                          lambda p: np.zeros(len(p)), lambda p: np.zeros(len(p)))
+
+
+CONSUMERS = ["assemble_bh", "assemble_nitsche", "recover_multiplier", "correction_data"]
+
+
+def _zero(p):
+    return np.zeros(len(p))
+
+
+def _mismatched_calls(mesh, els, mult, table):
+    """Each consumer of a level's multiplier space, under k = k' = 2."""
+    bh = WeakBcConfig(method="barbosa_hughes", k=2, kprime=2)
+    nit = WeakBcConfig(method="nitsche", k=2)
+    u = np.zeros(GlobalDofMap(mesh, 2).n_dofs)
+    ccfg = CorrectionConfig(kstar=1, sigma_strategy="edge_normal")
+    return {
+        "assemble_bh": lambda: assemble_bh(mesh, els, mult, bh, _zero, _zero, table=table),
+        "assemble_nitsche": lambda: assemble_nitsche(mesh, els, nit, _zero, _zero,
+                                                     table=table, mult=mult),
+        "recover_multiplier": lambda: recover_multiplier(u, mesh, els, nit, _zero, mult=mult,
+                                                         table=table),
+        "correction_data": lambda: correction_data(mesh, els, mult, circle(), bh, ccfg,
+                                                   table=table),
+    }
+
+
+@pytest.mark.parametrize("given", ["space", "table"])
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_multiplier_degree_mismatch_rejected(name, given):
+    # a degree-1 space under k' = 2 was once assembled as a k' = 1 system,
+    # and the Nitsche assembly built a k' = 1 projection of the data
+    mesh = build_disk_approx_mesh(circle(), 12, 2)
+    els, mult = build_all_elements(mesh, 2), MultiplierSpace.create(mesh, 1)
+    table = None
+    if given == "table":
+        table = edge_workspaces(mesh, els, GlobalDofMap(mesh, 2), mult, 6)
+    with pytest.raises(ValueError, match="^multipliers have degree 1, config expects k' = 2$"):
+        _mismatched_calls(mesh, els, mult, table)[name]()
+
+
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_element_order_mismatch_rejected_by_every_consumer(name):
+    mesh = build_disk_approx_mesh(circle(), 12, 2)
+    els = build_all_elements(mesh, 3)
+    with pytest.raises(ValueError, match="^elements have order 3, config expects k = 2$"):
+        _mismatched_calls(mesh, els, MultiplierSpace.create(mesh, 2), None)[name]()
 
 
 def test_config_validation_and_warnings():
