@@ -44,10 +44,12 @@ class SaddlePartition:
 
 
 class TripletBuilder:
+    """Collects triplets block by block; `compress` consumes them once."""
+
     def __init__(self, n: int):
         self.n = n
-        self._keys: list = []  # col * n + row of each triplet
-        self._vals: list = []
+        self._keys: list | None = []  # col * n + row of each triplet
+        self._vals: list | None = []
 
     def add_block(self, rows, cols, block):
         """Scatter dense blocks: rows (..., r), cols (..., c) and block
@@ -60,25 +62,79 @@ class TripletBuilder:
 
     def compress(self) -> sp.csc_matrix:
         """Deterministic compression: triplets are summed in (col, row, value)
-        order, so any insertion order yields the same matrix.  The keys are
-        sorted in full, the values only inside groups of colliding triplets;
-        equal values (+0.0 and -0.0 too) give the same sum in either order."""
-        if not sum(k.size for k in self._keys):
-            return sp.csc_matrix((self.n, self.n))
-        key = np.concatenate(self._keys)
-        vals = np.concatenate(self._vals)
-        order = np.argsort(key)  # need not be stable: each group's values get sorted
-        key, vals = key[order], vals[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
-        size = np.diff(starts, append=len(key))
-        multi = np.flatnonzero(size > 1)
-        for s in np.unique(size[multi]):  # one stack of groups per group size
-            idx = starts[multi[size[multi] == s]][:, None] + np.arange(s)
-            vals[idx] = np.sort(vals[idx], axis=1)
-        summed = np.add.reduceat(vals, starts)
-        cols, rows = np.divmod(key[starts], self.n)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.n))))
-        return sp.csc_matrix((summed, rows, indptr), shape=(self.n, self.n))
+        order, so any insertion order yields the same matrix.  The builder's
+        blocks are dropped once copied into the sort's workspace, so a
+        builder compresses once; a second call raises."""
+        if self._keys is None:
+            raise RuntimeError("TripletBuilder was already compressed")
+        n, keys, vals = self.n, self._keys, self._vals
+        self._keys = self._vals = None
+        m = sum(k.size for k in keys)
+        if not m:
+            return sp.csc_matrix((n, n))
+        # keys, values and the values in key order share one block, freed in
+        # one piece: past 32 MiB (1.4M triplets) glibc serves it from its own
+        # mapping and returns it whole, so it leaves no holes in the heap
+        work = np.empty((3, m))
+        key = work[0].view(np.int64)
+        np.concatenate(keys, out=key)
+        del keys
+        np.concatenate(vals, out=work[1])
+        del vals
+        _sort_triplets(key, work[1], n * n, out=work[2])
+        key, summed = _group_sums(key, work[2])
+        del work
+        indptr = np.searchsorted(key, np.arange(n + 1) * n)  # first entry of each column
+        np.remainder(key, n, out=key)
+        return sp.csc_matrix((summed, key, indptr), shape=(n, n))
+
+
+_CHUNK = 1 << 20  # entries per step of the packing and the gather: no m-sized temporary
+
+
+def _sort_triplets(key: np.ndarray, vals: np.ndarray, span: int, out: np.ndarray) -> None:
+    """Sort int64 `key` (each in [0, span)) in place and write `vals` in
+    that order to `out`.  The sort is one in-place sort of
+    `key << shift | index` packed in one int64, or an `argsort` when the
+    packed key would overflow 63 bits.  Only the packed sort keeps equal
+    keys in insertion order; `_group_sums` does not depend on that order."""
+    m = len(key)
+    shift = (m - 1).bit_length()
+    if (span - 1).bit_length() + shift > 63:
+        order = np.argsort(key)
+        key[:] = key[order]
+        np.take(vals, order, out=out)
+        return
+    key <<= shift
+    for i in range(0, m, _CHUNK):
+        key[i:i + _CHUNK] |= np.arange(i, min(i + _CHUNK, m))
+    key.sort()
+    for i in range(0, m, _CHUNK):
+        np.take(vals, key[i:i + _CHUNK] & ((1 << shift) - 1), out=out[i:i + _CHUNK])
+    key >>= shift
+
+
+def _group_sums(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of sorted `key` and the sum of each key's values,
+    taken in ascending value order; `vals` (in key order) is reordered in
+    place.  Only groups of colliding triplets are sorted, one stack per
+    group size; equal values (+0.0 and -0.0 too) give the same sum in
+    either order, so the sums are those of `lexsort((vals, key))`."""
+    new = np.empty(len(key), dtype=bool)  # a group starts here
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    size = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=size[:-1])
+    size[-1] = len(key) - starts[-1]
+    multi = np.flatnonzero(size > 1)
+    size = size[multi]  # of the colliding groups
+    for s in np.unique(size):
+        idx = starts[multi[size == s]][:, None] + np.arange(s)
+        vals[idx] = np.sort(vals[idx], axis=1)
+    summed = np.add.reduceat(vals, starts)  # first: it outlives the distinct keys
+    return key[starts], summed
 
 
 @dataclass
@@ -144,8 +200,8 @@ def _hager_inv_norm(lu, n: int) -> float:
     """Hager-style estimate of ||A^-1||_1 using the LU factors."""
     best = 0.0
     starts = [np.full(n, 1.0 / n)]
-    # Higham's alternating start vector
-    alt = np.array([(-1.0) ** i * (1.0 + i / max(1, n - 1)) for i in range(n)])
+    i = np.arange(n)
+    alt = np.where(i % 2, -1.0, 1.0) * (1.0 + i / max(1, n - 1))  # Higham's alternating start
     starts.append(alt / np.sum(np.abs(alt)))
     rng = np.random.default_rng(12345)
     for _ in range(2):

@@ -316,6 +316,52 @@ class ConvergenceReport:
     notes: dict = field(default_factory=dict)
 
 
+def _run_level(spec: ProblemSpec, problem: Problem, cfg: WeakBcConfig,
+               result: LevelResult, notes: dict) -> None:
+    """Solve level `result.level` and fill `result` as it goes; a tau_hat
+    above the threshold is listed in `notes`.  The level's mesh, tables,
+    system, LU factor and solution are locals here, so they are freed when
+    it returns, before the next level's mesh is built."""
+    level = result.level
+    mesh, ls = _build_level_mesh(spec, problem, level)
+    result.quality = quality_report(mesh).as_dict()
+    dofmap = GlobalDofMap(mesh, spec.k)
+    result.n_dofs = dofmap.n_dofs
+    elements = build_all_elements(mesh, spec.k, stab=spec.stab)
+    mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
+    # one boundary pass: the edge table and its gaps serve every consumer
+    table = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
+    if spec.correction:
+        ccfg = spec.correction_config("h_linear" if spec.mesh == "squares" else "h_squared")
+        table = correction_data(mesh, elements, mult, ls, cfg, ccfg, table=table)
+        tau = tau_from_gaps(table.edge, table.gaps, table.htilde)
+        result.tau_hat, result.tau_worst_edge = tau.tau_hat, tau.worst_edge
+        if tau.exceeded:  # the corrected problem may be unstable on this level
+            notes.setdefault("tau_exceeded", []).append(
+                dict(level=level, tau_hat=tau.tau_hat, worst_edge=tau.worst_edge))
+
+    if cfg.method == "barbosa_hughes":
+        system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g, table=table)
+        x = solve(system)
+        u_dofs = x[:dofmap.n_dofs]
+        lam = x[dofmap.n_dofs:]
+    else:
+        system = assemble_nitsche(mesh, elements, cfg, problem.f, problem.g,
+                                  table=table, mult=mult)
+        u_dofs = solve(system)
+        lam = recover_multiplier(u_dofs, mesh, elements, cfg, problem.g,
+                                 mult=mult, table=table)
+
+    result.e1, result.e0 = compute_errors(mesh, elements, u_dofs,
+                                          problem.u, problem.grad_u, dofmap)
+    result.multiplier_err = multiplier_error(mesh, elements, mult, lam, problem.grad_u,
+                                             cfg.resolved_edge_exactness, table)
+    if spec.condest:
+        result.condest = condest_1norm(system)
+    if spec.export_matrix:
+        export_matrix_market(system, f"{spec.export_matrix}.level{level}.mtx")
+
+
 def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
     """Generate meshes, solve and collect errors over a refinement ladder.
 
@@ -340,45 +386,7 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
         t0 = time.perf_counter()
         result = LevelResult(level=level, quality={}, n_dofs=0)
         try:
-            mesh, ls = _build_level_mesh(spec, problem, level)
-            result.quality = quality_report(mesh).as_dict()
-            dofmap = GlobalDofMap(mesh, spec.k)
-            result.n_dofs = dofmap.n_dofs
-            elements = build_all_elements(mesh, spec.k, stab=spec.stab)
-            mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
-            # one boundary pass: the edge table and its gaps serve every consumer
-            table = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
-            if spec.correction:
-                ccfg = spec.correction_config("h_linear" if spec.mesh == "squares" else "h_squared")
-                table = correction_data(mesh, elements, mult, ls, cfg, ccfg, table=table)
-                tau = tau_from_gaps(table.edge, table.gaps, table.htilde)
-                result.tau_hat, result.tau_worst_edge = tau.tau_hat, tau.worst_edge
-                if tau.exceeded:  # the corrected problem may be unstable on this level
-                    report.notes.setdefault("tau_exceeded", []).append(
-                        dict(level=level, tau_hat=tau.tau_hat, worst_edge=tau.worst_edge))
-
-            if cfg.method == "barbosa_hughes":
-                system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g,
-                                     table=table)
-                x = solve(system)
-                u_dofs = x[:dofmap.n_dofs]
-                lam = x[dofmap.n_dofs:]
-            else:
-                system = assemble_nitsche(mesh, elements, cfg, problem.f, problem.g,
-                                          table=table, mult=mult)
-                u_dofs = solve(system)
-                lam = recover_multiplier(u_dofs, mesh, elements, cfg, problem.g,
-                                         mult=mult, table=table)
-
-            result.e1, result.e0 = compute_errors(mesh, elements, u_dofs,
-                                                  problem.u, problem.grad_u, dofmap)
-            result.multiplier_err = multiplier_error(mesh, elements, mult, lam,
-                                                     problem.grad_u,
-                                                     cfg.resolved_edge_exactness, table)
-            if spec.condest:
-                result.condest = condest_1norm(system)
-            if spec.export_matrix:
-                export_matrix_market(system, f"{spec.export_matrix}.level{level}.mtx")
+            _run_level(spec, problem, cfg, result, report.notes)
         except Exception as exc:  # noqa: BLE001 - level failures are recorded
             # the level keeps what it computed before the failure
             result.error = f"{type(exc).__name__}: {exc}"

@@ -212,14 +212,19 @@ def edge_workspaces(mesh: PolygonalMesh, elements: CellTable, dofmap: GlobalDofM
 def _level_table(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig,
                 mult: MultiplierSpace | None, table: EdgeTable | None) -> EdgeTable:
     """`table`, or when None the flat table of `mult` (of k' when None),
-    checked against cfg: the elements' order and the multipliers' degree."""
+    checked against cfg: the elements' order and the multipliers' degree,
+    and against a given `mult`: its degree and edge count."""
     if elements.k != cfg.k:
         raise ValueError(f"elements have order {elements.k}, config expects k = {cfg.k}")
     table = table or edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k),
                                      mult or MultiplierSpace.create(mesh, cfg.resolved_kprime),
                                      cfg.resolved_edge_exactness)
-    if (kprime := table.psi.shape[-1] - 1) != cfg.resolved_kprime:
+    kprime, n_edges = table.psi.shape[-1] - 1, len(table.edge)
+    if kprime != cfg.resolved_kprime:
         raise ValueError(f"multipliers have degree {kprime}, config expects k' = {cfg.resolved_kprime}")
+    if mult is not None and (mult.kprime, mult.n_edges) != (kprime, n_edges):
+        raise ValueError(f"multiplier space has k' = {mult.kprime} on {mult.n_edges} edges, "
+                         f"the edge table k' = {kprime} on {n_edges} edges")
     return table
 
 

@@ -123,6 +123,13 @@ def builder_triplets(builder):
     return np.concatenate(builder._keys), np.concatenate(builder._vals)
 
 
+def copied(builder):
+    """A builder holding the same blocks, for a test to compress again."""
+    out = TripletBuilder(builder.n)
+    out._keys, out._vals = list(builder._keys), list(builder._vals)
+    return out
+
+
 def shuffled_copy(builder, rng):
     """The builder's triplets re-added with the blocks and the triplets
     inside each block in random order, as stacked 1x1 blocks."""
@@ -161,8 +168,9 @@ def test_compress_matches_lexsort_reference(n, kind, seed):
         cols, rows = np.divmod(k, n)
         first.add_block(rows[:, None], cols[:, None], v[:, None, None])
     want = lexsort_compress(n, key, vals)
+    shuffled = shuffled_copy(first, rng)  # before `compress` consumes the builder
     assert_same_bits(first.compress(), want)
-    assert_same_bits(shuffled_copy(first, rng).compress(), want)
+    assert_same_bits(shuffled.compress(), want)
 
 
 def test_compress_dense_blocks_match_lexsort_reference():
@@ -173,7 +181,8 @@ def test_compress_dense_blocks_match_lexsort_reference():
         b.add_block(rows, cols, rng.choice([-0.0, 0.0, 1.0, -2.0, 0.5], (6, 6)))
     b.add_block(rng.integers(0, 30, (4, 3)), rng.integers(0, 30, (4, 2)),
                 rng.standard_normal((4, 3, 2)))  # a batch of four 3x2 blocks
-    assert_same_bits(b.compress(), lexsort_compress(30, *builder_triplets(b)))
+    want = lexsort_compress(30, *builder_triplets(b))
+    assert_same_bits(b.compress(), want)
 
 
 def test_compress_empty_builders():
@@ -184,6 +193,59 @@ def test_compress_empty_builders():
     b.add_block(np.zeros((3, 0), dtype=int), np.zeros((3, 2), dtype=int), np.zeros((3, 0, 2)))
     assert_same_bits(b.compress(), want)  # blocks without a triplet
     assert TripletBuilder(1).compress().shape == (1, 1)
+
+
+def test_compress_consumes_the_builder():
+    b = TripletBuilder(3)
+    b.add_block([0, 2], [1, 2], np.ones((2, 2)))
+    keys = list(b._keys)
+    b.compress()
+    assert b._keys is None and b._vals is None  # the blocks are dropped
+    assert np.array_equal(keys[0], [3, 6, 5, 8])  # the blocks are not sorted in place
+    with pytest.raises(RuntimeError, match="already compressed"):
+        b.compress()
+
+
+@pytest.mark.parametrize("kind", ["repeats", "zeros", "mixed-scale"])
+def test_overflowing_keys_fall_back_to_argsort(monkeypatch, kind):
+    # keys up to 2**62 and 40 triplets need 62 + 6 bits: the packed key
+    # would overflow, so the order comes from argsort; the sums must still
+    # be the lexsort reference's bits (no matrix, whose indptr would take
+    # 2**31 entries)
+    rng = np.random.default_rng(len(kind))
+    span = 2**62
+    key = rng.choice(rng.integers(span - 2**40, span, 8), 40)
+    key[:3] = [0, 1, span - 1]
+    vals = VALUE_KINDS[kind](rng, len(key))
+    assert (span - 1).bit_length() + (len(key) - 1).bit_length() > 63
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a: calls.append(len(a)) or argsort(a))
+    got_key, got_vals = key.copy(), np.empty(len(key))
+    linsys_module._sort_triplets(got_key, vals, span, out=got_vals)
+    got_key, sums = linsys_module._group_sums(got_key, got_vals)
+    assert calls == [len(key)]
+
+    ref = np.lexsort((vals, key))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(key[ref])) + 1))
+    want_key, want = key[ref][starts], np.add.reduceat(vals[ref], starts)
+    assert np.array_equal(got_key, want_key)
+    assert np.array_equal(sums, want) and np.array_equal(np.signbit(sums), np.signbit(want))
+
+
+def test_packed_keys_sort_without_argsort(monkeypatch):
+    rng = np.random.default_rng(5)
+    key = rng.integers(0, 2**40, 1000)
+
+    def no_argsort(a):
+        raise AssertionError("the packed path sorts in place")
+
+    monkeypatch.setattr(np, "argsort", no_argsort)
+    monkeypatch.setattr(linsys_module, "_CHUNK", 64)  # several packing and gather steps
+    got, order = key.copy(), np.empty(len(key), dtype=np.int64)
+    linsys_module._sort_triplets(got, np.arange(len(key)), 2**40, out=order)  # 40 + 10 bits
+    assert np.array_equal(got, np.sort(key))
+    assert np.array_equal(order, np.lexsort((np.arange(len(key)), key)))  # ties in input order
 
 
 # -- compress on real assemblies -------------------------------------------------
@@ -214,7 +276,7 @@ def assembled_builders(monkeypatch, name, k, method, corrected):
 
     class Recording(TripletBuilder):
         def compress(self):
-            builders.append(self)
+            builders.append(copied(self))
             return super().compress()
 
     monkeypatch.setattr(weakbc_module, "TripletBuilder", Recording)
@@ -257,10 +319,12 @@ ORDER_CASES = (
 def test_assembly_does_not_depend_on_insertion_order(monkeypatch, name, k, method, corrected):
     rng = np.random.default_rng(k)
     for builder in assembled_builders(monkeypatch, name, k, method, corrected):
+        shuffled = [shuffled_copy(builder, rng) for _ in range(2)]
+        reference = lexsort_compress(builder.n, *builder_triplets(builder))
         want = TripletBuilder.compress(builder)
-        for _ in range(2):
-            assert_same_bits(shuffled_copy(builder, rng).compress(), want)
-        assert_same_bits(want, lexsort_compress(builder.n, *builder_triplets(builder)))
+        for other in shuffled:
+            assert_same_bits(other.compress(), want)
+        assert_same_bits(want, reference)
 
 
 def test_symmetry_check():

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -270,6 +272,41 @@ def test_run_study_records_level_failure(monkeypatch):
     assert bad.quality["N_P"] == 64 and bad.n_dofs == 81
     assert bad.e1 is None and bad.seconds > 0.0
     assert rep.levels[2].error is None
+
+
+@pytest.mark.parametrize("method", ["bh", "nitsche"])
+def test_level_data_die_before_the_next_level_starts(monkeypatch, method):
+    # level L's system (with its LU factor) and cell table must be freed,
+    # by reference counting alone, before level L+1 builds its mesh
+    import polyvem.study as study_mod
+    alive = []
+    orig_mesh, orig_solve, orig_elements = (study_mod._build_level_mesh, study_mod.solve,
+                                            study_mod.build_all_elements)
+
+    def build_mesh(spec, problem, level):
+        assert all(ref() is None for ref in alive), f"an earlier level lives on at level {level}"
+        return orig_mesh(spec, problem, level)
+
+    def solve(system):
+        alive.append(weakref.ref(system))
+        return orig_solve(system)
+
+    def build_elements(*args, **kwargs):
+        elements = orig_elements(*args, **kwargs)
+        alive.append(weakref.ref(elements))
+        return elements
+
+    monkeypatch.setattr(study_mod, "_build_level_mesh", build_mesh)
+    monkeypatch.setattr(study_mod, "solve", solve)
+    monkeypatch.setattr(study_mod, "build_all_elements", build_elements)
+    spec = ProblemSpec(problem="test1-2d", k=2, method=method, mesh="voronoi")
+    gc.disable()
+    try:
+        rep = run_study(spec, 3)
+    finally:
+        gc.enable()
+    assert [lv.error for lv in rep.levels] == [None] * 3 and len(alive) == 6
+    assert all(ref() is None for ref in alive)
 
 
 def test_condest_recorded_on_request():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,22 @@ def test_multiplier_degree_mismatch_rejected(name, given):
     if given == "table":
         table = edge_workspaces(mesh, els, GlobalDofMap(mesh, 2), mult, 6)
     with pytest.raises(ValueError, match="^multipliers have degree 1, config expects k' = 2$"):
+        _mismatched_calls(mesh, els, mult, table)[name]()
+
+
+@pytest.mark.parametrize("wrong", ["degree", "edges"])
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_space_that_disagrees_with_the_given_table_rejected(name, wrong):
+    # a k' = 1 space beside a k' = 2 table once assembled the table's
+    # system (154 unknowns on this mesh) without a word
+    mesh = build_voronoi_mesh(None, 16, lloyd_iters=2, rng_seed=0)
+    els = build_all_elements(mesh, 2)
+    table = edge_workspaces(mesh, els, GlobalDofMap(mesh, 2), MultiplierSpace.create(mesh, 2), 6)
+    n = len(mesh.boundary_edges)
+    mult = MultiplierSpace.create(mesh, 1) if wrong == "degree" else MultiplierSpace(2, n + 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"multiplier space has k' = {mult.kprime} on {mult.n_edges} edges, "
+            f"the edge table k' = 2 on {n} edges")):
         _mismatched_calls(mesh, els, mult, table)[name]()
 
 
