@@ -1,7 +1,7 @@
 """Polygonal virtual element solver for the Poisson problem with weakly
 imposed Dirichlet boundary conditions and curved-boundary correction."""
 
-from .basis import CellPolyBasis, directional_derivative_matrix
+from .basis import directional_derivative_matrix
 from .element import CellTable, GlobalDofMap, build_all_elements
 from .generators import (
     build_disk_approx_mesh,

@@ -8,13 +8,11 @@ bases of the same space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "CellPolyBasis",
     "cell_basis_dim",
     "monomial_exponents",
     "exponent_arrays",
@@ -94,64 +92,23 @@ def _raw_derivative_matrices(k: int, h) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
-@dataclass(frozen=True)
-class CellPolyBasis:
-    """Polynomial basis of degree <= k on one cell.
-
-    `coef[:, j]` holds the raw scaled-monomial coefficients of basis
-    function j, so `coef` is the identity for the raw monomials and upper
-    triangular after orthonormalization (the first function stays constant).
-    A stack of bases of one order carries leading batch axes on `center`
-    (..., 2), `diameter` (...) and `coef`; `eval` and `eval_gradient` then
-    take points (..., npts, 2).
-    """
-
-    k: int
-    center: np.ndarray
-    diameter: float
-    coef: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("polynomial order must be >= 0")
-        if self.coef is None:
-            object.__setattr__(self, "coef", np.eye(self.dim))
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-
-    @property
-    def dim(self) -> int:
-        return cell_basis_dim(self.k)
-
-    @property
-    def exponents(self) -> list[tuple[int, int]]:
-        return monomial_exponents(self.k)
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        """Values of all basis functions at the points, shape (npts, dim)."""
-        powers = scaled_powers(np.atleast_2d(points), self.center, self.diameter, self.k)
-        return monomial_values(*powers, self.k) @ self.coef
-
-    def eval_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x- and y-derivatives of all basis functions, each (npts, dim)."""
-        powers = scaled_powers(np.atleast_2d(points), self.center, self.diameter, self.k)
-        gx, gy = monomial_gradients(*powers, self.k, self.diameter)
-        return gx @ self.coef, gy @ self.coef
-
-
-def directional_derivative_matrix(basis: CellPolyBasis, sigma, j: int = 1) -> np.ndarray:
-    """Matrix of the j-th directional derivative on basis coefficients.
+def directional_derivative_matrix(k: int, diameter, coef, sigma, j: int = 1) -> np.ndarray:
+    """Matrix of the j-th directional derivative on the coefficients of the
+    cell basis `coef` (raw scaled-monomial coefficients of each basis
+    function in its columns) of order k on cells of the given diameter.
 
     The result maps coefficients of p to coefficients of the derivative in
     the same basis (the image lies in the degree k - j subspace; the map is
-    nilpotent).  M_0 is the identity and M_j = M_1^j.  A stacked basis takes
-    one direction per basis, sigma (..., 2), and gives one matrix each.
+    nilpotent).  M_0 is the identity and M_j = M_1^j.  Stacked cells carry
+    leading batch axes on diameter (...), coef (..., n, n) and sigma
+    (..., 2), and give one matrix each.
     """
     sigma = np.asarray(sigma, dtype=float)
     if np.any(np.abs(np.hypot(sigma[..., 0], sigma[..., 1]) - 1.0) > 1e-12):
         raise ValueError("sigma must be a unit vector")
     if j < 0:
         raise ValueError("derivative order must be >= 0")
-    dx, dy = _raw_derivative_matrices(basis.k, basis.diameter)
+    dx, dy = _raw_derivative_matrices(k, diameter)
     m1_raw = sigma[..., 0, None, None] * dx + sigma[..., 1, None, None] * dy
-    m1 = np.linalg.solve(basis.coef, m1_raw @ basis.coef)
+    m1 = np.linalg.solve(coef, m1_raw @ coef)
     return np.linalg.matrix_power(m1, j)

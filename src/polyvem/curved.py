@@ -19,13 +19,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .basis import directional_derivative_matrix
+from .basis import directional_derivative_matrix, monomial_values, scaled_powers
 from .element import CellTable
 from .levelset import CorrectionConfig, LevelSetDomain, boundary_gaps
 from .linsys import LinearSystem
 from .mesh import PolygonalMesh
 from .weakbc import (
-    EdgeBatch,
     EdgeTable,
     MultiplierSpace,
     WeakBcConfig,
@@ -63,18 +62,21 @@ def correction_data(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSp
     batches = table.batches
     if cfg_corr.kstar >= 1:
         batches = tuple(replace(b, correction=_taylor_field(
-            b, table.points[b.rows], sigmas[b.rows], gaps[b.rows], cfg_corr.kstar)) for b in batches)
+            elements, table.cell[b.rows], table.points[b.rows], sigmas[b.rows], gaps[b.rows],
+            cfg_corr.kstar)) for b in batches)
     return replace(table, data_points=table.points + gaps[..., None] * sigmas[:, None, :],
                    batches=batches, gaps=gaps)
 
 
-def _taylor_field(batch: EdgeBatch, points: np.ndarray, sigma: np.ndarray, ds: np.ndarray,
-                  kstar: int) -> np.ndarray:
-    """sum_j ds^j / j! * d_sigma^j Pi-nabla at the points of a batch."""
-    m1 = directional_derivative_matrix(batch.basis, sigma, 1)
-    evals = batch.basis.eval(points)
-    cur = batch.pinabla
-    values = np.zeros(batch.normal_deriv.shape)
+def _taylor_field(elements: CellTable, cells: np.ndarray, points: np.ndarray, sigma: np.ndarray,
+                  ds: np.ndarray, kstar: int) -> np.ndarray:
+    """sum_j ds^j / j! * d_sigma^j Pi-nabla at the points (nb, nq, 2) of
+    edges whose cells (nb,) lie in one `CellBatch`, from the cells' rows."""
+    b, r = elements.batches[elements.batch_of[cells[0]]], elements.row_of[cells]
+    k, h, coef, cur = elements.k, b.diameter[r], b.coef[r], b.pinabla[r]
+    m1 = directional_derivative_matrix(k, h, coef, sigma, 1)
+    evals = monomial_values(*scaled_powers(points, b.center[r], h, k), k) @ coef
+    values = np.zeros(ds.shape + cur.shape[-1:])
     for j in range(1, kstar + 1):
         cur = m1 @ cur
         values += (ds**j / math.factorial(j))[..., None] * (evals @ cur)

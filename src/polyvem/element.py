@@ -29,7 +29,7 @@ from .basis import (
     monomial_values,
     scaled_powers,
 )
-from .mesh import PolygonalMesh, cell_quadratures
+from .mesh import PolygonalMesh, cell_quadratures, check_number
 from .quadrature import gauss_lobatto
 
 __all__ = [
@@ -70,10 +70,12 @@ class CellBatch:
 @dataclass(frozen=True)
 class CellTable:
     """A level's elements of order k: one `CellBatch` per run of cells of one
-    vertex count and quadrature size, and each cell's batch and row."""
+    vertex count and quadrature size, the level's DOF map, and each cell's
+    batch and row."""
 
     k: int
     batches: tuple
+    dofmap: GlobalDofMap
     batch_of: np.ndarray = field(init=False, repr=False)  # (n_cells,)
     row_of: np.ndarray = field(init=False, repr=False)    # (n_cells,)
 
@@ -118,6 +120,7 @@ class GlobalDofMap:
     """
 
     def __init__(self, mesh: PolygonalMesh, k: int):
+        check_number("k", k, 1, integer=True)
         self.k = k
         n_mom = cell_basis_dim(k - 2) if k >= 2 else 0
         nv = np.fromiter(map(len, mesh.cells), dtype=np.int64, count=mesh.n_cells)
@@ -155,7 +158,10 @@ def build_all_elements(mesh: PolygonalMesh, k: int, stab: str = "d_recipe") -> C
     weights max(diag(K_c), trace(K_c)/n_dofs)).  The cell basis is
     orthonormalized for k >= 3.
     """
-    return CellTable(k, tuple(batch for batch, _ in _build_batches(mesh, k, stab)))
+    # the map first: built after the cell rules, its temporaries left the
+    # heap about 25 MiB larger going into the finest voronoi-k4 LU factor
+    dofmap = GlobalDofMap(mesh, k)
+    return CellTable(k, tuple(batch for batch, _ in _build_batches(mesh, k, stab)), dofmap)
 
 
 def _T(a: np.ndarray) -> np.ndarray:
@@ -175,8 +181,6 @@ def _build_batches(mesh: PolygonalMesh, k: int, stab: str):
     """Each batch of the table, with the arrays of its build that only tests
     read: `consistency`, `stability`, the basis gradient Gram `stiff_gram`
     and `dof_of_poly`, the DOFs of each basis polynomial."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
     if stab not in STABILIZATIONS:
         raise ValueError(f"unknown stabilization {stab!r}")
     return (_build_batch(cells, points, weights, mesh, k, stab)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
 from .levelset import LevelSetDomain
-from .mesh import PolygonalMesh, build_mesh
+from .mesh import PolygonalMesh, build_mesh, check_number
 from .quadrature import polygon_area, polygon_shoelace
 
 __all__ = [
@@ -31,8 +31,8 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 def build_structured_mesh(bounds=(0.0, 0.0, 1.0, 1.0), nx: int = 1, ny: int = 1) -> PolygonalMesh:
     """nx-by-ny grid of rectangular cells on the axis-aligned rectangle
     (xmin, ymin, xmax, ymax)."""
-    if nx < 1 or ny < 1:
-        raise ValueError("nx and ny must be >= 1")
+    check_number("nx", nx, 1, integer=True)
+    check_number("ny", ny, 1, integer=True)
     x0, y0, x1, y1 = map(float, bounds)
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
@@ -226,10 +226,8 @@ def build_voronoi_mesh(domain=None, n_seeds: int = 16, lloyd_iters: int = 0,
     Deterministic for a fixed rng_seed.  Degenerate seed sets (coincident
     points) are resampled a bounded number of times before failing.
     """
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    if lloyd_iters < 0:
-        raise ValueError("lloyd_iters must be >= 0")
+    check_number("n_seeds", n_seeds, 1, integer=True)
+    check_number("lloyd_iters", lloyd_iters, 0, integer=True)
     domain = UNIT_SQUARE.copy() if domain is None else np.asarray(domain, dtype=float)
     if polygon_area(domain) <= 0.0:
         raise ValueError("domain polygon must be CCW with positive area")
@@ -320,11 +318,9 @@ def build_disk_approx_mesh(levelset: LevelSetDomain, n_boundary: int,
     """
     if not levelset.is_convex:
         raise ValueError("inscribed-polygon meshing requires a convex level set")
-    if n_boundary < 3:
-        raise ValueError("need at least 3 boundary vertices")
+    check_number("n_boundary", n_boundary, 3, integer=True)
+    check_number("interior_resolution", interior_resolution, 1, integer=True)
     rings = int(interior_resolution)
-    if rings < 1:
-        raise ValueError("interior_resolution must be >= 1")
     c = np.asarray(levelset.interior_point, dtype=float)
     thetas = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
@@ -406,10 +402,8 @@ def build_squares_approx_mesh(levelset: LevelSetDomain, base_n: int,
     corners are inside, which keeps the mesh inside the domain; parents with
     nothing retained are dropped.
     """
-    if base_n < 1:
-        raise ValueError("base_n must be >= 1")
-    if boundary_refine_steps < 0:
-        raise ValueError("boundary_refine_steps must be >= 0")
+    check_number("base_n", base_n, 1, integer=True)
+    check_number("boundary_refine_steps", boundary_refine_steps, 0, integer=True)
     x0, y0, x1, y1 = levelset.bounding_box
     span = max(x1 - x0, y1 - y0)
     if not np.isfinite(span) or span <= 0:
@@ -449,7 +443,7 @@ def build_squares_approx_mesh(levelset: LevelSetDomain, base_n: int,
     if dropped:
         log.info("dropped %d boundary squares with no retained sub-square", dropped)
 
-    interior_parents = _merge_small_groups(groups, interior_parents, fine)
+    _merge_small_groups(groups, fine)
 
     traced = []  # (loop of fine coords, boxes)
     for gid in sorted(groups):
@@ -470,7 +464,7 @@ def build_squares_approx_mesh(levelset: LevelSetDomain, base_n: int,
 
     cell_loops = []
     cell_boxes = {}
-    for (bi, bj) in interior_parents:
+    for (bi, bj) in sorted(interior_parents):
         corners = [
             (bi * fine, bj * fine),
             ((bi + 1) * fine, bj * fine),
@@ -520,8 +514,8 @@ def build_squares_approx_mesh(levelset: LevelSetDomain, base_n: int,
     return mesh
 
 
-def _merge_small_groups(groups: dict, interior_parents: list, fine: int) -> list:
-    """Absorb small boundary fragments into a neighboring cell.
+def _merge_small_groups(groups: dict, fine: int) -> None:
+    """Absorb small boundary fragments into a neighboring cell, in place.
 
     A fragment whose bounding-box diagonal is below one parent side would
     otherwise keep the gap-to-diameter ratio from shrinking under boundary
@@ -530,51 +524,30 @@ def _merge_small_groups(groups: dict, interior_parents: list, fine: int) -> list
     which keeps refinement from altering interior cells.  Deterministic:
     smallest fragment first, ties by parent index.
     """
-    interior_set = set(interior_parents)
-    owner_of: dict = {}
-    for gid, cells in groups.items():
-        for c in cells:
-            owner_of[c] = gid
+    owner_of = {c: gid for gid, cells in groups.items() for c in cells}
 
     def diag(cells) -> float:
         xs = [a for a, _ in cells]
         ys = [b for _, b in cells]
-        w = max(xs) - min(xs) + 1
-        h = max(ys) - min(ys) + 1
-        return float(np.hypot(w, h))
+        return float(np.hypot(max(xs) - min(xs) + 1, max(ys) - min(ys) + 1))
 
-    for _ in range(len(groups) + len(interior_set) + 1):
-        small = sorted(
-            (gid for gid, cells in groups.items() if diag(cells) < fine),
-            key=lambda g: (len(groups[g]), g),
-        )
-        merged = False
-        for gid in small:
-            contact: dict = {}
-            for (a, b) in groups[gid]:
-                for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
-                    if nb in groups[gid]:
-                        continue
-                    owner = owner_of.get(nb)
-                    if owner is not None and owner != gid:
-                        contact[owner] = contact.get(owner, 0) + 1
-            if not contact:
-                log.info("dropped fragment of parent %s with no boundary neighbor", gid)
-                for c in groups[gid]:
-                    del owner_of[c]
-                del groups[gid]
-                merged = True
-                break
-            target = min(contact, key=lambda o: (-contact[o], o))
-            groups[target] |= groups[gid]
-            for c in groups[gid]:
-                owner_of[c] = target
-            del groups[gid]
-            merged = True
-            break
-        if not merged:
-            break
-    return sorted(interior_set)
+    while small := [gid for gid, cells in groups.items() if diag(cells) < fine]:
+        gid = min(small, key=lambda g: (len(groups[g]), g))
+        cells = groups.pop(gid)
+        contact: dict = {}
+        for (a, b) in cells:
+            for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
+                if nb not in cells and nb in owner_of:
+                    contact[owner_of[nb]] = contact.get(owner_of[nb], 0) + 1
+        if not contact:
+            log.info("dropped fragment of parent %s with no boundary neighbor", gid)
+            for c in cells:
+                del owner_of[c]
+            continue
+        target = min(contact, key=lambda o: (-contact[o], o))
+        groups[target] |= cells
+        for c in cells:
+            owner_of[c] = target
 
 
 def _components(cells_set: set) -> list:

@@ -141,7 +141,6 @@ def _group_sums(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class LinearSystem:
     matrix: sp.csc_matrix
     rhs: np.ndarray
-    symmetric: bool = False
     partition: SaddlePartition | None = None
     _factor: object = field(default=None, repr=False)
 
@@ -162,14 +161,14 @@ class LinearSystem:
         return self._factor
 
 
-def solve(system: LinearSystem, rhs: np.ndarray | None = None) -> np.ndarray:
+def solve(system: LinearSystem) -> np.ndarray:
     """Direct sparse LU solve with iterative refinement and a hard
     relative-residual check.
 
     Two refinement sweeps cost two extra triangular solves and recover
     near-machine backward error on the ill-conditioned saddle systems
     (multiplier blocks scale with alpha while the stiffness is O(1))."""
-    b = system.rhs if rhs is None else np.asarray(rhs, dtype=float)
+    b = system.rhs
     a_inf = _inf_norm(system.matrix)  # before the factor: its temporaries miss the LU peak
     lu = system.factor()
     x = lu.solve(b)
@@ -265,7 +264,7 @@ def schur_condense_bh(system: LinearSystem) -> LinearSystem:
     condensed = (A[:nu, :nu] - C @ (Dinv @ A[nu:, :nu])).tocsc()
     condensed.sort_indices()
     rhs = system.rhs[:nu] - C @ (Dinv @ system.rhs[nu:])
-    return LinearSystem(matrix=condensed, rhs=rhs, symmetric=False, partition=None)
+    return LinearSystem(matrix=condensed, rhs=rhs)
 
 
 def export_matrix_market(system: LinearSystem, path) -> None:

@@ -38,6 +38,19 @@ __all__ = [
 _AREA_RTOL = 1e-12
 
 
+def check_number(name: str, value, low, integer: bool = False) -> None:
+    """Raise a ValueError naming `name` unless `value` is an integer >= low
+    (integer) or a finite real > low; bools are neither."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if integer:
+        ok, what = ok and value >= low, f"an integer >= {low}"
+    else:
+        ok, what = ok and bool(np.isfinite(value)) and value > low, f"a finite number > {low}"
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PolygonalMesh:
     """Immutable 2D polygonal mesh.
@@ -263,7 +276,7 @@ class MeshQualityReport:
         }
 
 
-def _inradius_ratios(cells: list, mesh: PolygonalMesh, samples: int = 12) -> np.ndarray:
+def _inradius_ratios(cells: list, mesh: PolygonalMesh) -> np.ndarray:
     """Largest distance from an interior sample point to the cell boundary,
     over the diameter, for cells of one vertex count.
 
@@ -274,8 +287,9 @@ def _inradius_ratios(cells: list, mesh: PolygonalMesh, samples: int = 12) -> np.
     pts, centroids = mesh.vertices[[mesh.cells[c] for c in cells]], mesh.cell_centroids[cells]
     lo = pts.min(axis=1)[..., None]
     hi = pts.max(axis=1)[..., None]
-    # interior nodes of np.linspace(lo, hi, samples + 2), as linspace computes them
-    xs, ys = np.moveaxis(np.arange(1, samples + 1) * ((hi - lo) / (samples + 1)) + lo, 1, 0)
+    # interior nodes of np.linspace(lo, hi, n + 2), as linspace computes them
+    n = 12  # grid nodes per side
+    xs, ys = np.moveaxis(np.arange(1, n + 1) * ((hi - lo) / (n + 1)) + lo, 1, 0)
     grid = np.stack(np.broadcast_arrays(xs[:, :, None], ys[:, None, :]), axis=-1)
     cand = np.concatenate([centroids[:, None, :], grid.reshape(len(pts), -1, 2)], axis=1)
 

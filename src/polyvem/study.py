@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .curved import correction_data
-from .element import STABILIZATIONS, GlobalDofMap, _mv, build_all_elements, error_integrals
+from .element import STABILIZATIONS, _mv, build_all_elements, error_integrals
 from .generators import (
     build_disk_approx_mesh,
     build_squares_approx_mesh,
@@ -27,14 +27,13 @@ from .generators import (
 )
 from .levelset import CorrectionConfig, kstar_default, named_levelset, tau_from_gaps
 from .linsys import condest_1norm, export_matrix_market, solve
-from .mesh import quality_report
+from .mesh import check_number, quality_report
 from .weakbc import (
     EdgeTable,
     MultiplierSpace,
     WeakBcConfig,
     assemble_bh,
     assemble_nitsche,
-    check_number,
     edge_workspaces,
     recover_multiplier,
 )
@@ -175,10 +174,10 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name, low in (("k", 1), ("refine_steps", 0), ("lloyd_iters", 0)):
-            check_number(self, name, low, integer=True)
+            check_number(name, getattr(self, name), low, integer=True)
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("gamma", "alpha"):
-            check_number(self, name, 0)
+            check_number(name, getattr(self, name), 0)
         for name, known in _SPELLINGS.items():
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; known: {list(known)}")
@@ -233,17 +232,14 @@ def _build_level_mesh(spec: ProblemSpec, problem: Problem, level: int):
                                      spec.refine_steps), ls
 
 
-def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad,
-                   dofmap: GlobalDofMap | None = None) -> tuple[float, float]:
+def compute_errors(mesh, elements, u_dofs, exact_u, exact_grad) -> tuple[float, float]:
     """Relative broken-H1 and L2 errors of a discrete solution.
 
     The gradient error uses the L2 projection of the discrete gradient onto
     P_{k-1}; the L2 error uses the energy projection of the solution (the
-    full-degree L2 projector is not computable from these DOFs).  `dofmap`
-    is built here when None.
+    full-degree L2 projector is not computable from these DOFs).
     """
-    dofmap = dofmap or GlobalDofMap(mesh, elements.k)
-    local = [u_dofs[dofmap.batch_dofs(b.cells)] for b in elements.batches]
+    local = [u_dofs[elements.dofmap.batch_dofs(b.cells)] for b in elements.batches]
     parts = error_integrals(elements, local, exact_u, exact_grad)
     num1, den1, num0, den0 = np.cumsum(parts, axis=0)[-1]  # summed in cell order
     if den1 <= 0.0 or den0 <= 0.0:
@@ -257,8 +253,7 @@ def multiplier_error(mesh, elements, mult: MultiplierSpace, coeffs: np.ndarray,
     (sum_f htilde ||.||^2_f)^(1/2) over the level's edge table (built here
     when None); block j of `coeffs` belongs to boundary edge j."""
     if table is None:
-        table = edge_workspaces(mesh, elements, GlobalDofMap(mesh, elements.k), mult,
-                                exactness)
+        table = edge_workspaces(mesh, elements, mult, exactness)
     grad = np.asarray(exact_grad(table.points.reshape(-1, 2)), dtype=float)
     flux = -_mv(grad.reshape(table.points.shape), mesh.edge_normals[table.edge])
     err2 = (_mv(table.psi, coeffs.reshape(len(table.edge), -1)) - flux) ** 2
@@ -325,12 +320,11 @@ def _run_level(spec: ProblemSpec, problem: Problem, cfg: WeakBcConfig,
     level = result.level
     mesh, ls = _build_level_mesh(spec, problem, level)
     result.quality = quality_report(mesh).as_dict()
-    dofmap = GlobalDofMap(mesh, spec.k)
-    result.n_dofs = dofmap.n_dofs
     elements = build_all_elements(mesh, spec.k, stab=spec.stab)
+    nu = result.n_dofs = elements.dofmap.n_dofs
     mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
     # one boundary pass: the edge table and its gaps serve every consumer
-    table = edge_workspaces(mesh, elements, dofmap, mult, cfg.resolved_edge_exactness)
+    table = edge_workspaces(mesh, elements, mult, cfg.resolved_edge_exactness)
     if spec.correction:
         ccfg = spec.correction_config("h_linear" if spec.mesh == "squares" else "h_squared")
         table = correction_data(mesh, elements, mult, ls, cfg, ccfg, table=table)
@@ -343,8 +337,7 @@ def _run_level(spec: ProblemSpec, problem: Problem, cfg: WeakBcConfig,
     if cfg.method == "barbosa_hughes":
         system = assemble_bh(mesh, elements, mult, cfg, problem.f, problem.g, table=table)
         x = solve(system)
-        u_dofs = x[:dofmap.n_dofs]
-        lam = x[dofmap.n_dofs:]
+        u_dofs, lam = x[:nu], x[nu:]
     else:
         system = assemble_nitsche(mesh, elements, cfg, problem.f, problem.g,
                                   table=table, mult=mult)
@@ -352,8 +345,7 @@ def _run_level(spec: ProblemSpec, problem: Problem, cfg: WeakBcConfig,
         lam = recover_multiplier(u_dofs, mesh, elements, cfg, problem.g,
                                  mult=mult, table=table)
 
-    result.e1, result.e0 = compute_errors(mesh, elements, u_dofs,
-                                          problem.u, problem.grad_u, dofmap)
+    result.e1, result.e0 = compute_errors(mesh, elements, u_dofs, problem.u, problem.grad_u)
     result.multiplier_err = multiplier_error(mesh, elements, mult, lam, problem.grad_u,
                                              cfg.resolved_edge_exactness, table)
     if spec.condest:

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CellPolyBasis
-from .element import (CellTable, GlobalDofMap, _edge_point_dofs, _mv, _sym, _T,
-                      lagrange_eval_matrix, load_vectors)
+from .basis import monomial_gradients, scaled_powers
+from .element import (CellTable, _edge_point_dofs, _mv, _sym, _T, lagrange_eval_matrix,
+                      load_vectors)
 from .linsys import LinearSystem, SaddlePartition, TripletBuilder
-from .mesh import PolygonalMesh
+from .mesh import PolygonalMesh, check_number
 from .quadrature import gauss_lobatto, segment_rules
 
 __all__ = [
@@ -39,20 +39,6 @@ __all__ = [
 ]
 
 METHODS = ("barbosa_hughes", "nitsche")
-
-
-def check_number(obj, name: str, low, integer: bool = False) -> None:
-    """Raise a ValueError naming the field unless `obj.<name>` is an integer
-    >= low (integer) or a finite real > low; bools are neither."""
-    value = getattr(obj, name)
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    ok = isinstance(value, kinds) and not isinstance(value, bool)
-    if integer:
-        ok, what = ok and value >= low, f"an integer >= {low}"
-    else:
-        ok, what = ok and bool(np.isfinite(value)) and value > low, f"a finite number > {low}"
-    if not ok:
-        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +60,14 @@ class WeakBcConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        check_number(self, "k", 1, integer=True)
+        check_number("k", self.k, 1, integer=True)
         kp = self.resolved_kprime
         if isinstance(kp, bool) or kp not in (self.k, self.k - 1):
             raise ValueError("kprime must be k or k-1")
         if self.method == "nitsche" and kp != self.k:
             raise ValueError("the Nitsche formulation requires kprime = k")
-        check_number(self, "alpha", 0)
-        check_number(self, "gamma", 0)
+        check_number("alpha", self.alpha, 0)
+        check_number("gamma", self.gamma, 0)
         if self.method == "barbosa_hughes" and self.alpha >= 0.25:
             warnings.warn(
                 f"alpha = {self.alpha} is large; the multiplier penalty is only "
@@ -125,8 +111,6 @@ class EdgeBatch:
 
     rows: np.ndarray          # (nb,) positions in the table's edge order
     cell_dofs: np.ndarray     # (nb, n_cell) global DOFs of the adjacent cells
-    basis: CellPolyBasis      # their stacked P_k bases
-    pinabla: np.ndarray       # (nb, dim P_k, n_cell) their Pi-nabla
     normal_deriv: np.ndarray  # (nb, nq, n_cell) of d_nu Pi-nabla
     correction: np.ndarray | None = None  # (nb, nq, n_cell) Taylor field; None when flat
 
@@ -138,7 +122,6 @@ class EdgeTable:
     the boundary norm.  The table of a corrected level comes from
     `curved.correction_data`."""
 
-    dofmap: GlobalDofMap
     edge: np.ndarray          # (n,)
     cell: np.ndarray          # (n,) the adjacent cells
     htilde: np.ndarray        # (n,) their diameters
@@ -157,10 +140,10 @@ class EdgeTable:
         return np.asarray(g(self.data_points.reshape(-1, 2)), dtype=float).reshape(self.weights.shape)
 
 
-def edge_workspaces(mesh: PolygonalMesh, elements: CellTable, dofmap: GlobalDofMap,
-                    mult: MultiplierSpace, exactness: int) -> EdgeTable:
+def edge_workspaces(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSpace,
+                    exactness: int) -> EdgeTable:
     """The level's boundary edge table, built in array passes and one pass per cell batch."""
-    k, m = dofmap.k, mult.kprime + 1
+    k, m = elements.k, mult.kprime + 1
     edge = mesh.boundary_edges
     cell = mesh.edge_cells[edge, 0]
     ends = mesh.vertices[mesh.edges[edge]]
@@ -182,7 +165,7 @@ def edge_workspaces(mesh: PolygonalMesh, elements: CellTable, dofmap: GlobalDofM
     local = half[edge] - (np.cumsum(nv) - nv)[cell]
 
     # per cell batch: the edge's local DOFs pick its global DOFs and its
-    # loop-order ends from the cells' rows
+    # loop-order ends, and d_nu Pi-nabla comes from the cells' rows
     where = elements.batch_of[cell]
     edge_dofs = np.empty((len(edge), k + 1), dtype=np.int64)
     va, vb = np.empty((len(edge), 2)), np.empty((len(edge), 2))
@@ -191,19 +174,18 @@ def edge_workspaces(mesh: PolygonalMesh, elements: CellTable, dofmap: GlobalDofM
         rows = np.flatnonzero(where == i)
         b, r = elements.batches[i], elements.row_of[cell[rows]]
         point_dofs = _edge_point_dofs(b.point_coords.shape[1] // k, k)[local[rows]]
-        cell_dofs = dofmap.batch_dofs(cell[rows])
+        cell_dofs = elements.dofmap.batch_dofs(cell[rows])
         edge_dofs[rows] = np.take_along_axis(cell_dofs, point_dofs, axis=1)
         va[rows], vb[rows] = b.point_coords[r, point_dofs[:, 0]], b.point_coords[r, point_dofs[:, -1]]
-        basis = CellPolyBasis(k, b.center[r], b.diameter[r], coef=b.coef[r])
-        gx, gy = basis.eval_gradient(points[rows])
+        h, coef = b.diameter[r], b.coef[r]
+        gx, gy = monomial_gradients(*scaled_powers(points[rows], b.center[r], h, k), k, h)
         nrm = mesh.edge_normals[edge[rows]][:, None, None, :]
-        pinabla = b.pinabla[r]
-        batches.append(EdgeBatch(rows, cell_dofs, basis, pinabla,
-                                 (nrm[..., 0] * gx + nrm[..., 1] * gy) @ pinabla))
+        dn = nrm[..., 0] * (gx @ coef) + nrm[..., 1] * (gy @ coef)
+        batches.append(EdgeBatch(rows, cell_dofs, dn @ b.pinabla[r]))
     length2 = np.array([float(h) ** 2 for h in mesh.edge_lengths[edge]])  # C pow, not h * h
     t = 2.0 * _mv(points - (0.5 * (va + vb))[:, None, :], vb - va) / length2[:, None]
     return EdgeTable(
-        dofmap=dofmap, edge=edge, cell=cell, htilde=mesh.cell_diameters[cell],
+        edge=edge, cell=cell, htilde=mesh.cell_diameters[cell],
         points=points, weights=weights, data_points=points, edge_dofs=edge_dofs,
         trace=lagrange_eval_matrix(gauss_lobatto(k + 1)[0], t), psi=psi, mass=_sym(mass), batches=tuple(batches),
     )
@@ -216,7 +198,7 @@ def _level_table(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig,
     and against a given `mult`: its degree and edge count."""
     if elements.k != cfg.k:
         raise ValueError(f"elements have order {elements.k}, config expects k = {cfg.k}")
-    table = table or edge_workspaces(mesh, elements, GlobalDofMap(mesh, cfg.k),
+    table = table or edge_workspaces(mesh, elements,
                                      mult or MultiplierSpace.create(mesh, cfg.resolved_kprime),
                                      cfg.resolved_edge_exactness)
     kprime, n_edges = table.psi.shape[-1] - 1, len(table.edge)
@@ -228,12 +210,12 @@ def _level_table(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig,
     return table
 
 
-def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, elements: CellTable,
-                    dofmap: GlobalDofMap, f):
+def _scatter_volume(builder: TripletBuilder, rhs: np.ndarray, elements: CellTable, f):
     """Add each batch's stacked stiffness in one block, then every load in
     one `np.add.at` over the cells' DOFs in cell order: each entry of rhs
     takes its additions in the order of a cell-by-cell loop."""
     loads = load_vectors(elements, f)  # first: its batch temporaries then sit on no triplets
+    dofmap = elements.dofmap
     in_cell_order = np.empty(len(dofmap.dofs))
     for b, load in zip(elements.batches, loads):
         gd = dofmap.batch_dofs(b.cells)
@@ -250,16 +232,15 @@ def assemble_bh(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSpace,
     mass and the residual penalty -alpha * htilde * (lambda + dn u, mu + dn v).
     g is sampled at the table's `data_points`; a batch's Taylor `correction`
     enters the multiplier-row coupling only, which makes the system
-    non-symmetric.  The table (built here when None) also gives the DOF map.
+    non-symmetric.  The table is built here when None.
     """
     table = _level_table(mesh, elements, cfg, mult, table)
-    dofmap = table.dofmap
-    nu = dofmap.n_dofs
+    nu = elements.dofmap.n_dofs
     m = table.psi.shape[-1]
     n = nu + len(table.edge) * m
     builder = TripletBuilder(n)
     rhs = np.zeros(n)
-    _scatter_volume(builder, rhs, elements, dofmap, f)
+    _scatter_volume(builder, rhs, elements, f)
 
     lam = nu + np.arange(n - nu).reshape(-1, m)
     ah = -(cfg.alpha * table.htilde)[:, None, None]  # -alpha * htilde
@@ -280,7 +261,6 @@ def assemble_bh(mesh: PolygonalMesh, elements: CellTable, mult: MultiplierSpace,
     rhs[nu:] += _mv(psi_t, table.weights * table.data(g)).ravel()
 
     return LinearSystem(matrix=builder.compress(), rhs=rhs,
-                        symmetric=all(b.correction is None for b in table.batches),
                         partition=SaddlePartition(nu, m, table.edge))
 
 
@@ -292,15 +272,14 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig
     The boundary data, sampled at the table's `data_points`, enters through
     its edgewise L2 projection onto the multiplier space, evaluated with the
     same quadrature as all other edge terms.  A batch's Taylor `correction`
-    is tested against dn v - gamma/htilde * v.  The table (built here when
-    None) also gives the DOF map.
+    is tested against dn v - gamma/htilde * v.  The table is built here
+    when None.
     """
     table = _level_table(mesh, elements, cfg, mult, table)
-    dofmap = table.dofmap
-    nu = dofmap.n_dofs
+    nu = elements.dofmap.n_dofs
     builder = TripletBuilder(nu)
     rhs = np.zeros(nu)
-    _scatter_volume(builder, rhs, elements, dofmap, f)
+    _scatter_volume(builder, rhs, elements, f)
 
     wq = table.weights
     scale = (cfg.gamma / table.htilde)[:, None, None]  # gamma / htilde
@@ -313,7 +292,7 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig
     # the right side takes, edge after edge, the edge DOFs' term and then the
     # cell DOFs' one: one np.add.at over that order
     k1 = table.edge_dofs.shape[1]
-    size = k1 + np.diff(dofmap.offsets)[table.cell]
+    size = k1 + np.diff(elements.dofmap.offsets)[table.cell]
     start = np.cumsum(size) - size
     at, terms = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum())
     pos = start[:, None] + np.arange(k1)
@@ -333,8 +312,7 @@ def assemble_nitsche(mesh: PolygonalMesh, elements: CellTable, cfg: WeakBcConfig
                               scale[b.rows] * (trace_t[b.rows] @ (w_b * b.correction)))
     np.add.at(rhs, at, terms)
 
-    return LinearSystem(matrix=builder.compress(), rhs=rhs,
-                        symmetric=all(b.correction is None for b in table.batches))
+    return LinearSystem(matrix=builder.compress(), rhs=rhs)
 
 
 def recover_multiplier(u_dofs: np.ndarray, mesh: PolygonalMesh, elements: CellTable,

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from polyvem import build_structured_mesh
-from polyvem.basis import CellPolyBasis
-from polyvem.element import GlobalDofMap, _build_batches, interpolate_all
+from polyvem.basis import (cell_basis_dim, monomial_exponents, monomial_gradients, monomial_values,
+                           scaled_powers)
+from polyvem.element import _build_batches, interpolate_all
 
 
 @pytest.fixture
@@ -52,6 +53,26 @@ def random_polynomial(k: int, rng):
     return u, grad, f
 
 
+def cell_basis(k: int, center, diameter, coef=None):
+    """The P_k basis of a cell (or a stack of cells): `coef[:, j]` holds the
+    raw scaled-monomial coefficients of basis function j (the identity when
+    None).  `eval(points)` gives the values and `eval_gradient(points)` the
+    x- and y-derivatives, each (..., npts, dim)."""
+    coef = np.eye(cell_basis_dim(k)) if coef is None else coef
+
+    def powers(points):
+        return scaled_powers(np.atleast_2d(points), center, diameter, k)
+
+    def eval_gradient(points):
+        gx, gy = monomial_gradients(*powers(points), k, diameter)
+        return gx @ coef, gy @ coef
+
+    return SimpleNamespace(k=k, dim=cell_basis_dim(k), exponents=monomial_exponents(k),
+                           center=np.asarray(center, dtype=float), diameter=diameter, coef=coef,
+                           eval=lambda points: monomial_values(*powers(points), k) @ coef,
+                           eval_gradient=eval_gradient)
+
+
 def cell_elements(mesh, k: int, stab: str = "d_recipe") -> list:
     """Each cell's element in cell order: its row of every `CellBatch` field
     and of the build's test-only arrays, with `n_dofs`, `n_point` and its
@@ -62,7 +83,7 @@ def cell_elements(mesh, k: int, stab: str = "d_recipe") -> list:
         for j, cell in enumerate(batch.cells):
             el = SimpleNamespace(**{n: None if a is None else a[j] for n, a in arrays.items()})
             el.n_dofs, el.n_point = len(el.stiffness), len(el.point_coords)
-            el.basis = CellPolyBasis(k, el.center, float(el.diameter), coef=el.coef)
+            el.basis = cell_basis(k, el.center, float(el.diameter), el.coef)
             out[cell] = el
     return out
 
@@ -78,7 +99,7 @@ def per_cell(table, per_batch: list) -> list:
 
 def interpolant(mesh, table, u) -> np.ndarray:
     """Global DOF vector of the interpolant of u."""
-    dm = GlobalDofMap(mesh, table.k)
+    dm = table.dofmap
     out = np.zeros(dm.n_dofs)
     for batch, vals in zip(table.batches, interpolate_all(table, u)):
         out[dm.batch_dofs(batch.cells)] = vals

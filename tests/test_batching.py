@@ -75,8 +75,7 @@ def _results(mesh, k, stab, u_dofs):
     """Each cell's load, interpolant, projected gradient and error parts for
     the global DOF vector u_dofs, in cell order."""
     table = build_all_elements(mesh, k, stab=stab)
-    dofmap = GlobalDofMap(mesh, k)
-    local = [u_dofs[dofmap.batch_dofs(b.cells)] for b in table.batches]
+    local = [u_dofs[table.dofmap.batch_dofs(b.cells)] for b in table.batches]
     per_batch = (load_vectors(table, PROBLEM.f), interpolate_all(table, PROBLEM.u),
                  project_gradients_l2(table, local))
     return ([per_cell(table, arrays) for arrays in per_batch]

@@ -12,7 +12,7 @@ import polyvem.study as study_module
 import polyvem.weakbc as weakbc_module
 from polyvem import build_disk_approx_mesh, build_squares_approx_mesh
 from polyvem.curved import correction_data
-from polyvem.element import build_all_elements
+from polyvem.element import GlobalDofMap, build_all_elements
 from polyvem.levelset import (
     DELTA_MAX_FACTOR,
     ROOT_TOL,
@@ -335,10 +335,9 @@ def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correcti
     monkeypatch.setattr(levelset_module, "choose_sigma", sigma_counted)
     monkeypatch.setattr(weakbc_module, "segment_rules",
                         counted("edge_rules", weakbc_module.segment_rules))
-    dofmap = counted("dofmaps", study_module.GlobalDofMap)
+    monkeypatch.setattr(GlobalDofMap, "__init__", counted("dofmaps", GlobalDofMap.__init__))
     for module in (weakbc_module, study_module):  # curved builds its table through weakbc
         monkeypatch.setattr(module, "edge_workspaces", edge_workspaces)
-        monkeypatch.setattr(module, "GlobalDofMap", dofmap)
     spec = ProblemSpec(problem="disk", k=2, mesh="disk", method=method,
                        correction=correction, sigma=sigma)
     rep = run_study(spec, 1)
@@ -347,7 +346,7 @@ def test_run_study_level_builds_boundary_data_once(monkeypatch, method, correcti
     # the correction data is the only root search, with one gradient call for
     # all its directions, and the tau audit reads its gaps; one stacked
     # quadrature call for the level's boundary edges serves the assembly, the
-    # recovery and the boundary norm; one DOF map serves the table and the errors
+    # recovery and the boundary norm; the cell table's DOF map serves them all
     assert counts == {"root_passes": passes, "workspaces": 1, "edge_rules": 1,
                       "sigma_grads": passes if sigma == "distance-gradient" else 0,
                       "dofmaps": 1}

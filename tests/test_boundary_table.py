@@ -16,7 +16,7 @@ import pytest
 from polyvem import build_disk_approx_mesh, build_squares_approx_mesh, build_voronoi_mesh
 from polyvem.basis import directional_derivative_matrix
 from polyvem.curved import correction_data
-from polyvem.element import GlobalDofMap, build_all_elements, lagrange_eval_matrix
+from polyvem.element import build_all_elements, lagrange_eval_matrix
 from polyvem.levelset import CorrectionConfig, boundary_gaps, circle, quarter_disk
 from polyvem.linsys import LinearSystem, TripletBuilder
 from polyvem.quadrature import gauss_legendre, gauss_lobatto
@@ -107,7 +107,7 @@ def ref_correct(mesh, elements, works, levelset, ccfg):
         w.data_points = w.points + ds[:, None] * sigma[None, :]
         if ccfg.kstar >= 1:
             el = elements[w.cell]
-            m1 = directional_derivative_matrix(el.basis, sigma, 1)
+            m1 = directional_derivative_matrix(el.basis.k, el.diameter, el.coef, sigma, 1)
             evals = el.basis.eval(w.points)
             cur = el.pinabla
             w.correction = np.zeros((len(w.points), el.n_dofs))
@@ -117,10 +117,10 @@ def ref_correct(mesh, elements, works, levelset, ccfg):
     return works
 
 
-def ref_bh(elements, dofmap, m, works, alpha, f, g):
-    nu = dofmap.n_dofs
+def ref_bh(elements, m, works, alpha, f, g):
+    nu = elements.dofmap.n_dofs
     builder, rhs = TripletBuilder(nu + m * len(works)), np.zeros(nu + m * len(works))
-    _scatter_volume(builder, rhs, elements, dofmap, f)
+    _scatter_volume(builder, rhs, elements, f)
     for j, w in enumerate(works):
         lam = nu + j * m + np.arange(m)
         ah, wq = alpha * w.htilde, w.weights
@@ -139,9 +139,10 @@ def ref_bh(elements, dofmap, m, works, alpha, f, g):
     return LinearSystem(builder.compress(), rhs)
 
 
-def ref_nitsche(elements, dofmap, works, gamma, f, g):
-    builder, rhs = TripletBuilder(dofmap.n_dofs), np.zeros(dofmap.n_dofs)
-    _scatter_volume(builder, rhs, elements, dofmap, f)
+def ref_nitsche(elements, works, gamma, f, g):
+    nu = elements.dofmap.n_dofs
+    builder, rhs = TripletBuilder(nu), np.zeros(nu)
+    _scatter_volume(builder, rhs, elements, f)
     for w in works:
         wq, scale = w.weights, gamma / w.htilde
         cross = w.trace.T @ (wq[:, None] * w.normal_deriv)
@@ -219,10 +220,10 @@ def _equal(got, want):
 def test_table_and_consumers_match_per_edge_reference(name):
     mesh, ls, k, kp, kstar, sigma = _case(name)
     els, per_cell = build_all_elements(mesh, k), cell_elements(mesh, k)
-    dofmap, mult = GlobalDofMap(mesh, k), MultiplierSpace.create(mesh, kp)
+    dofmap, mult = els.dofmap, MultiplierSpace.create(mesh, kp)
     bh = WeakBcConfig(method="barbosa_hughes", k=k, kprime=kp, alpha=1e-3)
     nit = WeakBcConfig(method="nitsche", k=k, gamma=1e3)
-    table = edge_workspaces(mesh, els, dofmap, mult, bh.resolved_edge_exactness)
+    table = edge_workspaces(mesh, els, mult, bh.resolved_edge_exactness)
     works = ref_workspaces(mesh, per_cell, dofmap, kp, bh.resolved_edge_exactness)
     if ls is not None:
         ccfg = CorrectionConfig(kstar=kstar, sigma_strategy=sigma)
@@ -248,10 +249,10 @@ def test_table_and_consumers_match_per_edge_reference(name):
 
     # both assemblies, the recovery and the multiplier error
     systems = [(assemble_bh(mesh, els, mult, bh, f, f, table=table),
-                ref_bh(els, dofmap, kp + 1, works, bh.alpha, f, f))]
+                ref_bh(els, kp + 1, works, bh.alpha, f, f))]
     if kp == k:
         systems.append((assemble_nitsche(mesh, els, nit, f, f, table=table),
-                        ref_nitsche(els, dofmap, works, nit.gamma, f, f)))
+                        ref_nitsche(els, works, nit.gamma, f, f)))
     for got, want in systems:
         for part in ("data", "indices", "indptr"):
             assert _equal(getattr(got.matrix, part), getattr(want.matrix, part)), part
@@ -274,11 +275,10 @@ def test_table_and_consumers_match_per_edge_reference(name):
 ], ids=["voronoi", "squares", "disk"])
 def test_edge_batches_are_the_cell_batches_rows(make):
     # the edge batches partition the table, each holds the edges of one
-    # CellBatch's cells, and its basis and Pi-nabla are those cells' rows
+    # CellBatch's cells, and its `cell_dofs` are those cells' DOFs
     mesh, k = make(), 2
     els = build_all_elements(mesh, k)
-    table = edge_workspaces(mesh, els, GlobalDofMap(mesh, k), MultiplierSpace.create(mesh, k),
-                            2 * k + 2)
+    table = edge_workspaces(mesh, els, MultiplierSpace.create(mesh, k), 2 * k + 2)
     rows = np.concatenate([b.rows for b in table.batches])
     assert np.array_equal(np.sort(rows), np.arange(len(table.edge)))
     owners = [np.unique(els.batch_of[table.cell[b.rows]]) for b in table.batches]
@@ -286,9 +286,7 @@ def test_edge_batches_are_the_cell_batches_rows(make):
     assert len(np.unique(np.concatenate(owners))) == len(owners)
     for b, (owner,) in zip(table.batches, owners):
         cb, r = els.batches[owner], els.row_of[table.cell[b.rows]]
-        assert _equal(b.cell_dofs, table.dofmap.batch_dofs(cb.cells[r]))
-        assert _equal(b.pinabla, cb.pinabla[r]) and _equal(b.basis.coef, cb.coef[r])
-        assert _equal(b.basis.center, cb.center[r]) and _equal(b.basis.diameter, cb.diameter[r])
+        assert _equal(b.cell_dofs, els.dofmap.batch_dofs(cb.cells[r]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -9,7 +9,7 @@ from polyvem.curved import (
     correction_data,
     recover_multiplier_curved,
 )
-from polyvem.element import GlobalDofMap, build_all_elements
+from polyvem.element import build_all_elements
 from polyvem.levelset import (
     CorrectionConfig,
     boundary_gaps,
@@ -82,7 +82,7 @@ def test_correction_block_oracle_single_edge():
             coeffs = rng.standard_normal(el.basis.dim)
             dofs_p = el.dof_of_poly @ coeffs  # DOFs of a known polynomial p
             got = block @ dofs_p  # integral of (delta d_sigma p) psi_j
-            m1 = directional_derivative_matrix(el.basis, sigmas[j], 1)
+            m1 = directional_derivative_matrix(k, el.diameter, el.coef, sigmas[j], 1)
             dp_vals = el.basis.eval(table.points[j]) @ (m1 @ coeffs)
             want = psi.T @ (wq * (gaps[j] * dp_vals))
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -123,7 +123,6 @@ def test_corrected_system_nonsymmetric():
     cfgb = WeakBcConfig(method="barbosa_hughes", k=k, alpha=1e-3)
     ccfg = CorrectionConfig(kstar=1, sigma_strategy="edge_normal")
     sys_ = assemble_bdt_bh(mesh, els, mult, ls, cfgb, ccfg, f, u)
-    assert not sys_.symmetric
     assert sys_.check_symmetry() > 0.0
 
 
@@ -206,15 +205,14 @@ def test_shared_workspaces_reused():
     mult = MultiplierSpace.create(mesh, k)
     cfgb = WeakBcConfig(method="barbosa_hughes", k=k, alpha=1e-3)
     ccfg = CorrectionConfig(kstar=1, sigma_strategy="edge_normal")
-    dm = GlobalDofMap(mesh, k)
-    flat = edge_workspaces(mesh, els, dm, mult, cfgb.resolved_edge_exactness)
+    flat = edge_workspaces(mesh, els, mult, cfgb.resolved_edge_exactness)
     corrected = correction_data(mesh, els, mult, ls, cfgb, ccfg, table=flat)
-    for name in ("dofmap", "edge", "cell", "htilde", "points", "weights", "edge_dofs",
+    for name in ("edge", "cell", "htilde", "points", "weights", "edge_dofs",
                  "trace", "psi", "mass"):
         assert getattr(corrected, name) is getattr(flat, name), name
     assert len(corrected.batches) == len(flat.batches)
     for fb, cb in zip(flat.batches, corrected.batches):
-        for name in ("rows", "cell_dofs", "basis", "pinabla", "normal_deriv"):
+        for name in ("rows", "cell_dofs", "normal_deriv"):
             assert getattr(cb, name) is getattr(fb, name), name
         assert fb.correction is None and cb.correction.shape == fb.normal_deriv.shape
     assert flat.data_points is flat.points and corrected.data_points is not flat.points
@@ -254,7 +252,7 @@ def test_run_study_system_equals_public_wrappers(monkeypatch, method):
     else:
         want = assemble_bdt_nitsche(mesh, els, ls, cfg, ccfg, problem.f, problem.g, mult=mult)
     (got,) = solved
-    assert got.symmetric == want.symmetric is False
+    assert got.check_symmetry() > 0.0
     a, b = got.matrix.tocsc(), want.matrix.tocsc()
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(a, name), getattr(b, name))

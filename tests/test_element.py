@@ -6,7 +6,6 @@ from polyvem import (
     build_structured_mesh,
     build_voronoi_mesh,
 )
-from polyvem.basis import CellPolyBasis
 from polyvem.element import (
     GlobalDofMap,
     _by_cell,
@@ -16,7 +15,7 @@ from polyvem.element import (
     project_gradients_l2,
 )
 from polyvem.levelset import named_levelset
-from conftest import cell_elements, per_cell, random_polynomial
+from conftest import cell_basis, cell_elements, per_cell, random_polynomial
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -157,7 +156,7 @@ def test_project_gradient_polynomials(unit_square_2x2, k):
     el = cell_elements(unit_square_2x2, k)[1]
     co = _gradients_of_interpolant(unit_square_2x2, k, u)[1]
     pts = el.points
-    vals = CellPolyBasis(k - 1, el.center, el.diameter).eval(pts)
+    vals = cell_basis(k - 1, el.center, el.diameter).eval(pts)
     got = np.column_stack([vals @ co[0], vals @ co[1]])
     assert np.max(np.abs(got - grad(pts))) <= 1e-10
 
@@ -174,7 +173,7 @@ def test_project_gradient_accuracy_vs_quadrature_oracle():
     el = cell_elements(mesh, 2)[27]
     co = _gradients_of_interpolant(mesh, 2, u)[27]
     pts, w = el.points, el.weights
-    vals = CellPolyBasis(1, el.center, el.diameter).eval(pts)
+    vals = cell_basis(1, el.center, el.diameter).eval(pts)
     # oracle: project the exact gradient by quadrature
     gram = vals.T @ (w[:, None] * vals)
     co_ex = np.linalg.solve(gram, vals.T @ (w[:, None] * gu(pts)))
@@ -295,6 +294,8 @@ def test_dofmap_table_shared_per_mesh_and_order(unit_square_2x2):
 def test_build_element_rejects_bad_args(unit_square_1):
     with pytest.raises(ValueError):
         build_all_elements(unit_square_1, 0)
+    with pytest.raises(ValueError, match="^k must be an integer >= 1, got 0$"):
+        GlobalDofMap(unit_square_1, 0)  # once a bare IndexError
     with pytest.raises(ValueError):
         build_all_elements(unit_square_1, 2, stab="other")
 

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from polyvem import (
     build_disk_approx_mesh,
     build_squares_approx_mesh,
+    build_structured_mesh,
     build_voronoi_mesh,
     quality_report,
 )
@@ -53,6 +56,26 @@ def test_voronoi_rejects_bad_args():
         build_voronoi_mesh(UNIT_SQUARE, 0)
     with pytest.raises(ValueError):
         build_voronoi_mesh(UNIT_SQUARE[::-1], 4)
+
+
+@pytest.mark.parametrize("build,args,name,value,low", [
+    (build_voronoi_mesh, {}, "n_seeds", 2.5, 1),
+    (build_voronoi_mesh, {}, "n_seeds", True, 1),
+    (build_voronoi_mesh, {"n_seeds": 4}, "lloyd_iters", 1.5, 0),
+    (build_squares_approx_mesh, {"levelset": quarter_disk()}, "base_n", 4.5, 1),
+    (build_squares_approx_mesh, {"levelset": quarter_disk(), "base_n": 4},
+     "boundary_refine_steps", 1.0, 0),
+    (build_disk_approx_mesh, {"levelset": circle()}, "n_boundary", 6.5, 3),
+    (build_disk_approx_mesh, {"levelset": circle(), "n_boundary": 6}, "interior_resolution", 1.5, 1),
+    (build_structured_mesh, {}, "nx", 2.5, 1),
+    (build_structured_mesh, {}, "ny", False, 1),
+])
+def test_generators_reject_non_integer_counts(build, args, name, value, low):
+    # these once built 3 cells (n_seeds=2.5) or 1 (True), a mesh of side
+    # span/4.5, or raised a TypeError that named no argument
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {low}, "
+                                         rf"got {re.escape(repr(value))}$"):
+        build(**args, **{name: value})
 
 
 def test_voronoi_two_seeds():

@@ -9,7 +9,7 @@ import polyvem.linsys as linsys_module
 import polyvem.weakbc as weakbc_module
 from polyvem import build_squares_approx_mesh, build_voronoi_mesh
 from polyvem.curved import correction_data
-from polyvem.element import GlobalDofMap, build_all_elements
+from polyvem.element import build_all_elements
 from polyvem.levelset import CorrectionConfig, kstar_default, quarter_disk
 from polyvem.linsys import (
     LinearSystem,
@@ -282,7 +282,7 @@ def assembled_builders(monkeypatch, name, k, method, corrected):
     monkeypatch.setattr(weakbc_module, "TripletBuilder", Recording)
     cfg = WeakBcConfig(method=method, k=k, kprime=k, alpha=1e-3, gamma=1e3)
     mult = MultiplierSpace.create(mesh, k)
-    table = edge_workspaces(mesh, els, GlobalDofMap(mesh, k), mult, cfg.resolved_edge_exactness)
+    table = edge_workspaces(mesh, els, mult, cfg.resolved_edge_exactness)
     if corrected:
         ccfg = CorrectionConfig(kstar=kstar_default(k, "h_linear"),
                                 sigma_strategy="distance_gradient")
@@ -329,7 +329,7 @@ def test_assembly_does_not_depend_on_insertion_order(monkeypatch, name, k, metho
 
 def test_symmetry_check():
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
-    assert dense_system(a, np.zeros(2), symmetric=True).check_symmetry() == 0.0
+    assert dense_system(a, np.zeros(2)).check_symmetry() == 0.0
     a[0, 1] += 1e-6
     assert dense_system(a, np.zeros(2)).check_symmetry() >= 9e-7
 

@@ -498,5 +498,5 @@ def test_weld_matches_one_point_at_a_time_hash(seed):
 
 
 def test_voronoi_rejects_negative_lloyd_iters():
-    with pytest.raises(ValueError, match="lloyd_iters must be >= 0"):
+    with pytest.raises(ValueError, match="^lloyd_iters must be an integer >= 0, got -1$"):
         build_voronoi_mesh(None, 8, -1)

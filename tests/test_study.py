@@ -9,16 +9,19 @@ import pytest
 from polyvem.element import GlobalDofMap, build_all_elements
 from polyvem.generators import build_voronoi_mesh
 from polyvem.levelset import TAU_THRESHOLD
+from polyvem.linsys import solve
 from polyvem.study import (
     PROBLEMS,
     ProblemSpec,
     compute_errors,
     estimate_rates,
+    multiplier_error,
     report_to_csv,
     report_to_json,
     run_study,
 )
-from polyvem.weakbc import WeakBcConfig
+from polyvem.weakbc import (MultiplierSpace, WeakBcConfig, assemble_nitsche,
+                            recover_multiplier)
 from conftest import interpolant, random_polynomial
 
 # published errors and mean mesh sizes of the reference study the rate
@@ -94,34 +97,43 @@ def test_compute_errors_exact_polynomial(unit_square_2x2):
     assert e1 <= 1e-10 and e0 <= 1e-10
 
 
-def test_compute_errors_takes_the_level_dofmap():
+def test_public_level_calls_build_one_dofmap(monkeypatch):
+    # a level solved through the public calls, without an edge table: the
+    # element table's DOF map serves the assembly, the recovery and both
+    # error measures, which once built one each
+    built = []
+    init = GlobalDofMap.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GlobalDofMap, "__init__", counted)
     mesh = build_voronoi_mesh(None, 24, lloyd_iters=1, rng_seed=2)
-    prob = PROBLEMS["test1-2d"]
-    for k in (1, 3):
-        els = build_all_elements(mesh, k)
-        dm = GlobalDofMap(mesh, k)
-        u = np.random.default_rng(k).standard_normal(dm.n_dofs)
-        got = compute_errors(mesh, els, u, prob.u, prob.grad_u, dofmap=dm)
-        want = compute_errors(mesh, els, u, prob.u, prob.grad_u)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+    prob, cfg = PROBLEMS["test1-2d"], WeakBcConfig(k=2)
+    mult = MultiplierSpace.create(mesh, cfg.resolved_kprime)
+    els = build_all_elements(mesh, cfg.k)
+    u = solve(assemble_nitsche(mesh, els, cfg, prob.f, prob.g, mult=mult))
+    lam = recover_multiplier(u, mesh, els, cfg, prob.g, mult=mult)
+    e1, e0 = compute_errors(mesh, els, u, prob.u, prob.grad_u)
+    merr = multiplier_error(mesh, els, mult, lam, prob.grad_u, cfg.resolved_edge_exactness)
+    assert len(built) == 1 and 0.0 < max(e1, e0, merr) < 1.0
 
 
 def test_compute_errors_zero_solution_is_one(unit_square_2x2):
     prob = PROBLEMS["test1-2d"]
     els = build_all_elements(unit_square_2x2, 1)
-    dm = GlobalDofMap(unit_square_2x2, 1)
-    e1, e0 = compute_errors(unit_square_2x2, els, np.zeros(dm.n_dofs),
+    e1, e0 = compute_errors(unit_square_2x2, els, np.zeros(els.dofmap.n_dofs),
                             prob.u, prob.grad_u)
     assert abs(e1 - 1.0) <= 1e-12 and abs(e0 - 1.0) <= 1e-12
 
 
 def test_compute_errors_rejects_zero_exact(unit_square_2x2):
     els = build_all_elements(unit_square_2x2, 1)
-    dm = GlobalDofMap(unit_square_2x2, 1)
     zero = lambda p: np.zeros(len(p))
     zgrad = lambda p: np.zeros((len(p), 2))
     with pytest.raises(ValueError, match="zero norm"):
-        compute_errors(unit_square_2x2, els, np.zeros(dm.n_dofs), zero, zgrad)
+        compute_errors(unit_square_2x2, els, np.zeros(els.dofmap.n_dofs), zero, zgrad)
 
 
 def test_problem_validation():
