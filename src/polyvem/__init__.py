@@ -21,12 +21,10 @@ from .levelset import (
 from .mesh import (
     MeshQualityReport,
     PolygonalMesh,
-    cell_quadrature,
     mesh_from_json,
     mesh_to_json,
     quality_report,
 )
-from .quadrature import QuadratureRule
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

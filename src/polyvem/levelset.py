@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import PolygonalMesh
+from .mesh import PolygonalMesh, check_number
 from .quadrature import segment_rules
 
 __all__ = [
@@ -193,8 +193,7 @@ class CorrectionConfig:
     sigma_strategy: str = "distance_gradient"
 
     def __post_init__(self):
-        if self.kstar < 0:
-            raise ValueError("kstar must be nonnegative")
+        check_number("kstar", self.kstar, 0, integer=True)
         if self.sigma_strategy not in ("edge_normal", "distance_gradient"):
             raise ValueError(f"unknown sigma strategy {self.sigma_strategy!r}")
 

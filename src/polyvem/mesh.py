@@ -14,21 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import (
-    QuadratureRule,
     _cross,
     batch_runs,
     box_rules,
     fan_check,
-    polygon_rule,
     polygon_shoelace,
     map_batches,
     triangle_rules,
+    triangulate_polygon,
 )
 
 __all__ = [
     "PolygonalMesh",
     "MeshQualityReport",
-    "cell_quadrature",
     "cell_quadratures",
     "quality_report",
     "mesh_to_json",
@@ -92,9 +90,6 @@ class PolygonalMesh:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def cell_vertices(self, cell: int) -> np.ndarray:
-        return self.vertices[self.cells[cell]]
 
 
 def build_mesh(
@@ -211,21 +206,13 @@ def _cell_geometry(batch: list, cells: list, vertices: np.ndarray) -> np.ndarray
     return out
 
 
-def cell_quadrature(mesh: PolygonalMesh, cell: int, exactness: int) -> QuadratureRule:
-    """Quadrature rule on one cell, exact for polynomials up to `exactness`."""
-    boxes = mesh.cell_boxes.get(cell)
-    try:
-        return polygon_rule(mesh.cell_vertices(cell), exactness, boxes=boxes)
-    except ValueError as exc:
-        raise ValueError(f"cell {cell}: {exc}") from exc
-
-
 def cell_quadratures(mesh: PolygonalMesh, exactness: int) -> list:
     """The rules of every cell, exact to `exactness`, as stacks (cells (nb,),
     points (nb, nq, 2), weights (nb, nq)) of at most 256 cells of one shape:
     box cells by box count, other cells as centroid fans by vertex count.  A
-    cell the full fan does not cover keeps its `cell_quadrature` rule, as a
-    stack of its own."""
+    cell the full fan does not cover is triangulated by `triangulate_polygon`
+    and stacked with the cells of its vertex count that have as many
+    triangles."""
     if exactness < 0:
         raise ValueError("exactness must be nonnegative")
     keys = [(len(mesh.cell_boxes.get(c, ())), len(loop)) for c, loop in enumerate(mesh.cells)]
@@ -239,16 +226,22 @@ def _cell_rules(cells: np.ndarray, mesh: PolygonalMesh, exactness: int) -> list:
     verts = mesh.vertices[[mesh.cells[c] for c in cells]]
     centroids = mesh.cell_centroids[cells]
     t2, full = fan_check(verts, centroids, mesh.cell_areas[cells])
-    full &= np.all(t2 > 0.0, axis=1)  # the one-cell rule drops flat triangles
+    full &= np.all(t2 > 0.0, axis=1)  # a flat fan triangle is dropped by triangulate_polygon
+    fan = verts[full]
+    groups = [(cells[full], (centroids[full, None, :], fan, np.roll(fan, -1, axis=1)))]
+    rest, tris = cells[~full], []
+    for c, v in zip(rest, verts[~full]):
+        try:
+            tris.append(np.array(triangulate_polygon(v)))
+        except ValueError as exc:
+            raise ValueError(f"cell {c}: {exc}") from exc
+    groups += [(rest[run], np.moveaxis(np.array([tris[i] for i in run]), 2, 0))
+               for run in batch_runs([len(t) for t in tris])]
     stacks = []
-    if np.any(full):
-        verts, fan = verts[full], cells[full]
-        pts, wts = triangle_rules(centroids[full, None, :], verts, np.roll(verts, -1, axis=1),
-                                  exactness)
-        stacks.append((fan, pts.reshape(len(fan), -1, 2), wts.reshape(len(fan), -1)))
-    for c in cells[~full]:
-        rule = cell_quadrature(mesh, c, exactness)
-        stacks.append((np.array([c]), rule.points[None], rule.weights[None]))
+    for group, corners in groups:
+        if len(group):
+            pts, wts = triangle_rules(*corners, exactness)
+            stacks.append((group, pts.reshape(len(group), -1, 2), wts.reshape(len(group), -1)))
     return stacks
 
 

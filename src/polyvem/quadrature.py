@@ -1,20 +1,19 @@
-"""Gauss quadrature on segments, triangles and general polygons.
+"""Gauss quadrature on segments, triangles and box unions, and the polygon
+geometry behind cell rules: shoelace areas and centroids, the centroid-fan
+check and triangulation (centroid fan with an ear-clipping fallback).
 
-Polygon rules are built by triangulating the polygon (centroid fan with an
-ear-clipping fallback, or an axis-aligned box decomposition when the caller
-already knows one) and placing a tensor Gauss rule on each triangle through
-the Duffy transform.  All weights are positive.
+`mesh.cell_quadratures` builds every cell rule from these: a tensor Gauss
+rule on each triangle through the Duffy transform, or on each box of an
+axis-aligned box decomposition.  All weights are positive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "gauss_legendre",
     "gauss_lobatto",
     "segment_rules",
@@ -23,7 +22,6 @@ __all__ = [
     "fan_check",
     "batch_runs",
     "map_batches",
-    "polygon_rule",
     "polygon_area",
     "polygon_centroid",
     "polygon_shoelace",
@@ -32,18 +30,6 @@ __all__ = [
 
 
 _CHUNK = 256  # cells per batch of a batched kernel
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points (n, 2) and weights (n,) for one mesh entity."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def measure(self) -> float:
-        return float(np.sum(self.weights))
 
 
 @lru_cache(maxsize=None)
@@ -251,22 +237,6 @@ def _ear_clip(v: np.ndarray, area: float) -> list:
     if abs(got - area) > 1e-10 * max(abs(area), 1.0):
         raise ValueError("triangulation area mismatch; polygon may be non-simple")
     return tris
-
-
-def polygon_rule(verts: np.ndarray, exactness: int, boxes: np.ndarray | None = None) -> QuadratureRule:
-    """Quadrature on a simple polygon, exact for polynomials of the given degree.
-
-    `boxes` is an optional (m, 4) array of axis-aligned rectangles
-    (x0, y0, x1, y1) whose union is the polygon; when given, a tensor Gauss
-    rule is placed on each rectangle instead of triangulating.
-    """
-    if exactness < 0:
-        raise ValueError("exactness must be nonnegative")
-    if boxes is not None and len(boxes) > 0:
-        return QuadratureRule(*box_rules(np.asarray(boxes, dtype=float), exactness))
-    tris = [np.array(corner) for corner in zip(*triangulate_polygon(verts))]
-    pts, wts = triangle_rules(*tris, exactness)
-    return QuadratureRule(pts.reshape(-1, 2), wts.reshape(-1))
 
 
 def box_rules(boxes: np.ndarray, exactness: int) -> tuple[np.ndarray, np.ndarray]:

@@ -173,7 +173,7 @@ class ProblemSpec:
     export_matrix: str | None = None
 
     def __post_init__(self):
-        for name, low in (("k", 1), ("refine_steps", 0), ("lloyd_iters", 0)):
+        for name, low in (("k", 1), ("refine_steps", 0), ("lloyd_iters", 0), ("rng_seed", 0)):
             check_number(name, getattr(self, name), low, integer=True)
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("gamma", "alpha"):
@@ -363,6 +363,7 @@ def run_study(spec: ProblemSpec, levels: int) -> ConvergenceReport:
     tau_hat exceeds `levelset.TAU_THRESHOLD` is listed, with tau_hat and its
     worst edge, under `notes["tau_exceeded"]`.
     """
+    check_number("levels", levels, 1, integer=True)
     problem = PROBLEMS[spec.problem]
     rng = np.random.default_rng(123)
     sample = rng.random((32, 2)) * 0.5 + 0.2

@@ -62,7 +62,8 @@ class WeakBcConfig:
             raise ValueError(f"unknown method {self.method!r}")
         check_number("k", self.k, 1, integer=True)
         kp = self.resolved_kprime
-        if isinstance(kp, bool) or kp not in (self.k, self.k - 1):
+        check_number("kprime", kp, 0, integer=True)
+        if kp not in (self.k, self.k - 1):
             raise ValueError("kprime must be k or k-1")
         if self.method == "nitsche" and kp != self.k:
             raise ValueError("the Nitsche formulation requires kprime = k")

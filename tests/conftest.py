@@ -8,6 +8,7 @@ from polyvem import build_structured_mesh
 from polyvem.basis import (cell_basis_dim, monomial_exponents, monomial_gradients, monomial_values,
                            scaled_powers)
 from polyvem.element import _build_batches, interpolate_all
+from polyvem.mesh import cell_quadratures
 
 
 @pytest.fixture
@@ -71,6 +72,16 @@ def cell_basis(k: int, center, diameter, coef=None):
                            center=np.asarray(center, dtype=float), diameter=diameter, coef=coef,
                            eval=lambda points: monomial_values(*powers(points), k) @ coef,
                            eval_gradient=eval_gradient)
+
+
+def cell_rule(mesh, cell: int, exactness: int) -> tuple:
+    """Points (nq, 2) and weights (nq,) of one cell's rule, exact to
+    `exactness`, as `cell_quadratures` stacks it."""
+    for cells, points, weights in cell_quadratures(mesh, exactness):
+        (hit,) = np.nonzero(cells == cell)
+        if len(hit):
+            return points[hit[0]], weights[hit[0]]
+    raise IndexError(f"cell {cell} out of range for {mesh.n_cells} cells")
 
 
 def cell_elements(mesh, k: int, stab: str = "d_recipe") -> list:

@@ -11,9 +11,9 @@ from polyvem.basis import (
 )
 from polyvem.element import build_all_elements
 from polyvem.levelset import named_levelset
-from polyvem.quadrature import polygon_rule
 from polyvem.weakbc import MultiplierSpace, edge_workspaces
-from conftest import cell_basis
+from polyvem.mesh import build_mesh
+from conftest import cell_basis, cell_rule
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -25,12 +25,13 @@ def square_basis(k, mode="raw"):
     if mode == "ortho":
         batch = build_all_elements(build_structured_mesh((0, 0, 1, 1), 1, 1), k).batches[0]
         b = cell_basis(k, batch.center[0], float(batch.diameter[0]), batch.coef[0])
-    return b, polygon_rule(SQUARE, 2 * k + 2)
+    return b, cell_rule(build_mesh(SQUARE, [[0, 1, 2, 3]]), 0, 2 * k + 2)
 
 
 def gram_matrix(basis, quad):
-    vals = basis.eval(quad.points)
-    return vals.T @ (quad.weights[:, None] * vals)
+    points, weights = quad
+    vals = basis.eval(points)
+    return vals.T @ (weights[:, None] * vals)
 
 
 def test_dimensions():

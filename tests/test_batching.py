@@ -17,8 +17,8 @@ from polyvem.element import (
 )
 from polyvem.generators import build_squares_approx_mesh, build_voronoi_mesh
 from polyvem.levelset import named_levelset
-from polyvem.mesh import build_mesh, cell_quadrature, cell_quadratures
-from polyvem.quadrature import fan_check
+from polyvem.mesh import build_mesh, cell_quadratures
+from polyvem.quadrature import fan_check, polygon_shoelace, triangle_rules, triangulate_polygon
 from polyvem.study import PROBLEMS
 from conftest import per_cell
 from test_mesh import _flat_and_nonstar_mesh
@@ -32,15 +32,25 @@ def _l_shape_mesh():
     return build_mesh(v, [[0, 1, 2, 3, 4, 5], [2, 6, 4, 3]])
 
 
+def _two_l_mesh():
+    # two nested L cells 0.5 thick around a square; neither L is star shaped
+    # about its centroid, and each is ear-clipped into four triangles
+    v = np.array([(0, 0), (3, 0), (3, 0.5), (0.5, 0.5), (0.5, 3), (0, 3),
+                  (3, 1), (1, 1), (1, 3), (3, 3)], float)
+    return build_mesh(v, [[0, 1, 2, 3, 4, 5], [3, 2, 6, 7, 8, 4], [7, 6, 9, 8]])
+
+
 MESHES = {
     "voronoi": lambda: build_voronoi_mesh(None, 24, lloyd_iters=0, rng_seed=7),
     "squares": lambda: build_squares_approx_mesh(named_levelset("quarter_disk"), 4, 2),
     "l-shape": _l_shape_mesh,
+    "two-l": _two_l_mesh,
 }
 CASES = (
     [("voronoi", k, stab) for k in (1, 2, 3, 4) for stab in ("d_recipe", "euclidean")]
     + [("squares", k, "d_recipe") for k in (1, 2, 3, 4)]
     + [("l-shape", k, "d_recipe") for k in (1, 2, 3, 4)]
+    + [("two-l", k, "d_recipe") for k in (1, 2, 3, 4)]
 )
 
 
@@ -51,6 +61,13 @@ def _fan_miss_mesh():
                   (0.8705032553473724, 0.7049390579804364), (0.8702329304737239, 0.7054706935670513),
                   (0.8612083492050111, 0.7090974705753911)])
     return build_mesh(v, [[0, 1, 2, 3, 4]])
+
+
+def _fan(mesh, cell):
+    """`fan_check` of one cell: its doubled fan-triangle areas and whether the
+    centroid fan covers it."""
+    return fan_check(mesh.vertices[mesh.cells[cell]], mesh.cell_centroids[cell],
+                     mesh.cell_areas[cell])
 
 
 def _one_cell_mesh(mesh, cell):
@@ -83,9 +100,27 @@ def _results(mesh, k, stab, u_dofs):
 
 
 def test_l_shape_takes_the_ear_clip_path():
-    mesh = _l_shape_mesh()
-    _, fan_ok = fan_check(mesh.cell_vertices(0), mesh.cell_centroids[0], mesh.cell_areas[0])
-    assert not fan_ok
+    assert not _fan(_l_shape_mesh(), 0)[1]
+
+
+def test_ear_clipped_cells_share_one_stack():
+    mesh = _two_l_mesh()
+    assert not _fan(mesh, 0)[1] and not _fan(mesh, 1)[1]
+    for exactness in (0, 4, 10):
+        assert [cells.tolist() for cells, _, _ in cell_quadratures(mesh, exactness)] == [[0, 1], [2]]
+
+
+def test_failed_triangulation_names_the_cell():
+    # a crossing loop, which build_mesh rejects, put in as cell 1
+    mesh = _fan_miss_mesh()
+    v = np.array([(0, 0), (2, 0), (2, 2), (0, 2), (1, -1), (3, 1)], dtype=float)
+    area, centroid = polygon_shoelace(v)
+    bad = dataclasses.replace(mesh, vertices=np.vstack([mesh.vertices, v]),
+                              cells=mesh.cells + [list(range(5, 11))],
+                              cell_centroids=np.vstack([mesh.cell_centroids, centroid]),
+                              cell_areas=np.append(mesh.cell_areas, area))
+    with pytest.raises(ValueError, match=r"^cell 1: polygon edges cross"):
+        cell_quadratures(bad, 4)
 
 
 @pytest.mark.parametrize("name,k,stab", CASES)
@@ -117,12 +152,13 @@ def test_batched_cell_matches_one_cell_mesh(name, k, stab):
 
 def test_fan_miss_cell_keeps_its_one_cell_rule():
     mesh = _fan_miss_mesh()
-    _, fan_ok = fan_check(mesh.cell_vertices(0), mesh.cell_centroids[0], mesh.cell_areas[0])
-    assert not fan_ok
-    rule = cell_quadrature(mesh, 0, 10)
+    assert not _fan(mesh, 0)[1]
+    corners = np.moveaxis(np.array(triangulate_polygon(mesh.vertices[mesh.cells[0]])), 1, 0)
+    want_points, want_weights = triangle_rules(*corners, 10)
     ((cells, points, weights),) = cell_quadratures(mesh, 10)
-    assert np.array_equal(cells, [0]) and rule.weights.shape == (108,)  # three ear triangles
-    assert np.array_equal(points, rule.points[None]) and np.array_equal(weights, rule.weights[None])
+    assert np.array_equal(cells, [0]) and weights.shape == (1, 108)  # three ear triangles
+    assert np.array_equal(points, want_points.reshape(1, -1, 2))
+    assert np.array_equal(weights, want_weights.reshape(1, -1))
 
 
 @pytest.mark.parametrize("exactness", [0, 4, 10])
@@ -134,13 +170,14 @@ def test_cell_quadratures_stack_the_one_cell_rules(exactness):
         for cells, points, weights in cell_quadratures(mesh, exactness):
             assert 1 <= len(cells) <= 256 and len({len(mesh.cells[c]) for c in cells}) == 1
             assert points.shape == weights.shape + (2,) and weights.shape[0] == len(cells)
+            # triangulated cells never share a stack with box cells or with
+            # cells whose full fan, without a flat triangle, is their rule
+            fans = [(_fan(mesh, c), c in mesh.cell_boxes) for c in cells]
+            assert len({box or bool(ok and np.all(t2 > 0.0)) for (t2, ok), box in fans}) == 1
             for c, p, w in zip(cells, points, weights):
-                rule = cell_quadrature(mesh, c, exactness)
-                assert np.array_equal(p, rule.points) and np.array_equal(w, rule.weights), c
-                _, fan_ok = fan_check(mesh.cell_vertices(c), mesh.cell_centroids[c],
-                                      mesh.cell_areas[c])
-                if not (fan_ok or c in mesh.cell_boxes):  # outside the fan: a stack of its own
-                    assert len(cells) == 1
+                ((_, want_points, want_weights),) = cell_quadratures(_one_cell_mesh(mesh, c),
+                                                                      exactness)
+                assert np.array_equal(p, want_points[0]) and np.array_equal(w, want_weights[0]), c
             seen.extend(cells.tolist())
         assert sorted(seen) == list(range(mesh.n_cells))
     with pytest.raises(ValueError, match="nonnegative"):

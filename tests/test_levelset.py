@@ -205,5 +205,8 @@ def test_kstar_default_rejects():
 def test_correction_config_validation():
     with pytest.raises(ValueError):
         CorrectionConfig(kstar=-1)
+    for kstar in (1.5, True):  # once a TypeError in correction_data, and a silent 1
+        with pytest.raises(ValueError, match=rf"^kstar must be an integer >= 0, got {kstar!r}$"):
+            CorrectionConfig(kstar=kstar)
     with pytest.raises(ValueError):
         CorrectionConfig(sigma_strategy="zigzag")

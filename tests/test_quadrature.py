@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from polyvem.mesh import build_mesh
 from polyvem.quadrature import (
     fan_check,
     gauss_legendre,
     gauss_lobatto,
     polygon_area,
     polygon_centroid,
-    polygon_rule,
     segment_rules,
     triangle_rules,
     triangulate_polygon,
 )
+from conftest import cell_rule
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -19,6 +20,12 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 def hexagon(r=1.0):
     th = 2 * np.pi * np.arange(6) / 6
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+def one_cell_rule(verts, exactness):
+    """Points and weights of the rule on the one cell of a mesh of `verts`."""
+    verts = np.asarray(verts, dtype=float)
+    return cell_rule(build_mesh(verts, [list(range(len(verts)))]), 0, exactness)
 
 
 def test_segment_rule_cubic():
@@ -69,14 +76,14 @@ def test_triangle_rule_positive_and_exact():
 
 
 def test_polygon_rule_square_x2y2():
-    rule = polygon_rule(SQUARE, 4)
-    val = rule.weights @ (rule.points[:, 0] ** 2 * rule.points[:, 1] ** 2)
+    points, weights = one_cell_rule(SQUARE, 4)
+    val = weights @ (points[:, 0] ** 2 * points[:, 1] ** 2)
     assert abs(val - 1.0 / 9.0) <= 1e-13
 
 
 def test_polygon_rule_hexagon_area():
-    rule = polygon_rule(hexagon(), 0)
-    assert abs(rule.measure - 3.0 * np.sqrt(3.0) / 2.0) <= 1e-12
+    _, weights = one_cell_rule(hexagon(), 0)
+    assert abs(weights.sum() - 3.0 * np.sqrt(3.0) / 2.0) <= 1e-12
 
 
 @pytest.mark.parametrize("deg", [0, 1, 2, 3, 4, 5, 6, 7, 8])
@@ -85,22 +92,22 @@ def test_polygon_rule_monomial_exactness(deg):
     poly = np.array([
         [0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2],
     ], dtype=float)
-    rule = polygon_rule(poly, deg)
-    ref = polygon_rule(poly, deg + 4)
+    points, weights = one_cell_rule(poly, deg)
+    ref_points, ref_weights = one_cell_rule(poly, deg + 4)
     for a in range(deg + 1):
         for b in range(deg + 1 - a):
-            got = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b)
-            want = ref.weights @ (ref.points[:, 0] ** a * ref.points[:, 1] ** b)
+            got = weights @ (points[:, 0] ** a * points[:, 1] ** b)
+            want = ref_weights @ (ref_points[:, 0] ** a * ref_points[:, 1] ** b)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_polygon_rule_boxes_matches_triangulation():
     poly = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     boxes = np.array([[0, 0, 1, 0.5], [0, 0.5, 1, 1]])
-    r1 = polygon_rule(poly, 3)
-    r2 = polygon_rule(poly, 3, boxes=boxes)
+    p1, w1 = one_cell_rule(poly, 3)
+    p2, w2 = cell_rule(build_mesh(poly, [[0, 1, 2, 3]], cell_boxes={0: boxes}), 0, 3)
     f = lambda p: p[:, 0] ** 2 * p[:, 1] + p[:, 1] ** 3
-    assert abs(r1.weights @ f(r1.points) - r2.weights @ f(r2.points)) <= 1e-14
+    assert abs(w1 @ f(p1) - w2 @ f(p2)) <= 1e-14
 
 
 def test_polygon_area_and_centroid():
@@ -165,11 +172,12 @@ def test_ear_clip_triangulates_non_star_cells(name):
 @pytest.mark.parametrize("name", list(EAR_CLIP_CELLS))
 def test_ear_clip_rule_integrates_pk_exactly(name, k):
     v = np.array(EAR_CLIP_CELLS[name], dtype=float)
-    rule = polygon_rule(v, k)
-    assert np.all(rule.weights > 0.0)
+    points, weights = triangle_rules(*np.moveaxis(np.array(triangulate_polygon(v)), 1, 0), k)
+    points, weights = points.reshape(-1, 2), weights.reshape(-1)
+    assert np.all(weights > 0.0)
     for a in range(k + 1):
         for b in range(k + 1 - a):
-            got = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b)
+            got = weights @ (points[:, 0] ** a * points[:, 1] ** b)
             want = green_moment(v, a, b)
             assert abs(got - want) <= 1e-12 * max(abs(want), polygon_area(v)), (a, b)
 
@@ -189,8 +197,6 @@ def test_ear_clip_rejects_crossing_loop_that_covers_its_area():
     assert not fan_check(v, polygon_centroid(v), polygon_area(v))[1]
     with pytest.raises(ValueError, match="edges cross"):
         triangulate_polygon(v)
-    with pytest.raises(ValueError, match="edges cross"):
-        polygon_rule(v, 2)
 
 
 def test_fan_rejects_crossing_loop_that_passes_the_fan_test():
@@ -202,8 +208,6 @@ def test_fan_rejects_crossing_loop_that_passes_the_fan_test():
     assert fan_check(v, polygon_centroid(v), polygon_area(v))[1]
     with pytest.raises(ValueError, match="edges cross"):
         triangulate_polygon(v)
-    with pytest.raises(ValueError, match="edges cross"):
-        polygon_rule(v, 2)
 
 
 def test_gauss_legendre_cached_readonly():

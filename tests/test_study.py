@@ -185,7 +185,7 @@ def test_problem_spec_rejects_unknown_options(field, value):
 
 @pytest.mark.parametrize("field,value,low", [
     ("k", 2.5, 1), ("k", 0, 1), ("refine_steps", -1, 0), ("lloyd_iters", -2, 0),
-    ("lloyd_iters", 1.0, 0),
+    ("lloyd_iters", 1.0, 0), ("rng_seed", -1, 0), ("rng_seed", 1.5, 0),
 ])
 def test_problem_spec_rejects_bad_numeric_fields(field, value, low):
     # these once failed every level of the study (k=2.5, refine_steps=-1) or
@@ -197,10 +197,11 @@ def test_problem_spec_rejects_bad_numeric_fields(field, value, low):
 
 @pytest.mark.parametrize("make,field,value", [
     (ProblemSpec, "k", True), (ProblemSpec, "refine_steps", False),
-    (ProblemSpec, "lloyd_iters", True), (ProblemSpec, "kstar", True),
+    (ProblemSpec, "lloyd_iters", True), (ProblemSpec, "kstar", True), (ProblemSpec, "rng_seed", True),
     (ProblemSpec, "gamma", -1), (ProblemSpec, "gamma", np.inf), (ProblemSpec, "alpha", np.nan),
     (ProblemSpec, "alpha", 0.0), (ProblemSpec, "alpha", True),
-    (WeakBcConfig, "k", True), (WeakBcConfig, "kprime", True), (WeakBcConfig, "alpha", np.nan),
+    (WeakBcConfig, "k", True), (WeakBcConfig, "kprime", True), (WeakBcConfig, "kprime", 1.0),
+    (WeakBcConfig, "alpha", np.nan),
     (WeakBcConfig, "alpha", -1e-3), (WeakBcConfig, "gamma", np.inf), (WeakBcConfig, "gamma", "1e3"),
     (ProblemSpec, "correction", True),  # on a structured mesh: once skipped silently
 ])
@@ -210,6 +211,13 @@ def test_bad_study_parameters_fail_up_front(make, field, value):
     base = {"problem": "test1-2d", "k": 2} if make is ProblemSpec else {"method": "barbosa_hughes", "k": 1}
     with pytest.raises(ValueError, match=rf"^(unknown )?{field} "):
         make(**{**base, field: value})
+
+
+@pytest.mark.parametrize("levels", [0, -2, True, 1.5])
+def test_run_study_rejects_bad_level_counts(levels):
+    # 0 and -2 once gave an empty report, True one level, 1.5 a TypeError
+    with pytest.raises(ValueError, match=rf"^levels must be an integer >= 1, got {levels!r}$"):
+        run_study(ProblemSpec("test1-2d", 1), levels)
 
 
 def test_ladder_sizes_continue_past_the_tables():

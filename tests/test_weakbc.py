@@ -295,6 +295,8 @@ def test_config_validation_and_warnings():
         WeakBcConfig(method="nitsche", k=2, kprime=1)
     with pytest.raises(ValueError):
         WeakBcConfig(method="barbosa_hughes", k=2, kprime=0)
+    with pytest.raises(ValueError, match=r"^kprime must be an integer >= 0, got 1.0$"):
+        WeakBcConfig(method="barbosa_hughes", k=2, kprime=1.0)  # once a TypeError in assemble_bh
     with pytest.raises(ValueError):
         WeakBcConfig(method="bogus", k=1)
     with pytest.warns(UserWarning):
