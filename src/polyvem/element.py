@@ -3,8 +3,8 @@
 Degrees of freedom: vertex values in loop order, then the k-1 interior
 Gauss-Lobatto point values of each edge in loop order, then area-normalized
 moments against the scaled monomials of degree <= k-2 (orthonormalized in the
-area-weighted product at k = 4, where the raw-monomial duals are too badly
-scaled for the stabilization tolerances).
+area-weighted product from k = 3, where the raw-monomial duals are too badly
+scaled for the diagonal stabilization).
 
 An element carries the energy projector onto P_k (computed from the weak
 integration-by-parts identity, with the constant mode fixed by the boundary
@@ -233,9 +233,9 @@ def _build_batch(cells: np.ndarray, points: np.ndarray, weights: np.ndarray,
     point_coords = np.concatenate([verts, gl_nodes[:, :, 1:-1].reshape(nb, -1, 2)], axis=1)
 
     # D: DOFs of each basis polynomial.  Moment DOFs weigh against the raw
-    # scaled monomials up to k = 3; at k = 4 the raw duals carry energies
-    # near 1e5, which a diagonal stabilization amplifies past the kernel
-    # tolerances, so the weight family is orthonormalized in the
+    # scaled monomials up to k = 2; from k = 3 the raw duals carry energies
+    # (near 1e5 at k = 4) that a diagonal stabilization amplifies into
+    # stalled rates, so the weight family is orthonormalized in the
     # area-normalized L2 product (its first member stays exactly 1).
     D = np.zeros((nb, n_dofs, npoly))
     D[:, :n_point] = monomial_values(*scaled_powers(point_coords, xK, hK, k), k) @ coef
@@ -244,7 +244,7 @@ def _build_batch(cells: np.ndarray, points: np.ndarray, weights: np.ndarray,
     if k >= 2:
         raw_m = raw_q[..., :n_mom]  # the degree k-2 monomials lead the graded order
         fam_coef = np.broadcast_to(np.eye(n_mom), (nb, n_mom, n_mom))
-        if k >= 4:
+        if k >= 3:
             raw_vals = raw_m @ fam_coef
             gram_n = _T(raw_vals) @ (wq * raw_vals) / area[:, None, None]
             fam_coef = _T(np.linalg.solve(np.linalg.cholesky(_sym(gram_n)), fam_coef))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
 
 from .levelset import LevelSetDomain
 from .mesh import PolygonalMesh, build_mesh, check_number
@@ -141,6 +140,8 @@ def _voronoi_polys(seeds: np.ndarray, domain: np.ndarray, tol: float) -> tuple[l
     half-plane clipping.  The bounded cells are sorted, clipped and
     deduplicated in stacks of one vertex count.
     """
+    from scipy.spatial import Voronoi
+
     n = len(seeds)
     planes = _domain_halfplanes(domain)
     if n == 1:
@@ -186,6 +187,8 @@ def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     side 4 tol around it, scanned by x offset then y offset, that holds one:
     the choice a one-point-at-a-time spatial hash makes.
     """
+    from scipy.spatial import cKDTree
+
     i, j = cKDTree(points).query_pairs(2 * tol, p=np.inf, output_type="ndarray").T
     close = np.all(np.abs(points[i] - points[j]) <= tol, axis=1)
     i, j = i[close], j[close]  # i < j
@@ -248,6 +251,8 @@ def build_voronoi_mesh(domain=None, n_seeds: int = 16, lloyd_iters: int = 0,
             if all(p @ nrm <= off - 1e-12 * diam for nrm, off in planes):
                 out.append(p)
         return np.array(out)
+
+    from scipy.spatial import cKDTree
 
     seeds = sample(n_seeds)
     for attempt in range(20):

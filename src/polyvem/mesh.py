@@ -15,6 +15,7 @@ import numpy as np
 
 from .quadrature import (
     _cross,
+    _edges_cross,
     batch_runs,
     box_rules,
     fan_check,
@@ -156,7 +157,9 @@ def build_mesh(
                          probes, owners, cells, vertices)
     bad = np.flatnonzero(inside)
     if len(bad):
-        raise ValueError(f"edge {bad[0]} normal does not point out of cell {owners[bad[0]]}")
+        e, c = int(bad[0]), int(owners[bad[0]])
+        crossing = f"cell {c} has crossing edges: " if _edges_cross(vertices[cells[c]]) else ""
+        raise ValueError(f"{crossing}edge {e} normal does not point out of cell {c}")
 
     mesh = PolygonalMesh(
         vertices=vertices,

@@ -208,6 +208,20 @@ def test_criterion_squares_study():
            f"plain voxels: {[f'{r:.2f}' for r in rep0.rates_e1]}")
 
 
+def test_criterion_squares_rates_k3():
+    """Union-of-squares quarter disk at k = 3 with the default stabilization:
+    every H1 rate of the corrected Nitsche ladder is optimal, with no stall
+    between levels."""
+    spec = ProblemSpec(problem="quarter-disk", k=3, method="nitsche", gamma=1000.0,
+                       mesh="squares", correction=True, kstar="auto",
+                       sigma="distance-gradient", refine_steps=2)
+    rep = run_study(spec, 4)
+    assert all(lv.error is None for lv in rep.levels)
+    assert all(r >= 3 - 0.25 for r in rep.rates_e1), rep.rates_e1
+    report("union-of-squares rates, k=3", True,
+           f"H1 rates {[f'{r:.2f}' for r in rep.rates_e1]}")
+
+
 def test_criterion_rate_formula_oracle():
     """The rate formula reproduces published convergence-rate values."""
     hbar = [5.614744e-01, 2.720203e-01, 1.348243e-01, 6.718889e-02]

@@ -205,11 +205,14 @@ def test_json_rejects_empty_mesh():
     ([[0, 0], [4, 0], [4, 4], [0, 4], [0, 2.2], [-1, 1.8], [-1, 2.2], [0, 1.8]], 6),
     ([[0, 0], [4, 0], [4, 1.8], [5, 2.2], [5, 1.8], [4, 2.2], [4, 4], [0, 4],
       [0, 2.2], [-1, 1.8], [-1, 2.2], [0, 1.8]], 4),
-], ids=["one-crossing", "two-crossings"])
+    ([[0, 0], [2, 0], [2, 2], [0, 2], [1, -1], [3, 1]], 0),
+    ([[0, 10], [-5.9, -8.1], [9.5, 3.1], [-9.5, 3.1], [5.9, -8.1]], 0),
+], ids=["one-crossing", "two-crossings", "square-and-tail", "pentagram"])
 def test_build_mesh_rejects_self_intersecting_loop(verts, edge):
     # positive signed area, but two sides cross: only the normal probe sees it,
-    # and it names the lowest failing edge
-    with pytest.raises(ValueError, match=f"^edge {edge} normal does not point out of cell 0$"):
+    # and it names the cell, the crossing and the lowest failing edge
+    with pytest.raises(ValueError, match=f"^cell 0 has crossing edges: "
+                                         f"edge {edge} normal does not point out of cell 0$"):
         build_mesh(np.array(verts, dtype=float), [list(range(len(verts)))])
 
 

@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 import polyvem.generators as gen
 from polyvem import build_disk_approx_mesh, build_squares_approx_mesh, build_voronoi_mesh
@@ -151,7 +152,7 @@ def ref_polys(seeds, domain, tol):
     for nrm, off in planes:
         dist = seeds @ nrm - off
         mirrored.append(seeds - 2.0 * dist[:, None] * nrm[None, :])
-    vor = gen.Voronoi(np.vstack(mirrored))
+    vor = scipy.spatial.Voronoi(np.vstack(mirrored))
     polys = []
     for i in range(n):
         region = vor.regions[vor.point_region[i]]
@@ -404,7 +405,7 @@ def test_voronoi_rebuild_by_halfplanes_partitions_domain(checked, monkeypatch):
 def test_unbounded_and_short_regions_fall_back_to_halfplanes(checked, monkeypatch):
     # qhull leaves a region unbounded (-1 in it) or with under 3 vertices:
     # those cells are clipped directly from the domain
-    real = gen.Voronoi
+    real = scipy.spatial.Voronoi
 
     def with_open_regions(points):
         vor = real(points)
@@ -412,7 +413,7 @@ def test_unbounded_and_short_regions_fall_back_to_halfplanes(checked, monkeypatc
             vor.regions[vor.point_region[i]] = change(vor.regions[vor.point_region[i]])
         return vor
 
-    monkeypatch.setattr(gen, "Voronoi", with_open_regions)
+    monkeypatch.setattr(scipy.spatial, "Voronoi", with_open_regions)
     for lloyd in (0, 2):
         mesh = assert_voronoi_matches(None, 32, lloyd, 8)
         assert abs(np.sum(mesh.cell_areas) - 1.0) <= 1e-12

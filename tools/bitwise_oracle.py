@@ -13,9 +13,10 @@ multiplier, every level's `LevelResult` fields and every rate, one `.npy`
 member per array, each written as soon as it is made.  Run it on two
 checkouts (`git archive <rev> | tar -x -C <dir>`, then point PYTHONPATH at
 `<dir>/src`) and `compare` the two files: arrays must agree in dtype,
-shape, value (`np.array_equal`) and sign bit.  It prints the count that
-differ and exits with status 1 when any do.  Uses the standard library and
-numpy only; BLAS runs on one thread so its sums keep one order.
+shape, value (`np.array_equal`) and sign bit.  It prints the first names
+that differ, the count that differ in each ladder that has any, and the
+total, and exits with status 1 when any differ.  Uses the standard library
+and numpy only; BLAS runs on one thread so its sums keep one order.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import sys  # noqa: E402
 import zipfile  # noqa: E402
+from collections import Counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -165,6 +167,9 @@ def compare(path_a, path_b) -> int:
                   or not _same(a[n], b[n])]
     for n in differ[:20]:
         print(f"differs: {n}")
+    ladders = Counter(n.split("/")[0] for n in names)
+    for ladder, d in sorted(Counter(n.split("/")[0] for n in differ).items()):
+        print(f"{ladder}: {d} of {ladders[ladder]} arrays differ")
     print(f"{len(names)} arrays, {len(differ)} differ")
     return 1 if differ else 0
 
