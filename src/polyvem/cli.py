@@ -13,6 +13,15 @@ import sys
 from .study import ProblemSpec, PROBLEMS, report_to_csv, report_to_json, run_study
 
 
+def _kstar(text: str):
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="polyvem-study",
@@ -28,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kprime", choices=["k", "k-1"], default="k")
     p.add_argument("--correction", choices=["on", "off"], default=None,
                    help="Taylor boundary correction (default: on for curved meshes)")
-    p.add_argument("--kstar", default="auto",
+    p.add_argument("--kstar", default="auto", type=_kstar,
                    help="Taylor order: 'auto' or an integer in [0, k]")
     p.add_argument("--sigma", choices=["normal", "distance-gradient"],
                    default="distance-gradient")
@@ -68,7 +77,7 @@ def spec_from_args(args) -> ProblemSpec:
         kprime=args.kprime,
         mesh=mesh,
         correction=correction == "on",
-        kstar=args.kstar if args.kstar == "auto" else int(args.kstar),
+        kstar=args.kstar,
         sigma=args.sigma,
         refine_steps=args.refine_steps,
         stab=args.stab.replace("-", "_"),

@@ -11,7 +11,7 @@ import logging
 
 import numpy as np
 
-from .levelset import LevelSetDomain
+from .levelset import LevelSetDomain, delta_many
 from .mesh import PolygonalMesh, build_mesh, check_number
 from .quadrature import polygon_area, polygon_shoelace
 
@@ -283,35 +283,6 @@ def build_voronoi_mesh(domain=None, n_seeds: int = 16, lloyd_iters: int = 0,
 # Inscribed polygonal approximations of convex curved domains
 
 
-def _ray_root(levelset: LevelSetDomain, origin: np.ndarray, direction: np.ndarray) -> float:
-    """Distance from an interior origin to the boundary along a direction."""
-    t = 1e-3
-    f0 = levelset.value(origin)
-    if f0 >= 0.0:
-        raise ValueError("ray origin must be strictly inside the domain")
-    while levelset.value(origin + t * direction) < 0.0:
-        t *= 2.0
-        if t > 1e12:
-            raise ValueError("ray does not leave the domain")
-    lo, hi = 0.0, t
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if levelset.value(origin + mid * direction) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(40):
-        ft = levelset.value(origin + t * direction)
-        if abs(ft) <= 1e-15:
-            break
-        dft = float(levelset.gradient(origin + t * direction) @ direction)
-        if dft <= 0.0:
-            break
-        t -= ft / dft
-    return t
-
-
 def build_disk_approx_mesh(levelset: LevelSetDomain, n_boundary: int,
                            interior_resolution: int = 1) -> PolygonalMesh:
     """Inscribed polygonal mesh of a convex curved domain with every boundary
@@ -327,14 +298,19 @@ def build_disk_approx_mesh(levelset: LevelSetDomain, n_boundary: int,
     check_number("interior_resolution", interior_resolution, 1, integer=True)
     rings = int(interior_resolution)
     c = np.asarray(levelset.interior_point, dtype=float)
+    f0 = levelset.value(c)
+    if f0 >= 0.0:
+        raise ValueError(f"anchor {c.tolist()} must be strictly inside the domain (F = {f0:.3e})")
+    x0, y0, x1, y1 = levelset.bounding_box
+    diag = float(np.hypot(x1 - x0, y1 - y0))
+    if not np.isfinite(diag) or diag <= 0:
+        raise ValueError("level set must provide a finite bounding box")
     thetas = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    radii = np.array([_ray_root(levelset, c, d) for d in dirs])
+    # the box diagonal bounds the distance from the anchor to the boundary
+    radii = delta_many(levelset, np.repeat(c[None, :], n_boundary, axis=0), dirs, diag,
+                       context=" on a boundary ray of the inscribed polygon")
     boundary = c[None, :] + radii[:, None] * dirs
-
-    bad = np.abs(levelset.f(boundary)) > 1e-12
-    if np.any(bad):
-        raise ValueError("boundary vertex projection failed to reach |F| <= 1e-12")
 
     verts = []
     for r in range(1, rings + 1):

@@ -78,6 +78,8 @@ def circle(center=(0.0, 0.0), radius: float = 1.0) -> LevelSetDomain:
 
 
 def ellipse(a: float, b: float, center=(0.0, 0.0)) -> LevelSetDomain:
+    check_number("a", a, 0)
+    check_number("b", b, 0)
     c = np.asarray(center, dtype=float)
     a = float(a)
     b = float(b)
@@ -228,17 +230,18 @@ def delta_many(levelset: LevelSetDomain, points, sigma, scale=1.0, context: str 
     its bracket is [0, DELTA_MAX_FACTOR * scale].  `sigma` is one direction
     (2,) or one per point (n, 2), `scale` a scalar or one per point.  Every
     point runs the same arithmetic in the same order: a sign scan over 65
-    nodes, bisection to width 1e-10, then at most 30 Newton steps, each with
-    its own stopping rules.  The first failing point (outside the domain, no
-    sign change, or a stalled rootfinder) raises ValueError naming the point
-    and, when `edges` gives one id per point, its boundary edge.
+    nodes, bisection to width 1e-10 (or to two adjacent floats), then at most
+    30 Newton steps, each with its own stopping rules.  The first failing
+    point (outside the domain, no sign change, or a stalled rootfinder)
+    raises ValueError naming the point and, when `edges` gives one id per
+    point, its boundary edge.  A NaN value of F fails both residual tests.
     """
     x = np.asarray(points, dtype=float)
     n = len(x)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n, 2))
     tmax = DELTA_MAX_FACTOR * np.broadcast_to(np.asarray(scale, dtype=float), (n,))
     f0 = levelset.f(x)
-    fail = np.where(f0 > 1e-10, 1, 0)  # 1 outside, 2 no crossing, 3 stalled
+    fail = np.where(~(f0 <= 1e-10), 1, 0)  # 1 outside or NaN, 2 no crossing, 3 stalled
     (scan,) = np.nonzero((fail == 0) & (np.abs(f0) > ROOT_TOL))
     ts = np.linspace(0.0, tmax[scan], _SCAN_STEPS + 1, axis=1)
     hit = levelset.f((x[scan, None] + ts[:, :, None] * sig[scan, None])
@@ -251,10 +254,13 @@ def delta_many(levelset: LevelSetDomain, points, sigma, scale=1.0, context: str 
     # a point just outside (ROOT_TOL < F <= 1e-10) hits at node 0: bracket [0, 0]
     lo[live], hi[live] = ts[found, np.maximum(first - 1, 0)], ts[found, first]
     del ts, hit
-    # bisection to an interval of width 1e-10
+    # bisection to an interval of width 1e-10, or of two adjacent floats
+    # (a far root, as on a ray of a half plane)
     roots = live
     while len(live := live[hi[live] - lo[live] > 1e-10]):
         mid = 0.5 * (lo[live] + hi[live])
+        ok = (lo[live] < mid) & (mid < hi[live])
+        live, mid = live[ok], mid[ok]
         up = levelset.f(x[live] + mid[:, None] * sig[live]) >= 0.0
         hi[live[up]] = mid[up]
         lo[live[~up]] = mid[~up]
@@ -274,7 +280,7 @@ def delta_many(levelset: LevelSetDomain, points, sigma, scale=1.0, context: str 
         t[live] = tn[ok]
         if not len(live):
             break
-    fail[roots[np.abs(levelset.f(x[roots] + t[roots, None] * sig[roots])) > ROOT_TOL]] = 3
+    fail[roots[~(np.abs(levelset.f(x[roots] + t[roots, None] * sig[roots])) <= ROOT_TOL)]] = 3
     bad = np.flatnonzero(fail)
     if len(bad):
         i = int(bad[0])

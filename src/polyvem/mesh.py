@@ -8,7 +8,9 @@ be serialized to a small JSON schema.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +106,20 @@ def build_mesh(
     invariants (CCW simple loops, positive areas, edge adjacency counts,
     outward boundary normals and, when requested, the partition property)."""
     vertices = np.asarray(vertices, dtype=float)
-    cells = [list(map(int, loop)) for loop in cells]
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise ValueError(f"vertices must be an (n, 2) array, got shape {vertices.shape}")
+    nonfinite = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if len(nonfinite):
+        v = int(nonfinite[0])
+        raise ValueError(f"vertex {v} is not finite: {vertices[v].tolist()}")
+    cells = list(cells)
+    # one type test per index kind, not per index; bools are not indices
+    kinds = set(map(type, itertools.chain.from_iterable(cells)))
+    wrong = {t for t in kinds if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
+    if wrong:
+        ci, v = next((ci, v) for ci, loop in enumerate(cells) for v in loop if type(v) in wrong)
+        raise ValueError(f"cell {ci} has vertex index {v!r}, not an integer")
+    cells = [list(map(operator.index, loop)) for loop in cells]
     if not cells:
         raise ValueError("mesh has no cells")
 
@@ -389,6 +404,9 @@ def mesh_from_json(source) -> PolygonalMesh:
     else:
         with open(source) as fh:
             doc = json.load(fh)
+    missing = [key for key in ("vertices", "cells") if key not in doc]
+    if missing:
+        raise ValueError(f"mesh JSON has no {missing[0]!r} key")
     return build_mesh(
         np.asarray(doc["vertices"], dtype=float),
         doc["cells"],

@@ -384,12 +384,15 @@ def test_run_study_tau_comes_from_the_correction_gaps(monkeypatch, mesh, k, extr
 
 
 def test_run_study_records_the_edge_of_a_failing_gap_search(monkeypatch):
+    # a squares ladder: the short bracket would also stop the disk generator,
+    # which places its boundary vertices with the same search
     monkeypatch.setattr(levelset_module, "DELTA_MAX_FACTOR", 1e-6)
-    spec = ProblemSpec(problem="disk", k=2, mesh="disk", correction=True, sigma="normal")
+    spec = ProblemSpec(problem="quarter-disk", k=2, mesh="squares", correction=True,
+                       sigma="normal")
     lv = run_study(spec, 1).levels[0]
     match = re.fullmatch(r"ValueError: no boundary crossing within .* \(edge (\d+)\)", lv.error)
     assert match is not None, lv.error
-    mesh, _ = study_module._build_level_mesh(spec, study_module.PROBLEMS["disk"], 0)
+    mesh, _ = study_module._build_level_mesh(spec, study_module.PROBLEMS["quarter-disk"], 0)
     assert int(match.group(1)) in set(mesh.boundary_edges.tolist())
     # what the level computed before the search stays recorded
     assert lv.quality["N_P"] == mesh.n_cells and lv.n_dofs > 0

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polyvem.cli import build_parser, main, spec_from_args
 
 
@@ -65,8 +67,15 @@ def test_cli_correction_on_a_polygon_mesh_exits_2(capsys):
     assert "correction needs a curved mesh family, got mesh 'voronoi'" in capsys.readouterr().err
 
 
-def test_cli_bad_kstar_exits_2():
-    assert main(["--problem", "disk", "--kstar", "7", "--order", "2"]) == 2
+@pytest.mark.parametrize("value,message", [
+    ("7", "unknown kstar 7"),
+    # these once printed int()'s message, which named no option
+    ("x", "argument --kstar: expected 'auto' or an integer, got 'x'"),
+    ("1.5", "argument --kstar: expected 'auto' or an integer, got '1.5'"),
+], ids=["7", "x", "1.5"])
+def test_cli_bad_kstar_exits_2(value, message, capsys):
+    assert main(["--problem", "disk", "--kstar", value, "--order", "2"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_quarter_disk_squares(tmp_path):

@@ -1,7 +1,9 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyvem import (
     build_disk_approx_mesh,
@@ -10,7 +12,16 @@ from polyvem import (
     build_voronoi_mesh,
     quality_report,
 )
-from polyvem.levelset import CorrectionConfig, circle, delta, ellipse, quarter_disk, tau_report
+from polyvem.levelset import (
+    ROOT_TOL,
+    CorrectionConfig,
+    circle,
+    delta,
+    ellipse,
+    half_plane,
+    quarter_disk,
+    tau_report,
+)
 from polyvem.mesh import cell_quadratures
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -157,6 +168,48 @@ def test_disk_rejects_nonconvex():
     object.__setattr__(ls, "is_convex", False)
     with pytest.raises(ValueError):
         build_disk_approx_mesh(ls, 8, 1)
+
+
+@pytest.mark.parametrize("ls,message", [
+    (circle(radius=0.0), r"anchor \[0\.0, 0\.0\] must be strictly inside the domain "
+                         r"\(F = 0\.000e\+00\)"),
+    (dataclasses.replace(circle(), bounding_box=(-np.inf, -1.0, 1.0, 1.0)),
+     "level set must provide a finite bounding box"),
+    # F is NaN at the anchor, which passes the anchor check; this once built
+    # a one-cell mesh of NaN vertices
+    (circle(radius=np.nan), "level set must provide a finite bounding box"),
+    # rays 3 to 6 point away from the boundary of a half plane and never leave
+    # it; ray 2 meets it at t = 1.6e16, where bisection ends on adjacent floats
+    (half_plane((0.0, 0.0), (1.0, 0.0)), r"no boundary crossing within .* along "
+     r"\[-0\.7071067811865475, 0\.7071067811865476\] on a boundary ray of the inscribed polygon"),
+], ids=["anchor-on-boundary", "infinite-box", "nan-radius", "no-crossing"])
+def test_disk_rejects_bad_level_sets(ls, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_disk_approx_mesh(ls, 8, 1)
+
+
+# sizes of magnitude below 1e-2 are drawn as 0; beyond these ranges the
+# roundoff of F exceeds ROOT_TOL, or F overflows, so few draws would build
+_sizes = st.floats(-10.0, 10.0).map(lambda v: 0.0 if abs(v) < 1e-2 else v)
+_centers = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+
+
+# on a failure hypothesis writes a patch with libcst, whose import warns;
+# without this filter the warning, not the failing draw, ends the session
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ellipse", "circle"]), a=_sizes, b=_sizes, center=_centers,
+       n_boundary=st.integers(3, 64), interior_resolution=st.integers(1, 6))
+def test_disk_mesh_is_built_on_the_level_set_or_refused(kind, a, b, center, n_boundary,
+                                                        interior_resolution):
+    try:
+        ls = ellipse(a, b, center) if kind == "ellipse" else circle(center, a)
+        mesh = build_disk_approx_mesh(ls, n_boundary, interior_resolution)
+    except ValueError:
+        return
+    on_boundary = np.unique(mesh.edges[mesh.boundary_edges])
+    assert len(on_boundary) == n_boundary
+    assert np.all(np.abs(ls.f(mesh.vertices[on_boundary])) <= ROOT_TOL)
 
 
 # ---------------------------------------------------------------- squares

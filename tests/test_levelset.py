@@ -9,6 +9,7 @@ from polyvem.levelset import (
     choose_sigma,
     circle,
     delta,
+    delta_many,
     ellipse,
     half_plane,
     intersection,
@@ -41,6 +42,26 @@ def test_delta_rejects_outside_point():
 def test_delta_rejects_inward_direction():
     with pytest.raises(ValueError, match="crossing"):
         delta(circle(), (0.5, 0.0), (-1.0, 0.0), scale=0.2)
+
+
+def _nan_where(mask):
+    """The unit circle with F replaced by NaN wherever mask(p, F) holds."""
+    c = circle()
+    return LevelSetDomain("nan", lambda p: np.where(mask(p, c.f(p)), np.nan, c.f(p)), c.grad,
+                          c.interior_point, c.bounding_box)
+
+
+@pytest.mark.parametrize("mask,points,sigma,message", [
+    (lambda p, f: p[:, 0] > 0.5, [[0.0, 0.2], [0.6, 0.0]], (0.0, 1.0),
+     r"point \[0\.6, 0\.0\] lies outside the domain \(F = nan\)"),
+    (lambda p, f: (f >= 0.0) & (f < 0.1), [[0.0, 0.0]], (1.0, 0.0),
+     r"rootfinder stalled at residual nan from \[0\.0, 0\.0\]"),
+], ids=["start", "root"])
+def test_delta_many_fails_a_nan_level_set_value(mask, points, sigma, message):
+    # a NaN once passed both residual tests: a start point where F is NaN got
+    # gap 0, and a search that ended where F is NaN returned that point
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        delta_many(_nan_where(mask), np.array(points), sigma)
 
 
 def test_delta_ellipse():

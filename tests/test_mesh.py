@@ -176,9 +176,29 @@ def test_json_keeps_levelset_name():
     assert m2.boundary_levelset == "circle"
 
 
-def test_json_rejects_clockwise_cell():
-    doc = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 3, 2, 1]]}
-    with pytest.raises(ValueError, match="cell 0 is not counter-clockwise"):
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"vertices": _SQUARE, "cells": [[0, 3, 2, 1]]},
+     "cell 0 is not counter-clockwise or has zero area"),
+    ({"vertices": [[0, 0], [1, 0]], "cells": []}, "mesh has no cells"),
+    # these once built a cell of area NaN, read 2.7 as vertex 2 and true as
+    # vertex 1, failed with numpy's broadcast message, or raised a KeyError
+    ({"vertices": [[0, 0], [1, 0], [1, float("nan")], [0, 1]], "cells": [[0, 1, 2, 3]]},
+     r"vertex 2 is not finite: \[1\.0, nan\]"),
+    ({"vertices": _SQUARE, "cells": [[0, 1, 2, 3], [0, 1, 2.7]]},
+     r"cell 1 has vertex index 2\.7, not an integer"),
+    ({"vertices": _SQUARE, "cells": [[0, True, 2, 3]]},
+     "cell 0 has vertex index True, not an integer"),
+    ({"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0]], "cells": [[0, 1, 2]]},
+     r"vertices must be an \(n, 2\) array, got shape \(3, 3\)"),
+    ({"vertices": _SQUARE}, "mesh JSON has no 'cells' key"),
+    ({"cells": [[0, 1, 2, 3]]}, "mesh JSON has no 'vertices' key"),
+], ids=["clockwise", "no-cells", "nan-vertex", "float-index", "bool-index", "3d-vertices",
+        "missing-cells", "missing-vertices"])
+def test_json_rejects_malformed_mesh(doc, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         mesh_from_json(json.dumps(doc))
 
 
@@ -194,11 +214,6 @@ def test_json_rejects_overshared_edge():
 def test_build_mesh_rejects_zero_area():
     with pytest.raises(ValueError, match="cell 0 is not counter-clockwise or has zero area"):
         build_mesh(np.array([[0, 0], [1, 0], [2, 0]]), [[0, 1, 2]])
-
-
-def test_json_rejects_empty_mesh():
-    with pytest.raises(ValueError, match="mesh has no cells"):
-        mesh_from_json(json.dumps({"vertices": [[0, 0], [1, 0]], "cells": []}))
 
 
 @pytest.mark.parametrize("verts,edge", [
