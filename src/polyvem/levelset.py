@@ -62,6 +62,7 @@ class LevelSetDomain:
 
 
 def circle(center=(0.0, 0.0), radius: float = 1.0) -> LevelSetDomain:
+    check_number("radius", radius, 0, closed=True)  # radius 0 is an empty domain, refused later
     c = np.asarray(center, dtype=float)
     r2 = float(radius) ** 2
 

@@ -48,8 +48,7 @@ class TripletBuilder:
 
     def __init__(self, n: int):
         self.n = n
-        self._keys: list | None = []  # col * n + row of each triplet
-        self._vals: list | None = []
+        self._blocks: list | None = []  # (rows, cols, values) as given, no copy
 
     def add_block(self, rows, cols, block):
         """Scatter dense blocks: rows (..., r), cols (..., c) and block
@@ -57,19 +56,19 @@ class TripletBuilder:
         block = np.asarray(block, dtype=float)
         rows = np.asarray(rows, dtype=np.int64)[..., :, None]
         cols = np.asarray(cols, dtype=np.int64)[..., None, :]
-        self._keys.append(np.broadcast_to(cols * self.n + rows, block.shape).ravel())
-        self._vals.append(block.ravel())
+        self._blocks.append((rows, cols, block))
 
     def compress(self) -> sp.csc_matrix:
         """Deterministic compression: triplets are summed in (col, row, value)
-        order, so any insertion order yields the same matrix.  The builder's
-        blocks are dropped once copied into the sort's workspace, so a
-        builder compresses once; a second call raises."""
-        if self._keys is None:
+        order, so any insertion order yields the same matrix.  The keys
+        `col * n + row` and the values are written block by block into the
+        sort's workspace and the blocks are dropped, so a builder
+        compresses once; a second call raises."""
+        if self._blocks is None:
             raise RuntimeError("TripletBuilder was already compressed")
-        n, keys, vals = self.n, self._keys, self._vals
-        self._keys = self._vals = None
-        m = sum(k.size for k in keys)
+        n, blocks = self.n, self._blocks
+        self._blocks = None
+        m = sum(block.size for _, _, block in blocks)
         if not m:
             return sp.csc_matrix((n, n))
         # keys, values and the values in key order share one block, freed in
@@ -77,10 +76,12 @@ class TripletBuilder:
         # mapping and returns it whole, so it leaves no holes in the heap
         work = np.empty((3, m))
         key = work[0].view(np.int64)
-        np.concatenate(keys, out=key)
-        del keys
-        np.concatenate(vals, out=work[1])
-        del vals
+        end = 0
+        for rows, cols, block in blocks:  # cols * n is as small as the cols
+            np.add(cols * n, rows, out=key[end:end + block.size].reshape(block.shape))
+            work[1, end:end + block.size].reshape(block.shape)[...] = block
+            end += block.size
+        del blocks, rows, cols, block
         _sort_triplets(key, work[1], n * n, out=work[2])
         key, summed = _group_sums(key, work[2])
         del work
@@ -89,7 +90,7 @@ class TripletBuilder:
         return sp.csc_matrix((summed, key, indptr), shape=(n, n))
 
 
-_CHUNK = 1 << 20  # entries per step of the packing and the gather: no m-sized temporary
+_CHUNK = 1 << 16  # entries per step of the packing, the gather and the group sorts
 
 
 def _sort_triplets(key: np.ndarray, vals: np.ndarray, span: int, out: np.ndarray) -> None:
@@ -131,8 +132,10 @@ def _group_sums(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     multi = np.flatnonzero(size > 1)
     size = size[multi]  # of the colliding groups
     for s in np.unique(size):
-        idx = starts[multi[size == s]][:, None] + np.arange(s)
-        vals[idx] = np.sort(vals[idx], axis=1)
+        first, step = starts[multi[size == s]], max(_CHUNK // s, 1)  # stacks of ~_CHUNK
+        for i in range(0, len(first), step):
+            idx = first[i:i + step, None] + np.arange(s)
+            vals[idx] = np.sort(vals[idx], axis=1)
     summed = np.add.reduceat(vals, starts)  # first: it outlives the distinct keys
     return key[starts], summed
 

@@ -39,15 +39,16 @@ __all__ = [
 _AREA_RTOL = 1e-12
 
 
-def check_number(name: str, value, low, integer: bool = False) -> None:
+def check_number(name: str, value, low, integer: bool = False, closed: bool = False) -> None:
     """Raise a ValueError naming `name` unless `value` is an integer >= low
-    (integer) or a finite real > low; bools are neither."""
+    (integer) or a finite real > low (>= low when closed); bools are neither."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     ok = isinstance(value, kinds) and not isinstance(value, bool)
     if integer:
         ok, what = ok and value >= low, f"an integer >= {low}"
     else:
-        ok, what = ok and bool(np.isfinite(value)) and value > low, f"a finite number > {low}"
+        ok = ok and bool(np.isfinite(value)) and (value >= low if closed else value > low)
+        what = f"a finite number {'>=' if closed else '>'} {low}"
     if not ok:
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
@@ -105,16 +106,24 @@ def build_mesh(
     """Assemble a PolygonalMesh from vertices and cell loops, validating the
     invariants (CCW simple loops, positive areas, edge adjacency counts,
     outward boundary normals and, when requested, the partition property)."""
-    vertices = np.asarray(vertices, dtype=float)
+    try:
+        vertices = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise ValueError("vertices must be an (n, 2) array of numbers") from None
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise ValueError(f"vertices must be an (n, 2) array, got shape {vertices.shape}")
     nonfinite = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
     if len(nonfinite):
         v = int(nonfinite[0])
         raise ValueError(f"vertex {v} is not finite: {vertices[v].tolist()}")
+    if not np.iterable(cells):
+        raise ValueError(f"cells must be a list of vertex loops, got {cells!r}")
     cells = list(cells)
-    # one type test per index kind, not per index; bools are not indices
-    kinds = set(map(type, itertools.chain.from_iterable(cells)))
+    try:  # one type test per index kind, not per index; bools are not indices
+        kinds = set(map(type, itertools.chain.from_iterable(cells)))
+    except TypeError:
+        ci = next(ci for ci, loop in enumerate(cells) if not np.iterable(loop))
+        raise ValueError(f"cell {ci} is not a list of vertex indices: {cells[ci]!r}") from None
     wrong = {t for t in kinds if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
     if wrong:
         ci, v = next((ci, v) for ci, loop in enumerate(cells) for v in loop if type(v) in wrong)
@@ -128,7 +137,7 @@ def build_mesh(
                                     cells, vertices))
     if np.any(geometry[:, 0]):
         ci = int(np.argmax(geometry[:, 0] > 0))
-        bad = next((v for v in cells[ci] if not -len(vertices) <= v < len(vertices)), None)
+        bad = next((v for v in cells[ci] if not 0 <= v < len(vertices)), None)
         raise ValueError(f"cell {ci} " + (
             "has fewer than 3 vertices", "repeats a vertex",
             f"has vertex index {bad} out of range for {len(vertices)} vertices",
@@ -212,10 +221,10 @@ def _cell_geometry(batch: list, cells: list, vertices: np.ndarray) -> np.ndarray
     if len(cells[batch[0]]) < 3:
         out[:, 0] = 1
         return out
-    loops = np.array([cells[c] for c in batch])
+    loops = np.array([cells[c] for c in batch])  # float or object when past int64
     ordered = np.sort(loops, axis=1)
-    outside = np.any((loops < -len(vertices)) | (loops >= len(vertices)), axis=1)
-    pts = vertices[np.where(outside[:, None], 0, loops)]
+    outside = np.any((loops < 0) | (loops >= len(vertices)), axis=1)
+    pts = vertices[np.where(outside[:, None], 0, loops).astype(np.int64, copy=False)]
     area, out[:, 2:4] = polygon_shoelace(pts)
     d2 = np.sum((pts[:, :, None, :] - pts[:, None, :, :]) ** 2, axis=-1)
     out[:, 1], out[:, 4] = area, np.sqrt(np.max(d2, axis=(1, 2)))
@@ -407,8 +416,4 @@ def mesh_from_json(source) -> PolygonalMesh:
     missing = [key for key in ("vertices", "cells") if key not in doc]
     if missing:
         raise ValueError(f"mesh JSON has no {missing[0]!r} key")
-    return build_mesh(
-        np.asarray(doc["vertices"], dtype=float),
-        doc["cells"],
-        boundary_levelset=doc.get("boundary_levelset"),
-    )
+    return build_mesh(doc["vertices"], doc["cells"], boundary_levelset=doc.get("boundary_levelset"))

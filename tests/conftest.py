@@ -3,12 +3,26 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polyvem import build_structured_mesh
 from polyvem.basis import (cell_basis_dim, monomial_exponents, monomial_gradients, monomial_values,
                            scaled_powers)
 from polyvem.element import _build_batches, interpolate_all
 from polyvem.mesh import cell_quadratures
+
+
+def fuzz(max_examples: int):
+    """Hypothesis settings for a tier-1 test: a fixed number of derandomized
+    examples, no example database and no deadline.  On a failing draw
+    hypothesis writes a patch with libcst, whose import warns; the filter
+    lets that one warning pass, so the draw, not the warning, is reported."""
+    def wrap(test):
+        test = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=max_examples)(test)
+        return pytest.mark.filterwarnings(
+            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")(test)
+    return wrap
 
 
 @pytest.fixture

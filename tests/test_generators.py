@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from polyvem import (
     build_disk_approx_mesh,
@@ -23,6 +23,7 @@ from polyvem.levelset import (
     tau_report,
 )
 from polyvem.mesh import cell_quadratures
+from conftest import fuzz
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -170,22 +171,23 @@ def test_disk_rejects_nonconvex():
         build_disk_approx_mesh(ls, 8, 1)
 
 
-@pytest.mark.parametrize("ls,message", [
-    (circle(radius=0.0), r"anchor \[0\.0, 0\.0\] must be strictly inside the domain "
-                         r"\(F = 0\.000e\+00\)"),
-    (dataclasses.replace(circle(), bounding_box=(-np.inf, -1.0, 1.0, 1.0)),
+@pytest.mark.parametrize("make,message", [
+    (lambda: circle(radius=0.0), r"anchor \[0\.0, 0\.0\] must be strictly inside the domain "
+                                 r"\(F = 0\.000e\+00\)"),
+    (lambda: dataclasses.replace(circle(), bounding_box=(-np.inf, -1.0, 1.0, 1.0)),
      "level set must provide a finite bounding box"),
-    # F is NaN at the anchor, which passes the anchor check; this once built
-    # a one-cell mesh of NaN vertices
-    (circle(radius=np.nan), "level set must provide a finite bounding box"),
+    # F was NaN at the anchor, which passes the anchor check; this once built
+    # a one-cell mesh of NaN vertices, and a negative radius the unit disk
+    (lambda: circle(radius=np.nan), "radius must be a finite number >= 0, got nan"),
+    (lambda: circle(radius=-1.0), r"radius must be a finite number >= 0, got -1\.0"),
     # rays 3 to 6 point away from the boundary of a half plane and never leave
     # it; ray 2 meets it at t = 1.6e16, where bisection ends on adjacent floats
-    (half_plane((0.0, 0.0), (1.0, 0.0)), r"no boundary crossing within .* along "
+    (lambda: half_plane((0.0, 0.0), (1.0, 0.0)), r"no boundary crossing within .* along "
      r"\[-0\.7071067811865475, 0\.7071067811865476\] on a boundary ray of the inscribed polygon"),
-], ids=["anchor-on-boundary", "infinite-box", "nan-radius", "no-crossing"])
-def test_disk_rejects_bad_level_sets(ls, message):
+], ids=["anchor-on-boundary", "infinite-box", "nan-radius", "negative-radius", "no-crossing"])
+def test_disk_rejects_bad_level_sets(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        build_disk_approx_mesh(ls, 8, 1)
+        build_disk_approx_mesh(make(), 8, 1)
 
 
 # sizes of magnitude below 1e-2 are drawn as 0; beyond these ranges the
@@ -194,10 +196,7 @@ _sizes = st.floats(-10.0, 10.0).map(lambda v: 0.0 if abs(v) < 1e-2 else v)
 _centers = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 
 
-# on a failure hypothesis writes a patch with libcst, whose import warns;
-# without this filter the warning, not the failing draw, ends the session
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@fuzz(60)
 @given(kind=st.sampled_from(["ellipse", "circle"]), a=_sizes, b=_sizes, center=_centers,
        n_boundary=st.integers(3, 64), interior_resolution=st.integers(1, 6))
 def test_disk_mesh_is_built_on_the_level_set_or_refused(kind, a, b, center, n_boundary,

@@ -1,9 +1,11 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, strategies as st
 
 import polyvem.linsys as linsys_module
 import polyvem.weakbc as weakbc_module
@@ -28,6 +30,7 @@ from polyvem.weakbc import (
     assemble_nitsche,
     edge_workspaces,
 )
+from conftest import fuzz
 
 
 def dense_system(a, b, **kw):
@@ -118,15 +121,25 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
 
 
+def block_triplets(n, rows, cols, block):
+    """The (key, value) triplets of one stored block, in C order."""
+    return np.broadcast_to(cols * n + rows, block.shape).ravel(), block.ravel()
+
+
 def builder_triplets(builder):
     """The (key, value) triplets a builder holds, in insertion order."""
-    return np.concatenate(builder._keys), np.concatenate(builder._vals)
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for b in builder._blocks:
+        key, val = block_triplets(builder.n, *b)
+        keys.append(key)
+        vals.append(val)
+    return np.concatenate(keys), np.concatenate(vals)
 
 
 def copied(builder):
     """A builder holding the same blocks, for a test to compress again."""
     out = TripletBuilder(builder.n)
-    out._keys, out._vals = list(builder._keys), list(builder._vals)
+    out._blocks = list(builder._blocks)
     return out
 
 
@@ -134,10 +147,11 @@ def shuffled_copy(builder, rng):
     """The builder's triplets re-added with the blocks and the triplets
     inside each block in random order, as stacked 1x1 blocks."""
     out = TripletBuilder(builder.n)
-    for b in rng.permutation(len(builder._keys)):
-        p = rng.permutation(len(builder._keys[b]))
-        cols, rows = np.divmod(builder._keys[b][p], builder.n)
-        out.add_block(rows[:, None], cols[:, None], builder._vals[b][p][:, None, None])
+    for b in rng.permutation(len(builder._blocks)):
+        key, vals = block_triplets(builder.n, *builder._blocks[b])
+        p = rng.permutation(len(key))
+        cols, rows = np.divmod(key[p], builder.n)
+        out.add_block(rows[:, None], cols[:, None], vals[p][:, None, None])
     return out
 
 
@@ -173,6 +187,28 @@ def test_compress_matches_lexsort_reference(n, kind, seed):
     assert_same_bits(shuffled.compress(), want)
 
 
+# block shapes: leading batch axes, then rows and columns; sizes of 0 give
+# empty blocks
+_SHAPES = st.tuples(st.lists(st.integers(0, 3), max_size=2), st.integers(0, 4), st.integers(0, 4))
+
+
+@fuzz(100)
+@given(n=st.integers(1, 60), shapes=st.lists(_SHAPES, max_size=6),
+       kind=st.sampled_from(list(VALUE_KINDS)), seed=st.integers(0, 2**32 - 1))
+def test_compress_is_the_lexsort_reference_for_any_blocks(n, shapes, kind, seed):
+    # indices from a few values, so a block repeats them and blocks collide
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, n, 4)
+    b = TripletBuilder(n)
+    for batch, r, c in shapes:
+        b.add_block(rng.choice(pool, (*batch, r)), rng.choice(pool, (*batch, c)),
+                    VALUE_KINDS[kind](rng, np.prod(batch, dtype=int) * r * c).reshape(*batch, r, c))
+    want = lexsort_compress(n, *builder_triplets(b))
+    shuffled = shuffled_copy(b, rng)
+    assert_same_bits(b.compress(), want)
+    assert_same_bits(shuffled.compress(), want)
+
+
 def test_compress_dense_blocks_match_lexsort_reference():
     rng = np.random.default_rng(11)
     b = TripletBuilder(30)
@@ -197,11 +233,14 @@ def test_compress_empty_builders():
 
 def test_compress_consumes_the_builder():
     b = TripletBuilder(3)
-    b.add_block([0, 2], [1, 2], np.ones((2, 2)))
-    keys = list(b._keys)
+    rows, cols, block = np.array([0, 2]), np.array([1, 2]), np.array([[4.0, 3.0], [2.0, 1.0]])
+    b.add_block(rows, cols, block)
+    assert np.array_equal(builder_triplets(b)[0], [3, 6, 5, 8])
     b.compress()
-    assert b._keys is None and b._vals is None  # the blocks are dropped
-    assert np.array_equal(keys[0], [3, 6, 5, 8])  # the blocks are not sorted in place
+    assert b._blocks is None  # the blocks are dropped
+    # the caller's blocks are not sorted in place
+    assert rows.tolist() == [0, 2] and cols.tolist() == [1, 2]
+    assert block.tolist() == [[4.0, 3.0], [2.0, 1.0]]
     with pytest.raises(RuntimeError, match="already compressed"):
         b.compress()
 
@@ -246,6 +285,48 @@ def test_packed_keys_sort_without_argsort(monkeypatch):
     linsys_module._sort_triplets(got, np.arange(len(key)), 2**40, out=order)  # 40 + 10 bits
     assert np.array_equal(got, np.sort(key))
     assert np.array_equal(order, np.lexsort((np.arange(len(key)), key)))  # ties in input order
+
+
+# -- memory of add_block and compress ------------------------------------------
+
+def stacked_blocks(n=300, count=4000, size=10, seed=0):
+    """`count` stacked size x size blocks on random indices below n: with
+    n = 300, 400k triplets on about 89k entries, 4.5 triplets an entry."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, n, (count, size)), rng.integers(0, n, (count, size)),
+            rng.standard_normal((count, size, size)))
+
+
+def traced(call):
+    """Run `call` under tracemalloc: its result, the growth of the traced
+    memory and the traced peak, both over the memory at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, now - base, peak - base
+
+
+def test_add_block_keeps_no_copy_of_contiguous_blocks():
+    rows, cols, block = stacked_blocks()
+    b = TripletBuilder(300)
+    _, grown, _ = traced(lambda: b.add_block(rows, cols, block))
+    assert grown < block.size  # under 1 byte a triplet: no key array
+
+
+def test_compress_makes_no_triplet_sized_temporary_besides_its_workspace():
+    n = 300
+    rows, cols, block = stacked_blocks(n)
+    b = TripletBuilder(n)
+    b.add_block(rows, cols, block)
+    A, _, peak = traced(b.compress)
+    assert block.size / A.nnz > 4  # collisions as on the squares ladder
+    # the workspace (24 bytes a triplet), the per-entry arrays of the
+    # grouping and of the matrix, its indptr and a fixed allowance
+    assert peak <= 24 * block.size + 32 * A.nnz + 8 * n + 2 * 2**20
 
 
 # -- compress on real assemblies -------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polyvem import (
     build_structured_mesh,
@@ -11,7 +12,7 @@ from polyvem import (
 )
 from polyvem.mesh import build_mesh
 from polyvem.quadrature import gauss_lobatto, segment_rules
-from conftest import cell_rule
+from conftest import cell_rule, fuzz
 
 
 def boundary_loops(mesh):
@@ -195,11 +196,80 @@ _SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
      r"vertices must be an \(n, 2\) array, got shape \(3, 3\)"),
     ({"vertices": _SQUARE}, "mesh JSON has no 'cells' key"),
     ({"cells": [[0, 1, 2, 3]]}, "mesh JSON has no 'vertices' key"),
+    # these once raised "'int' object is not iterable" or numpy's message
+    ({"vertices": _SQUARE, "cells": [[0, 1, 2, 3], 5]},
+     "cell 1 is not a list of vertex indices: 5"),
+    ({"vertices": _SQUARE, "cells": 5}, "cells must be a list of vertex loops, got 5"),
+    ({"vertices": [[0, 0], [1, 0], [1]], "cells": [[0, 1, 2]]},
+     r"vertices must be an \(n, 2\) array of numbers"),
+    ({"vertices": [[0, 0], [1, 0], [1, "x"]], "cells": [[0, 1, 2]]},
+     r"vertices must be an \(n, 2\) array of numbers"),
 ], ids=["clockwise", "no-cells", "nan-vertex", "float-index", "bool-index", "3d-vertices",
-        "missing-cells", "missing-vertices"])
+        "missing-cells", "missing-vertices", "int-cell", "int-cells", "ragged-vertices",
+        "string-vertex"])
 def test_json_rejects_malformed_mesh(doc, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         mesh_from_json(json.dumps(doc))
+
+
+# any JSON value: small and large integers, floats with NaN and infinities,
+# strings, bools, null, and lists and objects of them
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.integers(-2**64, 2**64) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=8)
+_GRIDS = {n: mesh_to_json(build_structured_mesh((0.0, 0.0, 1.0, 1.0), n, 1)) for n in (1, 2, 3)}
+# index edits on a grid's loops: (kind, cell, position, new index), the new
+# index small or past the int64 range
+_EDITS = st.tuples(st.sampled_from(["alias", "move", "reverse", "shorten"]), st.integers(0, 2),
+                   st.integers(0, 3),
+                   st.integers(-16, 16) | st.integers(2**63, 2**64)
+                   | st.integers(-2**64, -2**63 - 1))
+
+
+@fuzz(120)
+@given(nx=st.sampled_from(list(_GRIDS)), edits=st.lists(_EDITS, max_size=2),
+       fault=st.none() | st.sampled_from(["drop", "vertices", "cells", "vertex", "cell",
+                                          "coordinate", "index"]),
+       at=st.integers(0, 7), value=_JSON)
+def test_json_mesh_is_built_or_refused_with_a_value_error(nx, edits, fault, at, value):
+    # a grid whose loops take index edits (an index written as its negative
+    # alias, moved, a loop reversed or shortened), then at most one field,
+    # key, vertex, cell, coordinate or index replaced by any JSON value; a
+    # draw either builds or raises a ValueError: any other exception is a
+    # program fault
+    doc = json.loads(_GRIDS[nx])
+    vertices, cells = doc["vertices"], doc["cells"]
+    for kind, i, j, index in edits:
+        loop = cells[i % len(cells)]
+        if kind == "alias":
+            loop[j % len(loop)] -= len(vertices)
+        elif kind == "move":
+            loop[j % len(loop)] = index
+        else:
+            loop[:] = loop[::-1] if kind == "reverse" else loop[:-1]
+    if fault == "drop":
+        del doc[("vertices", "cells")[at % 2]]
+    elif fault in ("vertices", "cells"):
+        doc[fault] = value
+    elif fault in ("vertex", "cell"):
+        items = vertices if fault == "vertex" else cells
+        items[at % len(items)] = value
+    elif fault == "coordinate":
+        vertices[at % len(vertices)][at % 2] = value
+    elif fault == "index":
+        loop = cells[at % len(cells)]
+        loop[at % len(loop)] = value
+    try:
+        mesh = mesh_from_json(json.dumps(doc))
+    except ValueError:
+        return
+    assert all(0 <= v < mesh.n_vertices for loop in mesh.cells for v in loop)
+    assert np.all(mesh.cell_areas > 0.0) and np.all(np.isfinite(mesh.vertices))
+    again = mesh_from_json(mesh_to_json(mesh))
+    assert np.array_equal(again.vertices, mesh.vertices) and again.cells == mesh.cells
 
 
 def test_json_rejects_overshared_edge():

@@ -53,7 +53,7 @@ def ref_geometry(vertices, cells):
         if len(set(loop)) != len(loop):
             raise ValueError(f"cell {ci} repeats a vertex")
         for v in loop:
-            if not -len(vertices) <= v < len(vertices):
+            if not 0 <= v < len(vertices):
                 raise ValueError(f"cell {ci} has vertex index {v} out of range for "
                                  f"{len(vertices)} vertices")
         pts = vertices[loop]

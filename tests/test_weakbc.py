@@ -317,7 +317,7 @@ def test_stacked_volume_scatter_equals_shuffled_tiles():
     f = lambda p: np.sin(3.0 * p[:, 0]) * np.cos(2.0 * p[:, 1])
     stacked, rhs = TripletBuilder(dm.n_dofs), np.zeros(dm.n_dofs)
     _scatter_volume(stacked, rhs, els, f)
-    assert len(stacked._keys) == len(els.batches) == len({len(loop) for loop in mesh.cells})
+    assert len(stacked._blocks) == len(els.batches) == len({len(loop) for loop in mesh.cells})
 
     stiffness = per_cell(els, [b.stiffness for b in els.batches])
     tiles, want = [], np.zeros(dm.n_dofs)
