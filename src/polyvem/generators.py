@@ -12,8 +12,8 @@ import logging
 import numpy as np
 
 from .levelset import LevelSetDomain, delta_many
-from .mesh import PolygonalMesh, build_mesh, check_number
-from .quadrature import polygon_area, polygon_shoelace
+from .mesh import PolygonalMesh, as_points, build_mesh, check_number
+from .quadrature import _cross, polygon_area, polygon_shoelace
 
 __all__ = [
     "build_structured_mesh",
@@ -61,9 +61,6 @@ def _clip_convex(stacks: list, normal: np.ndarray, offset: float) -> list:
     """
     out = []
     for ids, p in stacks:
-        if p.shape[1] == 0:
-            out.append((ids, p))
-            continue
         d = p @ normal - offset
         q, dq = np.roll(p, -1, axis=1), np.roll(d, -1, axis=1)
         with np.errstate(all="ignore"):
@@ -135,10 +132,12 @@ def _voronoi_polys(seeds: np.ndarray, domain: np.ndarray, tol: float) -> tuple[l
     """Voronoi cells of the seeds clipped to a convex CCW domain polygon, in
     seed order, and their centroids.
 
-    Seeds are mirrored across every domain edge so that interior cells come
-    out bounded; any cell qhull leaves unbounded falls back to direct
-    half-plane clipping.  The bounded cells are sorted, clipped and
-    deduplicated in stacks of one vertex count.
+    Seeds are mirrored across every domain edge.  The bisector of a seed and
+    its mirror image across an edge is that edge's line, so each seed's
+    region lies in the intersection of the edge half-planes, which is the
+    domain when it is convex: every region is bounded.  The regions are
+    sorted, clipped (against roundoff) and deduplicated in stacks of one
+    vertex count.
     """
     from scipy.spatial import Voronoi
 
@@ -153,8 +152,11 @@ def _voronoi_polys(seeds: np.ndarray, domain: np.ndarray, tol: float) -> tuple[l
     vor = Voronoi(np.vstack(mirrored))
     regions = [vor.regions[r] for r in vor.point_region[:n]]
     sizes = np.array([len(r) if len(r) >= 3 and -1 not in r else 0 for r in regions])
+    if not sizes.all():
+        raise ValueError(f"Voronoi region of seed {np.argmin(sizes)} is open or has fewer "
+                         "than 3 vertices")
     stacks = []
-    for size in np.unique(sizes[sizes > 0]):
+    for size in np.unique(sizes):
         ids = np.flatnonzero(sizes == size)
         poly = vor.vertices[np.array([regions[i] for i in ids])]
         # qhull region order is sequential but of either orientation;
@@ -163,8 +165,7 @@ def _voronoi_polys(seeds: np.ndarray, domain: np.ndarray, tol: float) -> tuple[l
         stacks.append((ids, np.take_along_axis(poly, np.argsort(ang, axis=1)[..., None], 1)))
     for nrm, off in planes:
         stacks = _clip_convex(stacks, nrm, off)
-    stacks = _dedup_loop(stacks, tol) + [(np.array([i]), _halfplane_cell(i, seeds, domain, tol)[None])
-                                         for i in np.flatnonzero(sizes == 0)]
+    stacks = _dedup_loop(stacks, tol)
     polys, centroids, bad = [None] * n, np.zeros((n, 2)), []
     for ids, p in stacks:
         if p.shape[1] < 3:
@@ -226,17 +227,29 @@ def build_voronoi_mesh(domain=None, n_seeds: int = 16, lloyd_iters: int = 0,
     """Voronoi cells of random seeds clipped to a convex polygon, optionally
     relaxed by Lloyd iterations (seeds moved to cell centroids).
 
-    Deterministic for a fixed rng_seed.  Degenerate seed sets (coincident
-    points) are resampled a bounded number of times before failing.
+    The domain (default the unit square) is a CCW loop of finite vertices
+    that must be convex, so that the seeds' mirror images bound every region
+    (`_voronoi_polys`); collinear vertices are allowed, and a reflex, reversed
+    or repeated vertex is named.  Seeds are drawn by rejection from the
+    bounding box; a domain too thin for 100,000 + 1,000 n_seeds draws
+    raises.  Deterministic for a fixed rng_seed.  Degenerate seed sets
+    (coincident points) are resampled a bounded number of times before
+    failing.
     """
     check_number("n_seeds", n_seeds, 1, integer=True)
     check_number("lloyd_iters", lloyd_iters, 0, integer=True)
-    domain = UNIT_SQUARE.copy() if domain is None else np.asarray(domain, dtype=float)
-    if polygon_area(domain) <= 0.0:
-        raise ValueError("domain polygon must be CCW with positive area")
+    domain = UNIT_SQUARE.copy() if domain is None else as_points(domain, "domain", "domain vertex")
     area = polygon_area(domain)
-    lo = domain.min(axis=0)
-    hi = domain.max(axis=0)
+    if area <= 0.0:
+        raise ValueError("domain polygon must be CCW with positive area")
+    e = np.roll(domain, -1, axis=0) - domain  # edge i - 1 enters vertex i, edge i leaves it
+    turn, ahead = _cross(np.roll(e, 1, axis=0), e), np.sum(np.roll(e, 1, axis=0) * e, axis=1)
+    reflex = np.flatnonzero((turn < 0.0) | ((turn == 0.0) & (ahead <= 0.0)))
+    if len(reflex):
+        raise ValueError(f"domain polygon is not convex at vertex {reflex[0]}")
+    if np.sum(np.arctan2(turn, ahead)) > 3.0 * np.pi:  # left turns only: 2 pi per winding
+        raise ValueError("domain polygon winds around more than once")
+    lo, hi = domain.min(axis=0), domain.max(axis=0)
     diam = float(np.hypot(*(hi - lo)))
     # welds clip points recomputed by adjacent cells (they differ by roundoff
     # only); loose enough for that, far too tight to merge true vertices
@@ -245,12 +258,15 @@ def build_voronoi_mesh(domain=None, n_seeds: int = 16, lloyd_iters: int = 0,
     rng = np.random.default_rng(rng_seed)
 
     def sample(k):
-        out = []
-        while len(out) < k:
+        out, tries = [], 100_000 + 1_000 * k  # a sliver of its box accepts few draws, or none
+        for _ in range(tries):
             p = lo + rng.random(2) * (hi - lo)
             if all(p @ nrm <= off - 1e-12 * diam for nrm, off in planes):
                 out.append(p)
-        return np.array(out)
+                if len(out) == k:
+                    return np.array(out)
+        raise ValueError(f"could not draw {k} seeds {1e-12 * diam:.1e} or more inside the domain "
+                         f"in {tries} tries; it fills {area / np.prod(hi - lo):.1e} of its box")
 
     from scipy.spatial import cKDTree
 
@@ -273,8 +289,9 @@ def build_voronoi_mesh(domain=None, n_seeds: int = 16, lloyd_iters: int = 0,
     try:
         return _mesh_from_polys(polys, expected_area=area, tol=tol)
     except ValueError:
-        # rare mirror-trick failure: rebuild every cell by exact half-plane
-        # clipping against all other seeds
+        # qhull's vertex at an acute domain corner can be off by more than tol,
+        # so the cells miss part of the domain (a 143:1 triangle, 2 seeds):
+        # rebuild every cell by clipping the domain against all other seeds
         polys = [_halfplane_cell(i, seeds, domain, tol) for i in range(len(seeds))]
         return _mesh_from_polys(polys, expected_area=area, tol=tol)
 
@@ -341,23 +358,16 @@ def _trace_union(cells_set: set) -> list:
     lattice squares; one loop per connected component."""
     heads: dict = {}
     for (a, b) in cells_set:
-        if (a, b - 1) not in cells_set:
-            heads[(a, b)] = (a + 1, b)
-        if (a + 1, b) not in cells_set:
-            heads[(a + 1, b)] = (a + 1, b + 1)
-        if (a, b + 1) not in cells_set:
-            heads[(a + 1, b + 1)] = (a, b + 1)
-        if (a - 1, b) not in cells_set:
-            heads[(a, b + 1)] = (a, b)
-    # a vertex with two outgoing edges would be a checkerboard pinch; the
-    # dict construction above would have silently dropped one, so count them
-    n_edges = sum(
-        ((a, b - 1) not in cells_set) + ((a + 1, b) not in cells_set)
-        + ((a, b + 1) not in cells_set) + ((a - 1, b) not in cells_set)
-        for (a, b) in cells_set
-    )
-    if n_edges != len(heads):
-        raise ValueError("union of squares has a pinch point (diagonal contact)")
+        # each side with no square beyond it, CCW: (beyond, tail, head)
+        for nb, tail, head in (((a, b - 1), (a, b), (a + 1, b)),
+                               ((a + 1, b), (a + 1, b), (a + 1, b + 1)),
+                               ((a, b + 1), (a + 1, b + 1), (a, b + 1)),
+                               ((a - 1, b), (a, b + 1), (a, b))):
+            if nb in cells_set:
+                continue
+            if tail in heads:  # two edges leave one vertex: a checkerboard pinch
+                raise ValueError("union of squares has a pinch point (diagonal contact)")
+            heads[tail] = head
     loops = []
     heads = dict(sorted(heads.items()))
     while heads:

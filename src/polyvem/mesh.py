@@ -53,6 +53,30 @@ def check_number(name: str, value, low, integer: bool = False, closed: bool = Fa
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
+def as_points(points, name: str = "vertices", what: str = "vertex") -> np.ndarray:
+    """`points` as an (n, 2) float array, or a ValueError naming `name`, or
+    `what` and the index of the first point with a coordinate that is not a
+    finite real number (bools and numeric strings are not numbers)."""
+    try:
+        out = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise ValueError(f"{name} must be an (n, 2) array of numbers") from None
+    if out.ndim != 2 or out.shape[1] != 2:
+        raise ValueError(f"{name} must be an (n, 2) array, got shape {out.shape}")
+    if not (isinstance(points, np.ndarray) and points.dtype.kind in "iuf"):
+        # one type test per coordinate kind, not per coordinate
+        kinds = set(map(type, itertools.chain.from_iterable(points)))
+        wrong = {t for t in kinds
+                 if issubclass(t, bool) or not issubclass(t, (int, float, np.integer, np.floating))}
+        if wrong:
+            v, c = next((v, c) for v, p in enumerate(points) for c in p if type(c) in wrong)
+            raise ValueError(f"{what} {v} has coordinate {c!r}, not a number")
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{what} {bad[0]} is not finite: {out[bad[0]].tolist()}")
+    return out
+
+
 @dataclass(frozen=True)
 class PolygonalMesh:
     """Immutable 2D polygonal mesh.
@@ -106,16 +130,7 @@ def build_mesh(
     """Assemble a PolygonalMesh from vertices and cell loops, validating the
     invariants (CCW simple loops, positive areas, edge adjacency counts,
     outward boundary normals and, when requested, the partition property)."""
-    try:
-        vertices = np.asarray(vertices, dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        raise ValueError("vertices must be an (n, 2) array of numbers") from None
-    if vertices.ndim != 2 or vertices.shape[1] != 2:
-        raise ValueError(f"vertices must be an (n, 2) array, got shape {vertices.shape}")
-    nonfinite = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
-    if len(nonfinite):
-        v = int(nonfinite[0])
-        raise ValueError(f"vertex {v} is not finite: {vertices[v].tolist()}")
+    vertices = as_points(vertices)
     if not np.iterable(cells):
         raise ValueError(f"cells must be a list of vertex loops, got {cells!r}")
     cells = list(cells)
@@ -203,7 +218,7 @@ def build_mesh(
     )
     if expected_area is not None:
         total = float(np.sum(areas))
-        if abs(total - expected_area) > _AREA_RTOL * max(abs(expected_area), 1.0):
+        if abs(total - expected_area) > _AREA_RTOL * abs(expected_area):
             raise ValueError(
                 f"cells do not tile the domain: sum of areas {total!r} vs {expected_area!r}"
             )
@@ -335,7 +350,7 @@ def _points_in_polygon(cand: np.ndarray, pts: np.ndarray) -> np.ndarray:
         xi, yi = pts[..., i, 0, None], pts[..., i, 1, None]
         xj, yj = pts[..., j, 0, None], pts[..., j, 1, None]
         crosses = (yi > y) != (yj > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # only edges that do not cross y divide by 0 or overflow
             xint = xi + (y - yi) * (xj - xi) / (yj - yi)
         inside ^= crosses & (x < xint)
         j = i
@@ -407,12 +422,16 @@ def mesh_to_json(mesh: PolygonalMesh, path=None) -> str:
 
 
 def mesh_from_json(source) -> PolygonalMesh:
-    """Load a mesh from a JSON string or file path, validating all invariants."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
+    """Load a mesh from a JSON document or file path, validating all
+    invariants; a string whose first non-blank character is `{` or `[` is a
+    document, any other a path."""
+    if isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
         doc = json.loads(source)
     else:
         with open(source) as fh:
             doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"mesh JSON must be an object, got {type(doc).__name__}")
     missing = [key for key in ("vertices", "cells") if key not in doc]
     if missing:
         raise ValueError(f"mesh JSON has no {missing[0]!r} key")

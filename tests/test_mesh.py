@@ -204,9 +204,15 @@ _SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
      r"vertices must be an \(n, 2\) array of numbers"),
     ({"vertices": [[0, 0], [1, 0], [1, "x"]], "cells": [[0, 1, 2]]},
      r"vertices must be an \(n, 2\) array of numbers"),
+    # these once built the point (1, 1), or raised FileNotFoundError
+    ({"vertices": [[0, 0], [1, 0], [1, "1"]], "cells": [[0, 1, 2]]},
+     "vertex 2 has coordinate '1', not a number"),
+    ({"vertices": [[0, 0], [1, 0], [1, True]], "cells": [[0, 1, 2]]},
+     "vertex 2 has coordinate True, not a number"),
+    ([1, 2], "mesh JSON must be an object, got list"),
 ], ids=["clockwise", "no-cells", "nan-vertex", "float-index", "bool-index", "3d-vertices",
         "missing-cells", "missing-vertices", "int-cell", "int-cells", "ragged-vertices",
-        "string-vertex"])
+        "string-vertex", "numeric-string-coordinate", "bool-coordinate", "list-document"])
 def test_json_rejects_malformed_mesh(doc, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         mesh_from_json(json.dumps(doc))

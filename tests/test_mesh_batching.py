@@ -157,14 +157,14 @@ def ref_polys(seeds, domain, tol):
     for i in range(n):
         region = vor.regions[vor.point_region[i]]
         if len(region) < 3 or -1 in region:
-            poly = ref_halfplane_cell(i, seeds, domain, tol)
-        else:
-            poly = vor.vertices[region]
-            ang = np.arctan2(poly[:, 1] - seeds[i, 1], poly[:, 0] - seeds[i, 0])
-            poly = poly[np.argsort(ang)]
-            for nrm, off in planes:
-                poly = ref_clip(poly, nrm, off)
-            poly = ref_dedup(poly, tol)
+            raise ValueError(f"Voronoi region of seed {i} is open or has fewer than 3 vertices")
+    for i in range(n):
+        poly = vor.vertices[vor.regions[vor.point_region[i]]]
+        ang = np.arctan2(poly[:, 1] - seeds[i, 1], poly[:, 0] - seeds[i, 0])
+        poly = poly[np.argsort(ang)]
+        for nrm, off in planes:
+            poly = ref_clip(poly, nrm, off)
+        poly = ref_dedup(poly, tol)
         if len(poly) < 3 or ref_area(poly) <= 0.0:
             raise ValueError(f"degenerate Voronoi cell for seed {i}")
         polys.append(poly)
@@ -241,10 +241,11 @@ def ref_voronoi(domain, n_seeds, lloyd_iters, rng_seed, rebuild=False):
         seeds[bad] = sample(len(bad))
     for _ in range(max(0, lloyd_iters)):
         seeds = np.array([ref_centroid(p) for p in ref_polys(seeds, domain, tol)])
+    polys = ref_polys(seeds, domain, tol)
     try:
         if rebuild:
             raise ValueError("forced")
-        vertices, cells = ref_weld(ref_polys(seeds, domain, tol), tol)
+        vertices, cells = ref_weld(polys, tol)
         ref_geometry(vertices, cells)
         build_mesh(vertices, cells, expected_area=area)
     except ValueError:
@@ -402,21 +403,42 @@ def test_voronoi_rebuild_by_halfplanes_partitions_domain(checked, monkeypatch):
     assert np.array_equal(mesh.vertices, vertices) and mesh.cells == cells
 
 
-def test_unbounded_and_short_regions_fall_back_to_halfplanes(checked, monkeypatch):
+def test_voronoi_on_an_acute_domain_rebuilds_as_the_per_cell_generator(checked, monkeypatch):
+    # qhull's vertex at the 0.4 degree corner of this triangle is off by
+    # 2.3e-10 > tol, and the mirror cells miss 7.5e-11 of its area: every
+    # cell is rebuilt from half-planes, as in the per-cell code
+    real = gen._mesh_from_polys
+    calls = []
+
+    def counted(polys, expected_area, tol):
+        calls.append(len(polys))
+        return real(polys, expected_area=expected_area, tol=tol)
+
+    monkeypatch.setattr(gen, "_mesh_from_polys", counted)
+    triangle = np.array([[0.0, 0.0], [143.0, 0.0], [0.0, 1.0]])
+    mesh = assert_voronoi_matches(triangle, 2, 0, 0)
+    assert calls == [2, 2]
+    assert np.sum(mesh.cell_areas) == 71.5
+
+
+def test_unbounded_and_short_regions_name_the_lowest_seed(monkeypatch):
     # qhull leaves a region unbounded (-1 in it) or with under 3 vertices:
-    # those cells are clipped directly from the domain
+    # on a convex domain neither can happen, so the build stops there
     real = scipy.spatial.Voronoi
+    changes = {0: lambda r: [-1] + r, 5: lambda r: r[:2], 9: lambda r: r + [-1]}
+    for changed, lowest in (((0, 5, 9), 0), ((9, 5), 5)):
+        def with_open_regions(points, changed=changed):
+            vor = real(points)
+            for i in changed:
+                vor.regions[vor.point_region[i]] = changes[i](vor.regions[vor.point_region[i]])
+            return vor
 
-    def with_open_regions(points):
-        vor = real(points)
-        for i, change in ((0, lambda r: [-1] + r), (5, lambda r: r[:2]), (9, lambda r: r + [-1])):
-            vor.regions[vor.point_region[i]] = change(vor.regions[vor.point_region[i]])
-        return vor
-
-    monkeypatch.setattr(scipy.spatial, "Voronoi", with_open_regions)
-    for lloyd in (0, 2):
-        mesh = assert_voronoi_matches(None, 32, lloyd, 8)
-        assert abs(np.sum(mesh.cell_areas) - 1.0) <= 1e-12
+        monkeypatch.setattr(scipy.spatial, "Voronoi", with_open_regions)
+        message = f"^Voronoi region of seed {lowest} is open or has fewer than 3 vertices$"
+        for lloyd in (0, 2):
+            for build in (build_voronoi_mesh, ref_voronoi):
+                with pytest.raises(ValueError, match=message):
+                    build(None, 32, lloyd, 8)
 
 
 class _ScriptedRng:
